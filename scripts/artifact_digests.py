@@ -1,0 +1,89 @@
+"""Print one sha256 digest per artifact of a fixed set of CLI runs.
+
+Builds deterministic inputs with the standard library (a synthetic
+189x267x3 pixmap, a 70% random mask made by ``cpcomplete mask`` and a small
+snapshot tensor), then runs ``python -m cpcomplete`` from this checkout's
+``src`` for:
+
+- ``complete`` on the pixmap at rank 50 in hybrid mode;
+- ``complete`` on the pixmap at ``fixed:35``;
+- ``pod`` on the small tensor;
+- a small ``mor-demo``.
+
+Every run is its own process with OPENBLAS/OMP/MKL_NUM_THREADS=1, because
+results are byte-identical only at a fixed BLAS thread count.  Two trees that
+print the same lines wrote byte-identical artifacts.
+
+    python scripts/artifact_digests.py [--keep DIR]
+"""
+
+import argparse
+import hashlib
+import os
+import struct
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+HEIGHT, WIDTH = 189, 267
+MAX_ITER = 200
+
+
+def write_pixmap(path):
+    # Smooth integer ramps, nearly rank 2 per channel, with values in [0, 255].
+    rows = bytearray()
+    for i in range(HEIGHT):
+        for j in range(WIDTH):
+            for c in range(3):
+                rows.append(((i * 255) // (HEIGHT - 1) * (c + 1) + (j * 255) // (WIDTH - 1) * (3 - c)) // 4)
+    path.write_bytes(b"P6\n%d %d\n255\n" % (WIDTH, HEIGHT) + bytes(rows))
+
+
+def write_tensor(path, dims=(12, 10, 8)):
+    # Sum of three integer rank-one terms, exact in float64, C order.
+    i_n, j_n, k_n = dims
+    vals = [
+        sum((i + r + 1) * (j * r + 1) * (k + 2 * r + 1) for r in range(3))
+        for i in range(i_n)
+        for j in range(j_n)
+        for k in range(k_n)
+    ]
+    path.write_bytes(b"TNS3" + struct.pack("<3Q", *dims) + struct.pack(f"<{len(vals)}d", *vals))
+
+
+def run(args, env):
+    res = subprocess.run([sys.executable, "-m", "cpcomplete", *args], env=env, capture_output=True, text=True)
+    if res.returncode != 0:
+        sys.exit(f"cpcomplete {args[0]} failed with exit code {res.returncode}:\n{res.stderr}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--keep", help="write the artifacts here instead of a temporary directory")
+    args = parser.parse_args()
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(args.keep or tmp)
+        out.mkdir(parents=True, exist_ok=True)
+        write_pixmap(out / "image.ppm")
+        write_tensor(out / "snaps.tns3")
+        run(["mask", "--dims", f"{HEIGHT},{WIDTH},3", "--fraction", "0.7", "--seed", "1",
+             "--out", out / "obs.msk3"], env)
+        for name, mode in (("hybrid", "hybrid"), ("fixed", "fixed:35")):
+            run(["complete", "--input", out / "image.ppm", "--mask", out / "obs.msk3", "--rank", "50",
+                 "--mode", mode, "--max-iter", str(MAX_ITER), "--out", out / f"{name}.cpm1",
+                 "--trace", out / f"{name}.csv", "--recon", out / f"{name}.ppm"], env)
+        run(["pod", "--input", out / "snaps.tns3", "--rank", "6", "--out", out / "pod.mat1"], env)
+        (out / "mor").mkdir(exist_ok=True)
+        run(["mor-demo", "--nx", "16", "--grid", "5", "--rank0", "12", "--tests", "3", "--pod-rank", "6",
+             "--max-iter", "60", "--outdir", out / "mor"], env)
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out).as_posix())
+
+
+if __name__ == "__main__":
+    main()

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cp_model import CPModel, reconstruct, truncate_rank
+from .cp_model import CPModel, hadamard_gram, reconstruct, truncate_rank
 from .exceptions import DataError
 from .factor_updates import StepControl, mm_update
 from .hybrid_l1 import HybridConfig, ista_alpha_step, solve_l1_hybrid
@@ -85,11 +85,28 @@ class CPScalingOperator:
         self.dims = (i, j, k)
         self.shape = (i * j * k, m.R)
         self._w = khatri_rao(m.C, m.B)  # row index k*J + j
-        self._gram = (m.A.T @ m.A) * (m.B.T @ m.B) * (m.C.T @ m.C)
+        self._gram = hadamard_gram(m.A, m.B, m.C)
 
-    def gram(self):
-        """Q Q^T via the Hadamard product of the three factor Grams."""
-        return self._gram
+    def coordinates(self, d):
+        """(H, c) with [c H] an (R+1) x (R+1) factor of the joint Gram [d Q^T]^T [d Q^T].
+
+        Every inner product among d and the columns of Q^T is preserved, so
+        min ||H x - c||^2 + lambda ||x||_1 is the same problem as
+        min ||Q^T x - d||^2 + lambda ||x||_1, posed in R+1 coordinates.  The
+        factor is the Cholesky one; when the Gram is numerically indefinite
+        (for example an all-zero factor column) it is the eigenvalue square
+        root, with negative eigenvalues clipped to zero.
+        """
+        xtx = np.empty((self.shape[1] + 1, self.shape[1] + 1))
+        xtx[0, 0] = d @ d
+        xtx[0, 1:] = xtx[1:, 0] = self.rmatvec(d)
+        xtx[1:, 1:] = self._gram
+        try:
+            c = np.linalg.cholesky(xtx).T
+        except np.linalg.LinAlgError:
+            evals, evecs = np.linalg.eigh(xtx)
+            c = np.sqrt(np.maximum(evals, 0.0))[:, None] * evecs.T
+        return c[:, 1:], c[:, 0]
 
     def matvec(self, x):
         i, j, k = self.dims
@@ -135,7 +152,7 @@ def _init_model(t_zero_filled, dims, r0, rng):
         return x / np.linalg.norm(x, axis=0)
 
     a, b, c = (unit_columns(d) for d in dims)
-    gram = (a.T @ a) * (b.T @ b) * (c.T @ c)
+    gram = hadamard_gram(a, b, c)
     rhs = cached_einsum("ijk,ir,jr,kr->r", t_zero_filled, a, b, c)
     alpha, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
     # Exact zeros would freeze components (D = 0 annihilates the gradients).
@@ -184,7 +201,7 @@ def complete(t, mask, cfg):
             model = mm_update(mode, model, t_work, ctl)
         if cfg.mode == "hybrid":
             op = CPScalingOperator(model)
-            alpha, lam_hist = solve_l1_hybrid(op, t_work.ravel(), hybrid_cfg)
+            alpha, lam_hist = solve_l1_hybrid(*op.coordinates(t_work.ravel()), hybrid_cfg)
             model.alpha = alpha
             lam = float(lam_hist[-1]) if lam_hist.size else float("nan")
             s_hat = op.reconstruct(alpha)

@@ -1,5 +1,5 @@
 """CP representation [alpha; A, B, C]: reconstruction, normalization, the
-vectorized rank-one dictionary Q, and rank truncation."""
+vectorized rank-one dictionary Q, its Hadamard Grams, and rank truncation."""
 
 from dataclasses import dataclass
 
@@ -8,7 +8,7 @@ import numpy as np
 from .exceptions import DegenerateComponentError
 from .tensor_ops import cached_einsum
 
-__all__ = ["CPModel", "reconstruct", "normalize", "build_q", "truncate_rank"]
+__all__ = ["CPModel", "reconstruct", "normalize", "build_q", "hadamard_gram", "truncate_rank"]
 
 
 @dataclass
@@ -85,6 +85,18 @@ def build_q(m):
     """
     i, j, k = m.dims
     return cached_einsum("ir,jr,kr->rijk", m.A, m.B, m.C).reshape(m.R, i * j * k)
+
+
+def hadamard_gram(*factors):
+    """(X^T X) * (Y^T Y) * ..., multiplied left to right.
+
+    The Gram of the Khatri-Rao product of the factors, without forming that
+    product; for (A, B, C) it is Q Q^T.
+    """
+    gram = factors[0].T @ factors[0]
+    for f in factors[1:]:
+        gram = gram * (f.T @ f)
+    return gram
 
 
 def truncate_rank(m, eps):

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cp_model import reconstruct
+from .cp_model import hadamard_gram, reconstruct
 from .exceptions import NumericalRankError
 from .tensor_ops import as_tensor, cached_einsum
 
@@ -35,12 +35,19 @@ def _mode_gram(mode, m):
     # Gram of the mode's Khatri-Rao matrix, via the Hadamard identity
     # (X kr Y)^T (X kr Y) = X^T X * Y^T Y.
     if mode == "A":
-        return (m.C.T @ m.C) * (m.B.T @ m.B)
+        return hadamard_gram(m.C, m.B)
     if mode == "B":
-        return (m.C.T @ m.C) * (m.A.T @ m.A)
+        return hadamard_gram(m.C, m.A)
     if mode == "C":
-        return (m.B.T @ m.B) * (m.A.T @ m.A)
+        return hadamard_gram(m.B, m.A)
     raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+
+
+def _set_unit_columns(target, g):
+    # target[:, r] = g[:, r] / ||g[:, r]||; a collapsed column keeps its value.
+    norms = np.linalg.norm(g, axis=0)
+    np.divide(g, norms, out=target, where=norms > 0.0)
+    return norms
 
 
 def _mode_mttkrp(mode, t, m):
@@ -93,12 +100,8 @@ def mm_update(mode, m, t, ctl):
     ctl.lipschitz[mode] = lip
     step = 1.0 / (ctl.s * lip)
     d = {"A": m.A, "B": m.B, "C": m.C}[mode] - step * gradient(mode, m, t)
-    norms = np.linalg.norm(d, axis=0)
     out = m.copy()
-    target = {"A": out.A, "B": out.B, "C": out.C}[mode]
-    for r in range(m.R):
-        if norms[r] > 0.0:
-            target[:, r] = d[:, r] / norms[r]
+    _set_unit_columns({"A": out.A, "B": out.B, "C": out.C}[mode], d)
     return out
 
 
@@ -114,7 +117,6 @@ def regularized_als_step(m, t, rho):
         raise ValueError(f"rho must be nonnegative, got {rho}")
     work = m.copy()
     eye = np.eye(m.R)
-    alpha = work.alpha
     for mode in _MODES:
         gram = _mode_gram(mode, work)
         lhs = gram + rho * eye
@@ -124,13 +126,7 @@ def regularized_als_step(m, t, rho):
                 "normal equations are numerically singular; pass rho > 0 to damp them"
             )
         g = np.linalg.solve(lhs, _mode_mttkrp(mode, t, work).T).T
-        norms = np.linalg.norm(g, axis=0)
-        target = {"A": work.A, "B": work.B, "C": work.C}[mode]
-        for r in range(work.R):
-            if norms[r] > 0.0:
-                target[:, r] = g[:, r] / norms[r]
-        alpha = norms
-        work.alpha = alpha
+        work.alpha = _set_unit_columns({"A": work.A, "B": work.B, "C": work.C}[mode], g)
     return work
 
 

@@ -6,6 +6,7 @@ disk), "CPM1" (CP model, factors column-major), "MAT1" (plain matrix,
 row-major).  Pixmaps are P3/P6 with maxval 255, mapped to [0, 1] floats.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -37,10 +38,11 @@ _MAGIC_MATRIX = b"MAT1"
 
 
 def _read_exact(fh, n, what):
-    buf = fh.read(n)
-    if len(buf) != n:
+    # Sizes come from headers, so check them against the bytes left before
+    # reading: a corrupt header must not request an impossible allocation.
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise DataError(f"truncated file while reading {what}")
-    return buf
+    return fh.read(n)
 
 
 def _check_magic(fh, magic, path):

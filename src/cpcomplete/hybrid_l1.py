@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cp_model import reconstruct
+from .cp_model import hadamard_gram, reconstruct
 from .tensor_ops import as_tensor, cached_einsum
 
 __all__ = [
@@ -56,7 +56,7 @@ def ista_alpha_step(m, t, lam, ctl):
     Q Q^T is the Hadamard product of the three factor Grams.
     """
     t = as_tensor(t)
-    gram = (m.A.T @ m.A) * (m.B.T @ m.B) * (m.C.T @ m.C)
+    gram = hadamard_gram(m.A, m.B, m.C)
     eta = max(float(np.linalg.eigvalsh(gram)[-1]), 1e-12)
     step = 1.0 / (ctl.s * eta)
     resid = reconstruct(m) - t
@@ -89,17 +89,6 @@ def irn_weights(s, tau1, tau2):
     return IRNWeights(tau1, tau2, 1.0 / np.sqrt(f))
 
 
-def _operator(op):
-    """Normalize an ndarray / LinearOperator-style object to (matvec, rmatvec, shape)."""
-    if isinstance(op, np.ndarray):
-        if op.ndim != 2:
-            raise ValueError("operator array must be two-dimensional")
-        return (lambda x: op @ x), (lambda y: op.T @ y), op.shape
-    if hasattr(op, "matvec") and hasattr(op, "rmatvec") and hasattr(op, "shape"):
-        return op.matvec, op.rmatvec, tuple(op.shape)
-    raise TypeError("operator must be an ndarray or expose matvec/rmatvec/shape")
-
-
 class FGKState:
     """Flexible Golub-Kahan bases and projected factors after k expansions.
 
@@ -107,19 +96,20 @@ class FGKState:
     holds the preconditioned directions, M ((k+1) x k) is upper Hessenberg
     and Tt (v_cols x u_cols) upper triangular.  ``breakdown`` is set once a
     new direction vanished; the state then stops expanding but can still be
-    solved at the current k.  Buffers grow geometrically so expansion does
-    not copy the bases every step.
+    solved at the current k.  V spans at most the n-dimensional space of
+    v_1, so the process breaks down by step n and the buffers are sized for
+    n steps up front.
     """
 
-    def __init__(self, u1, v1, t11, beta1, capacity=8):
+    def __init__(self, u1, v1, t11, beta1):
         # Basis vectors are stored as rows so Gram-Schmidt runs on contiguous
         # blocks; the public properties expose the column-oriented views.
         m, n = u1.size, v1.size
-        self._u = np.zeros((capacity + 1, m))
-        self._v = np.zeros((capacity + 1, n))
-        self._p = np.zeros((capacity, n))
-        self._m = np.zeros((capacity + 1, capacity))
-        self._t = np.zeros((capacity + 1, capacity + 1))
+        self._u = np.zeros((n + 1, m))
+        self._v = np.zeros((n + 1, n))
+        self._p = np.zeros((n, n))
+        self._m = np.zeros((n + 1, n))
+        self._t = np.zeros((n + 1, n + 1))
         self._u[0] = u1
         self._v[0] = v1
         self._t[0, 0] = t11
@@ -129,22 +119,6 @@ class FGKState:
         self.beta1 = beta1
         self.k = 0
         self.breakdown = False
-
-    def _ensure_capacity(self):
-        if self.k < self._p.shape[0]:
-            return
-        cap = 2 * self._p.shape[0]
-
-        def grow(buf, rows, cols):
-            out = np.zeros((rows, cols))
-            out[: buf.shape[0], : buf.shape[1]] = buf
-            return out
-
-        self._u = grow(self._u, cap + 1, self._u.shape[1])
-        self._v = grow(self._v, cap + 1, self._v.shape[1])
-        self._p = grow(self._p, cap, self._p.shape[1])
-        self._m = grow(self._m, cap + 1, cap)
-        self._t = grow(self._t, cap + 1, cap + 1)
 
     @property
     def U(self):
@@ -168,25 +142,26 @@ class FGKState:
         return self._t[: self._nv, : self._nu]
 
 
-def fgk_init(op, d, capacity=8):
-    """Bootstrap u_1 = d/||d|| and v_1 = H^T u_1 / ||H^T u_1||.
+def fgk_init(h, d):
+    """Bootstrap u_1 = d/||d|| and v_1 = H^T u_1 / ||H^T u_1|| for a 2-D array H.
 
     Returns None when d or H^T d vanishes (the solution of the regularized
     problem is zero and there is nothing to expand).
     """
-    matvec, rmatvec, (mrows, ncols) = _operator(op)
+    if not isinstance(h, np.ndarray) or h.ndim != 2:
+        raise ValueError("operator must be a two-dimensional array")
     d = np.asarray(d, dtype=np.float64).ravel()
-    if d.size != mrows:
-        raise ValueError(f"data length {d.size} does not match operator rows {mrows}")
+    if d.size != h.shape[0]:
+        raise ValueError(f"data length {d.size} does not match operator rows {h.shape[0]}")
     beta1 = float(np.linalg.norm(d))
     if beta1 == 0.0:
         return None
     u1 = d / beta1
-    z = rmatvec(u1)
+    z = h.T @ u1
     t11 = float(np.linalg.norm(z))
     if t11 <= _BREAKDOWN_RTOL * beta1:
         return None
-    return FGKState(u1, z / t11, t11, beta1, capacity=capacity)
+    return FGKState(u1, z / t11, t11, beta1)
 
 
 def _orthogonalize(rows, w):
@@ -199,7 +174,7 @@ def _orthogonalize(rows, w):
     return h + h2, w
 
 
-def fgk_expand(state, op, weights=None):
+def fgk_expand(state, h, weights=None):
     """Grow the flexible Golub-Kahan factorization by one step.
 
     Appends p_k = L_k^{-1} v_k, orthogonalizes H p_k against U to fill M's new
@@ -209,13 +184,11 @@ def fgk_expand(state, op, weights=None):
     """
     if state.breakdown:
         raise ValueError("cannot expand a broken-down state")
-    matvec, rmatvec, _ = _operator(op)
-    state._ensure_capacity()
     state._svd_cache = None
     v = state._v[state.k]
     p = v.copy() if weights is None else weights.apply_inverse(v)
 
-    w = matvec(p)
+    w = h @ p
     scale = float(np.linalg.norm(w))
     mcol, w = _orthogonalize(state._u[: state._nu], w)
     beta = float(np.linalg.norm(w))
@@ -230,7 +203,7 @@ def fgk_expand(state, op, weights=None):
     state._u[state._nu] = w / beta
     state._nu += 1
 
-    z = rmatvec(state._u[state._nu - 1])
+    z = h.T @ state._u[state._nu - 1]
     zscale = float(np.linalg.norm(z))
     tcol, z = _orthogonalize(state._v[: state._nv], z)
     gamma = float(np.linalg.norm(z))
@@ -245,16 +218,12 @@ def fgk_expand(state, op, weights=None):
 
 
 def _projected_svd(state):
-    cache = getattr(state, "_svd_cache", None)
-    if cache is not None:
-        return cache
-    u, s, vt = np.linalg.svd(state.M, full_matrices=False)
-    c = state.beta1 * u[0]
-    rho2 = max(state.beta1**2 - float(c @ c), 0.0)
-    result = (s, c, vt, rho2)
-    if hasattr(state, "_svd_cache"):
-        state._svd_cache = result
-    return result
+    if state._svd_cache is None:
+        u, s, vt = np.linalg.svd(state.M, full_matrices=False)
+        c = state.beta1 * u[0]
+        rho2 = max(state.beta1**2 - float(c @ c), 0.0)
+        state._svd_cache = (s, c, vt, rho2)
+    return state._svd_cache
 
 
 def projected_tikhonov(state, lam):
@@ -338,21 +307,19 @@ def wgcv_select(state, omega, fallback):
     return float(lam) if np.isfinite(val) else fallback
 
 
-def _omega_estimate(state, lam_ref=None):
+def _omega_estimate(state):
     # Weight that makes the WGCV curve stationary at a reference lambda:
     # setting dG/dlambda(lam_ref) = 0 and solving for omega gives
     # omega = N'(rows) / (N'F - 2NF') with N the numerator and F the sum of
-    # the filter factors.  The default reference is sigma_min(M)^2, the
-    # smallest scale the projected problem can resolve, which guards against
-    # the over-smoothing plain GCV exhibits on projected problems.
+    # the filter factors.  The reference is sigma_min(M)^2, the smallest
+    # scale the projected problem can resolve, which guards against the
+    # over-smoothing plain GCV exhibits on projected problems.
     s, c, _, rho2 = _projected_svd(state)
     if not s.size or s[0] <= 0.0:
         return 1.0
     s2, c2 = s**2, c**2
     k, rows = state.M.shape[1], state.M.shape[0]
-    if lam_ref is None:
-        lam_ref = float(s[-1]) ** 2
-    lam = max(float(lam_ref), 1e-300)
+    lam = max(float(s[-1]) ** 2, 1e-300)
     f = s2 / (s2 + lam)
     dfac = s2 / (s2 + lam) ** 2
     n_val = k * (float(((1.0 - f) ** 2) @ c2) + rho2)
@@ -363,31 +330,6 @@ def _omega_estimate(state, lam_ref=None):
     if not np.isfinite(den) or den <= 0.0:
         return 1.0
     return float(np.clip(n_prime * rows / den, 1e-3, 1.0))
-
-
-def _reduce_tall_problem(op, matvec, rmatvec, d, ncols):
-    # Coordinates of [d, H] in an orthonormal basis of their span, obtained
-    # from the Cholesky factor of the joint Gram matrix: C^T C = [d H]^T [d H]
-    # means (C[:, 0], C[:, 1:]) pose the same problem, every inner product
-    # preserved.  Returns None when the Gram is numerically indefinite (then
-    # the caller just runs on the original operator).
-    if hasattr(op, "gram"):
-        g = op.gram()
-    else:
-        hmat = np.empty((d.size, ncols))
-        eye = np.eye(ncols)
-        for r in range(ncols):
-            hmat[:, r] = matvec(eye[r])
-        g = hmat.T @ hmat
-    xtx = np.empty((ncols + 1, ncols + 1))
-    xtx[0, 0] = d @ d
-    xtx[0, 1:] = xtx[1:, 0] = rmatvec(d)
-    xtx[1:, 1:] = g
-    try:
-        c = np.linalg.cholesky(xtx).T
-    except np.linalg.LinAlgError:
-        return None
-    return c[:, 1:], c[:, 0]
 
 
 @dataclass
@@ -407,27 +349,21 @@ class HybridConfig:
     stagnation_tol: float = 1e-6
 
 
-def solve_l1_hybrid(op, d, cfg=None):
-    """Run the flexible hybrid iteration; returns (s, lambda_history).
+def solve_l1_hybrid(h, d, cfg=None):
+    """Run the flexible hybrid iteration on a 2-D array H; returns (s, lambda_history).
 
     Per step: refresh L from the current iterate (identity before one
     exists), expand the flexible Golub-Kahan factorization, pick lambda by
     WGCV, solve the projected Tikhonov problem and map back through P.
     Stops at k_max, on breakdown, or when s stagnates.
 
-    Very tall operators are first rotated onto an orthonormal basis of
-    span([d, range(H)]); the process only ever visits that (n+1)-dimensional
-    subspace, so the iteration is unchanged while every product shrinks to
-    the coordinate problem.
+    The process only uses inner products among d and the columns of H, so a
+    tall problem can be handed over as any (H', d') with the same joint Gram;
+    the completion driver passes an (n+1) x n one.
     """
     cfg = cfg or HybridConfig()
-    matvec, rmatvec, (mrows, ncols) = _operator(op)
-    d = np.asarray(d, dtype=np.float64).ravel()
-    if mrows >= 4 * ncols and mrows > 64:
-        reduced = _reduce_tall_problem(op, matvec, rmatvec, d, ncols)
-        if reduced is not None:
-            op, d = reduced
-    state = fgk_init(op, d, capacity=cfg.k_max)
+    state = fgk_init(h, d)
+    ncols = h.shape[1]
     if state is None:
         return np.zeros(ncols), np.empty(0)
 
@@ -438,12 +374,9 @@ def solve_l1_hybrid(op, d, cfg=None):
     sol = np.zeros(ncols)
     for _ in range(cfg.k_max):
         weights = None if s_prev is None else irn_weights(s_prev, cfg.tau1, cfg.tau2)
-        fgk_expand(state, op, weights)
+        fgk_expand(state, h, weights)
         if cfg.omega == "adapt":
             omega_estimates.append(_omega_estimate(state))
-            omega = float(np.clip(np.mean(omega_estimates), 1e-3, 1.0))
-        elif cfg.omega == "adapt-prev":
-            omega_estimates.append(_omega_estimate(state, lam_prev))
             omega = float(np.clip(np.mean(omega_estimates), 1e-3, 1.0))
         else:
             omega = float(cfg.omega)

@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 
@@ -188,6 +189,12 @@ class TestPodCommand:
         phi = load_matrix(tmp_path / "b.mat1")
         assert phi.shape == (36, 3)
         assert np.abs(phi.T @ phi - np.eye(3)).max() <= 1e-10
+
+    def test_overflowing_header_is_data_error(self, tmp_path):
+        bogus = tmp_path / "huge.tns3"
+        bogus.write_bytes(b"TNS3" + struct.pack("<3Q", 2**40, 2**40, 2**40) + b"\x00" * 8)
+        res = run_cli("pod", "--input", bogus, "--out", tmp_path / "b.mat1")
+        assert res.returncode == 3, res.stderr
 
 
 class TestReportCommand:

@@ -10,7 +10,7 @@ from cpcomplete.completion import (
 )
 from cpcomplete.cp_model import CPModel, build_q, reconstruct
 from cpcomplete.exceptions import DataError
-from cpcomplete.hybrid_l1 import HybridConfig
+from cpcomplete.hybrid_l1 import HybridConfig, solve_l1_hybrid
 from cpcomplete.tensor_ops import Mask
 
 
@@ -39,6 +39,43 @@ class TestScalingOperator:
         m = CPModel(*mats, rng.normal(size=3))
         op = CPScalingOperator(m)
         assert np.allclose(op.reconstruct(m.alpha), reconstruct(m), atol=1e-12)
+
+
+def coordinate_case(zero_column):
+    # A model with one all-zero factor column makes the joint Gram singular
+    # with an exact zero pivot, so its Cholesky factorization fails.
+    rng = np.random.default_rng(2)
+    mats = [rng.normal(size=(d, 5)) for d in (4, 5, 6)]
+    if zero_column:
+        mats[1][:, 2] = 0.0
+    m = CPModel(*mats, rng.normal(size=5))
+    d = rng.normal(size=4 * 5 * 6)
+    x = np.column_stack([d, build_q(m).T])
+    return m, d, x.T @ x
+
+
+class TestCoordinates:
+    @pytest.mark.parametrize("zero_column", [False, True], ids=["cholesky", "eigh"])
+    def test_reproduces_joint_gram(self, zero_column):
+        m, d, joint = coordinate_case(zero_column)
+        h, c = CPScalingOperator(m).coordinates(d)
+        assert h.shape == (6, 5) and c.shape == (6,)
+        factor = np.column_stack([c, h])
+        assert np.abs(factor.T @ factor - joint).max() <= 1e-12 * np.abs(joint).max()
+
+    def test_zero_column_defeats_cholesky(self):
+        _, _, joint = coordinate_case(zero_column=True)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(joint)
+
+    @pytest.mark.parametrize("zero_column", [False, True], ids=["cholesky", "eigh"])
+    def test_solve_matches_dense_problem(self, zero_column):
+        m, d, _ = coordinate_case(zero_column)
+        cfg = HybridConfig(k_max=m.R)
+        sol, lams = solve_l1_hybrid(*CPScalingOperator(m).coordinates(d), cfg)
+        dense_sol, dense_lams = solve_l1_hybrid(build_q(m).T, d, cfg)
+        assert np.abs(sol - dense_sol).max() <= 1e-12 * np.abs(dense_sol).max()
+        assert np.allclose(lams, dense_lams, rtol=1e-12)
 
 
 class TestMakeRandomMask:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpcomplete.cp_model import CPModel, build_q, normalize, reconstruct, truncate_rank
+from cpcomplete.cp_model import CPModel, build_q, hadamard_gram, normalize, reconstruct, truncate_rank
 from cpcomplete.exceptions import DegenerateComponentError
 from cpcomplete.tensor_ops import frobenius_norm, vectorize
 
@@ -106,6 +106,20 @@ class TestBuildQ:
         m = normalize(random_model(7))
         q = build_q(m)
         assert np.allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-12)
+
+
+class TestHadamardGram:
+    def test_matches_dictionary_gram(self):
+        m = random_model(8)
+        q = build_q(m)
+        gram = hadamard_gram(m.A, m.B, m.C)
+        assert np.abs(gram - q @ q.T).max() <= 1e-12 * np.abs(gram).max()
+
+    def test_left_to_right_product(self):
+        m = random_model(9)
+        expected = (m.A.T @ m.A) * (m.B.T @ m.B) * (m.C.T @ m.C)
+        assert np.array_equal(hadamard_gram(m.A, m.B, m.C), expected)
+        assert np.array_equal(hadamard_gram(m.C, m.B), (m.C.T @ m.C) * (m.B.T @ m.B))
 
 
 class TestTruncateRank:

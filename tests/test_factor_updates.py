@@ -5,6 +5,7 @@ from cpcomplete.cp_model import CPModel, reconstruct
 from cpcomplete.exceptions import NumericalRankError
 from cpcomplete.factor_updates import (
     StepControl,
+    _set_unit_columns,
     gradient,
     lipschitz_estimate,
     mm_update,
@@ -122,6 +123,20 @@ class TestMMUpdate:
             m = mm_update(mode, m, t, ctl)
         for mat in (m.A, m.B, m.C):
             assert np.allclose(np.linalg.norm(mat, axis=0), 1.0, atol=1e-10)
+
+    def test_unit_columns_match_column_loop(self):
+        rng = np.random.default_rng(12)
+        g = rng.normal(size=(5, 4))
+        g[:, 1] = 0.0
+        prev = rng.normal(size=(5, 4))
+        expected = prev.copy()
+        norms = np.linalg.norm(g, axis=0)
+        for r in range(4):
+            if norms[r] > 0.0:
+                expected[:, r] = g[:, r] / norms[r]
+        target = prev.copy()
+        assert np.array_equal(_set_unit_columns(target, g), norms)
+        assert np.array_equal(target, expected)
 
     def test_three_four_normalizes(self):
         # a step whose pre-normalization column is (3, 4) lands on (0.6, 0.8)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -47,9 +49,14 @@ class TestTensorContainer:
     def test_truncated(self, tmp_path):
         path = tmp_path / "short.tns3"
         save_tensor(np.zeros((2, 2, 2)), path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(DataError):
-            load_tensor(path)
+        short = path.read_bytes()[:-8]
+        # headers whose payload overflows a C ssize_t, or exceeds any memory
+        overflowing = b"TNS3" + struct.pack("<3Q", 2**40, 2**40, 2**40) + b"\x00" * 8
+        huge = b"TNS3" + struct.pack("<3Q", 100000, 100000, 1000) + b"\x00" * 64
+        for payload in (short, overflowing, huge):
+            path.write_bytes(payload)
+            with pytest.raises(DataError):
+                load_tensor(path)
 
 
 class TestMaskContainer:
@@ -71,11 +78,15 @@ class TestMaskContainer:
 
     def test_duplicate_triples_rejected(self, tmp_path):
         path = tmp_path / "dup.msk3"
-        import struct
-
         payload = b"MSK3" + struct.pack("<3Q", 2, 2, 2) + struct.pack("<Q", 2)
         payload += struct.pack("<3Q", 1, 1, 1) * 2
         path.write_bytes(payload)
+        with pytest.raises(DataError):
+            load_mask(path)
+
+    def test_overflowing_count(self, tmp_path):
+        path = tmp_path / "huge.msk3"
+        path.write_bytes(b"MSK3" + struct.pack("<3Q", 2, 2, 2) + struct.pack("<Q", 2**62) + b"\x00" * 24)
         with pytest.raises(DataError):
             load_mask(path)
 
@@ -107,6 +118,12 @@ class TestModelContainer:
         raw = np.frombuffer(path.read_bytes()[36 : 36 + 32], dtype="<f8")
         assert raw.tolist() == [1.0, 2.0, 3.0, 4.0]
 
+    def test_overflowing_rank(self, tmp_path):
+        path = tmp_path / "huge.cpm1"
+        path.write_bytes(b"CPM1" + struct.pack("<3Q", 2, 2, 2) + struct.pack("<Q", 2**62) + b"\x00" * 64)
+        with pytest.raises(DataError):
+            load_model(path)
+
 
 class TestMatrixContainer:
     def test_round_trip(self, tmp_path):
@@ -119,6 +136,12 @@ class TestMatrixContainer:
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "b.mat1"
         save_tensor(np.zeros((2, 2, 2)), path)
+        with pytest.raises(DataError):
+            load_matrix(path)
+
+    def test_overflowing_shape(self, tmp_path):
+        path = tmp_path / "huge.mat1"
+        path.write_bytes(b"MAT1" + struct.pack("<2Q", 2**62, 2**62) + b"\x00" * 64)
         with pytest.raises(DataError):
             load_matrix(path)
 
