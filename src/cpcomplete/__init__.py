@@ -17,7 +17,6 @@ from .exceptions import (
     PixmapParseError,
 )
 from .factor_updates import (
-    StepControl,
     gradient,
     lipschitz_estimate,
     mm_update,
@@ -26,7 +25,6 @@ from .factor_updates import (
 from .hybrid_l1 import (
     FGKState,
     HybridConfig,
-    IRNWeights,
     fgk_expand,
     fgk_init,
     irn_weights,

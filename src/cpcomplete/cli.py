@@ -18,7 +18,6 @@ import numpy as np
 from . import fileio
 from .completion import CompletionConfig, complete, make_random_mask
 from .exceptions import DataError
-from .hybrid_l1 import HybridConfig
 from .mor import pod_basis, run_mor_demo
 from .tensor_ops import Mask
 
@@ -103,9 +102,6 @@ def _cmd_complete(args):
     seed = opts.get("seed", int, 0)
     timings = bool(opts.get("timings", _parse_bool, False))
     mode, lam = _parse_mode(mode_text)
-
-    t = _load_input_tensor(args.input)
-    mask = fileio.load_mask(args.mask)
     cfg = CompletionConfig(
         R0=rank,
         m_max=max_iter,
@@ -113,8 +109,10 @@ def _cmd_complete(args):
         mode=mode,
         lam=lam if lam is not None else 35.0,
         seed=seed,
-        hybrid=HybridConfig(),
     )
+
+    t = _load_input_tensor(args.input)
+    mask = fileio.load_mask(args.mask)
     model, s, trace = complete(t, mask, cfg)
     if args.out:
         fileio.save_model(model, args.out)

@@ -1,7 +1,6 @@
 """Outer tensor-completion driver: impute missing entries from the current
 model, update factors cyclically, solve the scaling vector, repeat."""
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -9,7 +8,7 @@ import numpy as np
 
 from .cp_model import CPModel, hadamard_gram, reconstruct, truncate_rank
 from .exceptions import DataError
-from .factor_updates import StepControl, mm_update
+from .factor_updates import mm_update
 from .hybrid_l1 import HybridConfig, ista_alpha_step, solve_l1_hybrid
 from .tensor_ops import Mask, as_tensor, cached_einsum, khatri_rao, masked_copy
 
@@ -40,7 +39,6 @@ class CompletionConfig:
     lam: float = 35.0
     seed: int = 0
     eps_truncate: float = 1e-2
-    step_safety: float = 1.05
     hybrid: HybridConfig = field(default_factory=HybridConfig)
 
     def __post_init__(self):
@@ -50,6 +48,10 @@ class CompletionConfig:
             raise ValueError(f"eps_tol must lie in (0, 1), got {self.eps_tol}")
         if self.mode not in ("hybrid", "fixed"):
             raise ValueError(f"mode must be 'hybrid' or 'fixed', got {self.mode!r}")
+        if self.mode == "fixed" and not (np.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError(f"fixed-mode lambda must be finite and nonnegative, got {self.lam}")
+        if not 0.0 < self.eps_truncate < 1.0:
+            raise ValueError(f"eps_truncate must lie in (0, 1), got {self.eps_truncate}")
 
 
 @dataclass
@@ -184,11 +186,6 @@ def complete(t, mask, cfg):
     rng = np.random.default_rng(cfg.seed)
     zeros = np.zeros(t.shape)
     model = _init_model(masked_copy(t, zeros, mask), t.shape, cfg.R0, rng)
-    ctl = StepControl(s=cfg.step_safety)
-    hybrid_cfg = cfg.hybrid
-    if hybrid_cfg.k_max > cfg.R0:
-        # the operator has only R0 columns, so the process breaks down by then
-        hybrid_cfg = dataclasses.replace(hybrid_cfg, k_max=cfg.R0)
 
     t_obs = t[mask.where]
     obs_norm = float(np.linalg.norm(t_obs))
@@ -198,15 +195,15 @@ def complete(t, mask, cfg):
     for n in range(1, cfg.m_max + 1):
         t_work = masked_copy(t, s_hat, mask)
         for mode in ("A", "B", "C"):
-            model = mm_update(mode, model, t_work, ctl)
+            model = mm_update(mode, model, t_work)
         if cfg.mode == "hybrid":
             op = CPScalingOperator(model)
-            alpha, lam_hist = solve_l1_hybrid(*op.coordinates(t_work.ravel()), hybrid_cfg)
+            alpha, lam_hist = solve_l1_hybrid(*op.coordinates(t_work.ravel()), cfg.hybrid)
             model.alpha = alpha
             lam = float(lam_hist[-1]) if lam_hist.size else float("nan")
             s_hat = op.reconstruct(alpha)
         else:
-            model.alpha = ista_alpha_step(model, t_work, cfg.lam, ctl)
+            model.alpha = ista_alpha_step(model, t_work, cfg.lam)
             lam = cfg.lam
             s_hat = reconstruct(model)
         residual = float(np.linalg.norm(s_hat[mask.where] - t_obs)) / max(obs_norm, 1e-300)

@@ -1,34 +1,19 @@
 """Majorize-minimize factor updates with unit-column projection, gradient and
 step-size kernels, and the damped ALS sweep used by the model-reduction path."""
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .cp_model import hadamard_gram, reconstruct
 from .exceptions import NumericalRankError
 from .tensor_ops import as_tensor, cached_einsum
 
-__all__ = ["StepControl", "gradient", "lipschitz_estimate", "mm_update", "regularized_als_step"]
+__all__ = ["gradient", "lipschitz_estimate", "mm_update", "regularized_als_step"]
 
 _MODES = ("A", "B", "C")
 
-
-@dataclass
-class StepControl:
-    """Step-size bookkeeping for the MM updates.
-
-    ``s`` is the safety factor (> 1); the per-mode fields hold the block
-    Lipschitz estimates refreshed by :func:`mm_update`, so the effective step
-    for a mode is 1 / (s * estimate).
-    """
-
-    s: float = 1.05
-    lipschitz: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.s <= 1.0:
-            raise ValueError(f"safety factor must exceed 1, got {self.s}")
+# Gradient steps are 1 / (STEP_SAFETY * L) for a Lipschitz constant L; a factor
+# above 1 keeps the step strictly inside the majorizer's descent range.
+STEP_SAFETY = 1.05
 
 
 def _mode_gram(mode, m):
@@ -89,16 +74,14 @@ def lipschitz_estimate(mode, m):
     return max(lam, 1e-12)
 
 
-def mm_update(mode, m, t, ctl):
+def mm_update(mode, m, t):
     """One majorize-minimize step on a single factor with unit-column projection.
 
-    Takes the gradient step X - grad / (s * L) and renormalizes each column;
-    a column that collapses to zero keeps its previous value.  Refreshes the
-    mode's Lipschitz estimate in ``ctl``.
+    Takes the gradient step X - grad / (s * L), with L the mode's
+    :func:`lipschitz_estimate` and s = STEP_SAFETY, and renormalizes each
+    column; a column that collapses to zero keeps its previous value.
     """
-    lip = lipschitz_estimate(mode, m)
-    ctl.lipschitz[mode] = lip
-    step = 1.0 / (ctl.s * lip)
+    step = 1.0 / (STEP_SAFETY * lipschitz_estimate(mode, m))
     d = {"A": m.A, "B": m.B, "C": m.C}[mode] - step * gradient(mode, m, t)
     out = m.copy()
     _set_unit_columns({"A": out.A, "B": out.B, "C": out.C}[mode], d)

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cp_model import hadamard_gram, reconstruct
+from .factor_updates import STEP_SAFETY
 from .tensor_ops import as_tensor, cached_einsum
 
 __all__ = [
     "soft_threshold",
     "ista_alpha_step",
-    "IRNWeights",
     "irn_weights",
     "FGKState",
     "fgk_init",
@@ -38,6 +38,14 @@ __all__ = [
 ]
 
 _BREAKDOWN_RTOL = 1e-14
+# IRN thresholds: |s_i| below _TAU1 counts as vanished and is weighted as _TAU2.
+_TAU1 = 1e-10
+_TAU2 = 1e-14
+# The inner loop stops once a step moves s by at most this fraction of ||s||.
+_STAGNATION_RTOL = 1e-6
+# lambda used if WGCV fails at the first step, which needs non-finite input:
+# M_11 = ||H^T u_1|| > 0 and the WGCV denominator is at least 1.
+_LAMBDA_FALLBACK = 1.0
 
 
 def soft_threshold(v, lam):
@@ -48,36 +56,25 @@ def soft_threshold(v, lam):
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 
 
-def ista_alpha_step(m, t, lam, ctl):
+def ista_alpha_step(m, t, lam):
     """One thresholded-Landweber step on the scaling vector at fixed lambda.
 
     alpha <- prox(alpha - (alpha Q - t) Q^T / (s eta), lambda / (s eta)) with
-    eta the largest eigenvalue of Q Q^T; Q never needs materializing because
+    eta the largest eigenvalue of Q Q^T and s = STEP_SAFETY, the same safety
+    factor the MM factor updates use; Q never needs materializing because
     Q Q^T is the Hadamard product of the three factor Grams.
     """
     t = as_tensor(t)
     gram = hadamard_gram(m.A, m.B, m.C)
     eta = max(float(np.linalg.eigvalsh(gram)[-1]), 1e-12)
-    step = 1.0 / (ctl.s * eta)
+    step = 1.0 / (STEP_SAFETY * eta)
     resid = reconstruct(m) - t
     grad = cached_einsum("ijk,ir,jr,kr->r", resid, m.A, m.B, m.C)
     return soft_threshold(m.alpha - step * grad, lam * step)
 
 
-@dataclass
-class IRNWeights:
-    """Diagonal of L(s) = diag(1/sqrt(f_tau(|s_i|))) with its thresholds."""
-
-    tau1: float
-    tau2: float
-    diag: np.ndarray
-
-    def apply_inverse(self, v):
-        return v / self.diag
-
-
 def irn_weights(s, tau1, tau2):
-    """Reweighting diagonal for the l2 surrogate of the l1 norm.
+    """Diagonal of L(s) = diag(1/sqrt(f_tau(|s_i|))), the l2 surrogate of the l1 norm.
 
     f_tau(|s_i|) is |s_i| where |s_i| >= tau1 and tau2 below, so entries that
     have effectively vanished get a huge weight and are pinned near zero.
@@ -86,7 +83,7 @@ def irn_weights(s, tau1, tau2):
         raise ValueError(f"need 0 < tau2 < tau1, got tau1={tau1}, tau2={tau2}")
     mag = np.abs(np.asarray(s, dtype=np.float64))
     f = np.where(mag >= tau1, mag, tau2)
-    return IRNWeights(tau1, tau2, 1.0 / np.sqrt(f))
+    return 1.0 / np.sqrt(f)
 
 
 class FGKState:
@@ -98,7 +95,8 @@ class FGKState:
     new direction vanished; the state then stops expanding but can still be
     solved at the current k.  V spans at most the n-dimensional space of
     v_1, so the process breaks down by step n and the buffers are sized for
-    n steps up front.
+    n steps up front; :func:`solve_l1_hybrid` therefore takes at most n steps,
+    whatever its ``k_max``.
     """
 
     def __init__(self, u1, v1, t11, beta1):
@@ -177,16 +175,18 @@ def _orthogonalize(rows, w):
 def fgk_expand(state, h, weights=None):
     """Grow the flexible Golub-Kahan factorization by one step.
 
-    Appends p_k = L_k^{-1} v_k, orthogonalizes H p_k against U to fill M's new
-    column, then orthogonalizes H^T u_{k+1} against V to extend Tt.  On
-    breakdown the state is marked and the caller should solve at the current
-    size; both relations keep holding with the zero-padded column.
+    Appends p_k = L_k^{-1} v_k, with ``weights`` the diagonal of L_k from
+    :func:`irn_weights` (None for the identity), orthogonalizes H p_k against
+    U to fill M's new column, then orthogonalizes H^T u_{k+1} against V to
+    extend Tt.  On breakdown the state is marked and the caller should solve
+    at the current size; both relations keep holding with the zero-padded
+    column.
     """
     if state.breakdown:
         raise ValueError("cannot expand a broken-down state")
     state._svd_cache = None
     v = state._v[state.k]
-    p = v.copy() if weights is None else weights.apply_inverse(v)
+    p = v.copy() if weights is None else v / weights
 
     w = h @ p
     scale = float(np.linalg.norm(w))
@@ -334,19 +334,16 @@ def _omega_estimate(state):
 
 @dataclass
 class HybridConfig:
-    """Knobs for :func:`solve_l1_hybrid`.
+    """Settings for :func:`solve_l1_hybrid`; every lambda is selected by WGCV.
 
-    ``omega`` is either a fixed weight in (0, 1] or "adapt", which averages
-    per-iteration estimates (clamped to [1e-3, 1]).  ``lambda_init`` seeds the
-    first iteration's fallback only; every lambda is then selected by WGCV.
+    ``k_max`` caps the inner steps; the solver also stops after n steps for an
+    n-column H, where the process must break down.  ``omega`` is either a
+    fixed weight in (0, 1] or "adapt", which averages per-iteration estimates
+    (clamped to [1e-3, 1]).
     """
 
     k_max: int = 50
-    tau1: float = 1e-10
-    tau2: float = 1e-14
     omega: object = "adapt"
-    lambda_init: float = 1.0
-    stagnation_tol: float = 1e-6
 
 
 def solve_l1_hybrid(h, d, cfg=None):
@@ -355,7 +352,8 @@ def solve_l1_hybrid(h, d, cfg=None):
     Per step: refresh L from the current iterate (identity before one
     exists), expand the flexible Golub-Kahan factorization, pick lambda by
     WGCV, solve the projected Tikhonov problem and map back through P.
-    Stops at k_max, on breakdown, or when s stagnates.
+    Stops after min(k_max, n) steps for an n-column H, on breakdown, or when
+    a step moves s by at most 1e-6 of its norm.
 
     The process only uses inner products among d and the columns of H, so a
     tall problem can be handed over as any (H', d') with the same joint Gram;
@@ -368,12 +366,12 @@ def solve_l1_hybrid(h, d, cfg=None):
         return np.zeros(ncols), np.empty(0)
 
     s_prev = None
-    lam_prev = cfg.lambda_init
+    lam_prev = _LAMBDA_FALLBACK
     omega_estimates = []
     lam_history = []
     sol = np.zeros(ncols)
-    for _ in range(cfg.k_max):
-        weights = None if s_prev is None else irn_weights(s_prev, cfg.tau1, cfg.tau2)
+    for _ in range(min(cfg.k_max, ncols)):
+        weights = None if s_prev is None else irn_weights(s_prev, _TAU1, _TAU2)
         fgk_expand(state, h, weights)
         if cfg.omega == "adapt":
             omega_estimates.append(_omega_estimate(state))
@@ -389,7 +387,7 @@ def solve_l1_hybrid(h, d, cfg=None):
             break
         if s_prev is not None:
             denom = float(np.linalg.norm(s_prev))
-            if denom > 0.0 and float(np.linalg.norm(sol - s_prev)) <= cfg.stagnation_tol * denom:
+            if denom > 0.0 and float(np.linalg.norm(sol - s_prev)) <= _STAGNATION_RTOL * denom:
                 break
         s_prev = sol
     return sol, np.asarray(lam_history)

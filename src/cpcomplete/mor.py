@@ -11,7 +11,6 @@ import scipy.sparse.linalg as splinalg
 
 from .completion import CompletionConfig, complete
 from .factor_updates import regularized_als_step
-from .hybrid_l1 import HybridConfig
 from .tensor_ops import Mask, as_tensor
 
 __all__ = [
@@ -115,10 +114,13 @@ def assemble_snapshots(grid, nx):
 
 @dataclass
 class ReducedBasis:
-    """Orthonormal basis columns plus the scheme that produced them."""
+    """Orthonormal basis columns."""
 
     phi: np.ndarray
-    source: str
+
+
+_ALS_SWEEPS = 200
+_ALS_TOL = 1e-8
 
 
 def default_rho(t, r):
@@ -126,53 +128,38 @@ def default_rho(t, r):
     return 1e-6 * float(np.linalg.norm(np.asarray(t).ravel())) / np.sqrt(r)
 
 
-def cp_reduced_basis(
-    a,
-    r0=50,
-    eps=1e-2,
-    m_max=200,
-    seed=0,
-    lambda_init=10.0,
-    als_sweeps=200,
-    als_tol=1e-8,
-    rho=None,
-):
+def cp_reduced_basis(a, r0=50, eps=1e-2, m_max=200, seed=0, rho=None):
     """Reduced basis from a rank-revealing CP fit of the snapshot tensor.
 
-    Runs the completion driver on the fully observed tensor to find the rank
-    (components surviving truncation at ``eps`` times the largest scaling),
-    polishes the factors with damped ALS sweeps at that rank, vectorizes the
-    spatial outer products x_r o y_r, and orthonormalizes them by pivoted QR,
-    dropping columns whose pivot falls below 1e-10 times the largest.
+    Runs the completion driver in hybrid mode on the fully observed tensor to
+    find the rank (components surviving truncation at ``eps`` times the
+    largest scaling), polishes the factors with up to 200 damped ALS sweeps
+    at that rank (``rho`` defaults to :func:`default_rho`), stopping once a
+    sweep moves A by at most 1e-8 relative, vectorizes the spatial outer
+    products x_r o y_r, and orthonormalizes them by pivoted QR, dropping
+    columns whose pivot falls below 1e-10 times the largest.
     """
     a = as_tensor(a)
-    cfg = CompletionConfig(
-        R0=r0,
-        m_max=m_max,
-        eps_tol=1e-3,
-        mode="hybrid",
-        seed=seed,
-        eps_truncate=eps,
-        hybrid=HybridConfig(lambda_init=lambda_init),
-    )
+    cfg = CompletionConfig(R0=r0, m_max=m_max, eps_tol=1e-3, mode="hybrid", seed=seed, eps_truncate=eps)
     model, _, _ = complete(a, Mask.full(a.shape), cfg)
     if rho is None:
         rho = default_rho(a, model.R)
-    for _ in range(als_sweeps):
+    for _ in range(_ALS_SWEEPS):
         prev = model.A.copy()
         model = regularized_als_step(model, a, rho)
         delta = np.linalg.norm(model.A - prev) / max(np.linalg.norm(prev), 1e-300)
-        if delta <= als_tol:
+        if delta <= _ALS_TOL:
             break
 
     nx = a.shape[0]
     phi_hat = np.empty((nx * a.shape[1], model.R))
     for r in range(model.R):
+        # Not khatri_rao(A, B): its einsum writes +0.0 where this writes -0.0.
         phi_hat[:, r] = np.outer(model.A[:, r], model.B[:, r]).ravel()
     q, rr, _ = scipy.linalg.qr(phi_hat, mode="economic", pivoting=True)
     diag = np.abs(np.diag(rr))
     kept = int(np.sum(diag >= 1e-10 * diag.max()))
-    return ReducedBasis(np.ascontiguousarray(q[:, :kept]), "cp")
+    return ReducedBasis(np.ascontiguousarray(q[:, :kept]))
 
 
 def pod_basis(a, r):
@@ -183,7 +170,7 @@ def pod_basis(a, r):
     if r < 1 or r > min(i * j, k):
         raise ValueError(f"rank {r} out of range for a {i * j} x {k} snapshot matrix")
     u, _, _ = np.linalg.svd(y, full_matrices=False)
-    return ReducedBasis(np.ascontiguousarray(u[:, :r]), "pod")
+    return ReducedBasis(np.ascontiguousarray(u[:, :r]))
 
 
 def project_error(basis, tests, nx):

@@ -114,6 +114,17 @@ class TestCompleteCommand:
         )
         assert res.returncode == 0, res.stderr
 
+    @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
+    def test_bad_fixed_lambda_is_usage_error(self, workspace, lam):
+        tmp, tpath, mpath = workspace
+        res = run_cli(
+            "complete", "--input", tpath, "--mask", mpath,
+            "--rank", "4", "--mode", f"fixed:{lam}", "--out", tmp / "m.cpm1",
+        )
+        assert res.returncode == 2
+        assert f"got {float(lam)}" in res.stderr
+        assert not (tmp / "m.cpm1").exists()
+
     def test_bad_mode_is_usage_error(self, workspace):
         tmp, tpath, mpath = workspace
         res = run_cli("complete", "--input", tpath, "--mask", mpath, "--mode", "banana")

@@ -77,6 +77,14 @@ class TestCoordinates:
         assert np.abs(sol - dense_sol).max() <= 1e-12 * np.abs(dense_sol).max()
         assert np.allclose(lams, dense_lams, rtol=1e-12)
 
+    def test_steps_capped_at_column_count(self):
+        m, d, _ = coordinate_case(zero_column=False)
+        h, c = CPScalingOperator(m).coordinates(d)
+        sol, lams = solve_l1_hybrid(h, c, HybridConfig(k_max=m.R))
+        long_sol, long_lams = solve_l1_hybrid(h, c, HybridConfig(k_max=m.R + 10))
+        assert lams.size == long_lams.size == m.R
+        assert sol.tobytes() == long_sol.tobytes()
+
 
 class TestMakeRandomMask:
     def test_full_fraction(self):
@@ -187,6 +195,17 @@ class TestComplete:
             CompletionConfig(eps_tol=2.0)
         with pytest.raises(ValueError):
             CompletionConfig(mode="banana")
+
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+    def test_bad_fixed_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match=f"got {lam}"):
+            CompletionConfig(mode="fixed", lam=lam)
+        CompletionConfig(mode="hybrid", lam=lam)  # lam is not read in hybrid mode
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0, float("nan")])
+    def test_bad_eps_truncate_rejected(self, eps):
+        with pytest.raises(ValueError, match=f"got {eps}"):
+            CompletionConfig(eps_truncate=eps)
 
 
 class TestModeComparison:

@@ -4,7 +4,6 @@ import pytest
 from cpcomplete.cp_model import CPModel, reconstruct
 from cpcomplete.exceptions import NumericalRankError
 from cpcomplete.factor_updates import (
-    StepControl,
     _set_unit_columns,
     gradient,
     lipschitz_estimate,
@@ -111,16 +110,15 @@ class TestMMUpdate:
     def test_fixed_point_at_exact_fit(self):
         m = random_model(9)
         t = reconstruct(m)
-        out = mm_update("A", m, t, StepControl())
+        out = mm_update("A", m, t)
         assert np.allclose(out.A, m.A, atol=1e-9)
 
     def test_column_normalization(self):
         rng = np.random.default_rng(10)
         m = random_model(11)
         t = rng.normal(size=(4, 5, 6))
-        ctl = StepControl()
         for mode in "ABC":
-            m = mm_update(mode, m, t, ctl)
+            m = mm_update(mode, m, t)
         for mat in (m.A, m.B, m.C):
             assert np.allclose(np.linalg.norm(mat, axis=0), 1.0, atol=1e-10)
 
@@ -148,11 +146,10 @@ class TestMMUpdate:
         t = reconstruct(random_model(13, r=2))
         t += 0.1 * rng.normal(size=t.shape)
         m = random_model(14, r=4)
-        ctl = StepControl()
         f = objective(m, t)
         for _ in range(30):
             for mode in "ABC":
-                m = mm_update(mode, m, t, ctl)
+                m = mm_update(mode, m, t)
                 f_new = objective(m, t)
                 assert f_new <= f * (1 + 1e-10)
                 f = f_new
@@ -161,10 +158,9 @@ class TestMMUpdate:
         t = reconstruct(random_model(15, r=1, alpha_scale=2.0))
         m = random_model(16, r=1)
         m.alpha = np.array([frobenius_norm(t)])
-        ctl = StepControl()
         for _ in range(200):
             for mode in "ABC":
-                m = mm_update(mode, m, t, ctl)
+                m = mm_update(mode, m, t)
             # scaling refit keeps the iteration honest for a pure factor test
             q = reconstruct(CPModel(m.A, m.B, m.C, np.ones(1)))
             m.alpha = np.array([float((q * t).sum() / max((q * q).sum(), 1e-300))])
@@ -213,8 +209,3 @@ class TestRegularizedALS:
         t = np.random.default_rng(24).normal(size=(4, 5, 6))
         with pytest.raises(NumericalRankError):
             regularized_als_step(m, t, 0.0)
-
-
-def test_step_control_validates_safety():
-    with pytest.raises(ValueError):
-        StepControl(s=1.0)

@@ -147,7 +147,7 @@ class TestProjectError:
         nx = 16
         u = solve_diffusion(DiffusionProblem(nx, 0.2, 0.1)).ravel()
         phi = (u / np.linalg.norm(u)).reshape(-1, 1)
-        errors = project_error(ReducedBasis(phi, "pod"), [(0.2, 0.1)], nx)
+        errors = project_error(ReducedBasis(phi), [(0.2, 0.1)], nx)
         assert errors[0] <= 1e-10
 
     def test_monotone_in_basis_size(self):
@@ -162,7 +162,7 @@ class TestProjectError:
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
-            project_error(ReducedBasis(np.eye(4), "pod"), [(0.0, 0.0)], 16)
+            project_error(ReducedBasis(np.eye(4)), [(0.0, 0.0)], 16)
 
 
 class TestCompressionRatio:
