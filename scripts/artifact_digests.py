@@ -14,12 +14,20 @@ Every run is its own process with OPENBLAS/OMP/MKL_NUM_THREADS=1, because
 results are byte-identical only at a fixed BLAS thread count.  Two trees that
 print the same lines wrote byte-identical artifacts.
 
-    python scripts/artifact_digests.py [--keep DIR]
+With ``--against DIR``, where DIR holds the artifacts of another tree kept
+with ``--keep``, each artifact whose bytes differ from DIR's copy is also
+read back as numbers (CPM1, MAT1, TNS3 and MSK3 through the package's
+readers, the numeric columns of a CSV, the samples of a PPM) and the largest
+absolute and elementwise relative differences are printed, so a change that
+moves the outputs shows how far.
+
+    python scripts/artifact_digests.py [--keep DIR] [--against DIR]
 """
 
 import argparse
 import hashlib
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -53,6 +61,55 @@ def write_tensor(path, dims=(12, 10, 8)):
     path.write_bytes(b"TNS3" + struct.pack("<3Q", *dims) + struct.pack(f"<{len(vals)}d", *vals))
 
 
+def csv_number(cell):
+    # numpy 2 writes a float64's repr as "np.float64(x)"; read the x.
+    wrapped = re.fullmatch(r"np\.float64\((.*)\)", cell)
+    return float(wrapped.group(1) if wrapped else cell)
+
+
+def numbers(path):
+    """The numbers an artifact holds as a float array, or None for an unknown type."""
+    import numpy as np
+    from cpcomplete import fileio
+
+    if path.suffix == ".cpm1":
+        m = fileio.load_model(path)
+        return np.concatenate([m.A.ravel(), m.B.ravel(), m.C.ravel(), m.alpha])
+    if path.suffix == ".mat1":
+        return fileio.load_matrix(path)
+    if path.suffix == ".tns3":
+        return fileio.load_tensor(path)
+    if path.suffix == ".msk3":
+        return fileio.load_mask(path).observed.astype(float)
+    if path.suffix == ".ppm":
+        return np.rint(fileio.load_ppm(path) * 255.0)
+    if path.suffix == ".csv":
+        _, rows = fileio.read_csv_columns(path)
+        columns = []
+        for col in zip(*rows):
+            try:
+                columns.append([csv_number(cell) for cell in col])
+            except ValueError:
+                continue
+        return np.array(columns).T
+    return None
+
+
+def compare(path, ref):
+    """One line on how far the numbers of ``path`` moved from those of ``ref``."""
+    import numpy as np
+
+    a, b = numbers(path), numbers(ref)
+    if a is None or a.size == 0:
+        return "differs; holds no numbers this script reads"
+    if a.shape != b.shape:
+        return f"differs; shape {a.shape} against {b.shape}"
+    diff = np.abs(a - b)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
+    return f"max abs diff {diff.max():.3g}, max rel diff {rel.max():.3g} over {a.size} numbers"
+
+
 def run(args, env):
     res = subprocess.run([sys.executable, "-m", "cpcomplete", *args], env=env, capture_output=True, text=True)
     if res.returncode != 0:
@@ -62,7 +119,10 @@ def run(args, env):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--keep", help="write the artifacts here instead of a temporary directory")
+    parser.add_argument("--against", help="compare the numbers of differing artifacts with this directory's")
     args = parser.parse_args()
+    if args.against:
+        sys.path.insert(0, str(SRC))
 
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -81,8 +141,17 @@ def main():
         (out / "mor").mkdir(exist_ok=True)
         run(["mor-demo", "--nx", "16", "--grid", "5", "--rank0", "12", "--tests", "3", "--pod-rank", "6",
              "--max-iter", "60", "--outdir", out / "mor"], env)
-        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        paths = sorted(p for p in out.rglob("*") if p.is_file())
+        for path in paths:
             print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out).as_posix())
+        if args.against:
+            for path in paths:
+                name = path.relative_to(out).as_posix()
+                ref = Path(args.against) / name
+                if not ref.is_file():
+                    print(f"{name}: not in {args.against}")
+                elif ref.read_bytes() != path.read_bytes():
+                    print(f"{name}: {compare(path, ref)}")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ defaults.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -163,6 +164,8 @@ def _cmd_mor_demo(args):
     pod_rank = opts.get("pod-rank", int, 20)
     seed = opts.get("seed", int, 0)
     max_iter = opts.get("max-iter", int, 200)
+    if not os.path.isdir(args.outdir):
+        raise ValueError(f"--outdir {args.outdir!r} is not a directory")
 
     res = run_mor_demo(
         nx=nx, grid_n=grid_n, r0=r0, eps=eps, n_tests=n_tests,

@@ -246,65 +246,44 @@ def projected_tikhonov(state, lam):
 _UNIT_GRID = np.logspace(-10.0, 0.0, 200)
 
 
-def _wgcv_value(lam, s2, c2, rho2, k, rows, omega):
-    f = s2 / (s2 + lam)
-    num = k * (float(((1.0 - f) ** 2) @ c2) + rho2)
-    den = (rows - omega * float(f.sum())) ** 2
-    return num / den
+def _wgcv_curve(state, omega, lams):
+    """WGCV objective at each lambda in ``lams``; non-finite values read as +inf."""
+    s, c, _, rho2 = _projected_svd(state)
+    s2 = s**2
+    k, rows = state.M.shape[1], state.M.shape[0]
+    filt = s2 / (s2 + lams[:, None])
+    num = k * (((1.0 - filt) ** 2) @ c**2 + rho2)
+    den = (rows - omega * filt.sum(axis=1)) ** 2
+    vals = num / den
+    return np.where(np.isfinite(vals), vals, np.inf)
 
 
 def wgcv_select(state, omega, fallback):
     """Weighted GCV choice of lambda on the projected problem.
 
     Minimizes k * ||(I - M Phi_lam) beta1 e1||^2 / trace(I - omega M Phi_lam)^2
-    over a 200-point logarithmic grid spanning [1e-10, 1] * sigma_max(M),
-    followed by golden-section refinement.  Returns ``fallback`` when the
-    objective is not finite anywhere on the grid.
+    over a 200-point logarithmic grid spanning [1e-10, 1] * sigma_max(M), then
+    over 200 logarithmic points spanning the grid neighbours of the best
+    point, and returns the better of the two minimizers.  Returns ``fallback``
+    when the objective is not finite anywhere on the grid.
     """
     if not 0.0 < omega <= 1.0:
         raise ValueError(f"omega must lie in (0, 1], got {omega}")
     if state.k < 1:
         raise ValueError("wgcv_select needs at least one expansion step")
-    s, c, _, rho2 = _projected_svd(state)
+    s = _projected_svd(state)[0]
     smax = float(s[0]) if s.size else 0.0
     if smax <= 0.0 or not np.isfinite(smax):
         return fallback
-    s2, c2 = s**2, c**2
-    k, rows = state.M.shape[1], state.M.shape[0]
     grid = smax * _UNIT_GRID
-    filt = s2[None, :] / (s2[None, :] + grid[:, None])
-    num = k * (((1.0 - filt) ** 2) @ c2 + rho2)
-    den = (rows - omega * filt.sum(axis=1)) ** 2
-    vals = num / den
-    finite = np.isfinite(vals)
-    if not finite.any():
-        return fallback
-    vals = np.where(finite, vals, np.inf)
+    vals = _wgcv_curve(state, omega, grid)
     best = int(np.argmin(vals))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-
-    # Golden-section on log(lambda); fixed iteration count keeps it
-    # deterministic (16 steps resolve the bracket to ~0.1% of a decade).
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.log(lo), np.log(hi)
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = _wgcv_value(np.exp(x1), s2, c2, rho2, k, rows, omega)
-    f2 = _wgcv_value(np.exp(x2), s2, c2, rho2, k, rows, omega)
-    for _ in range(16):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = _wgcv_value(np.exp(x1), s2, c2, rho2, k, rows, omega)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = _wgcv_value(np.exp(x2), s2, c2, rho2, k, rows, omega)
-    lam = float(np.exp((a + b) / 2.0))
-    candidates = [(vals[best], grid[best]), (_wgcv_value(lam, s2, c2, rho2, k, rows, omega), lam)]
-    val, lam = min(candidates, key=lambda t: t[0])
-    return float(lam) if np.isfinite(val) else fallback
+    if not np.isfinite(vals[best]):
+        return fallback
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    # The coarse minimizer comes first so that a tie keeps it.
+    lams = np.concatenate(([grid[best]], np.geomspace(lo, hi, grid.size)))
+    return float(lams[np.argmin(_wgcv_curve(state, omega, lams))])
 
 
 def _omega_estimate(state):

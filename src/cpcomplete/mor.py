@@ -128,6 +128,10 @@ def default_rho(t, r):
     return 1e-6 * float(np.linalg.norm(np.asarray(t).ravel())) / np.sqrt(r)
 
 
+def _basis_config(r0, eps, m_max, seed):
+    return CompletionConfig(R0=r0, m_max=m_max, eps_tol=1e-3, mode="hybrid", seed=seed, eps_truncate=eps)
+
+
 def cp_reduced_basis(a, r0=50, eps=1e-2, m_max=200, seed=0, rho=None):
     """Reduced basis from a rank-revealing CP fit of the snapshot tensor.
 
@@ -140,8 +144,7 @@ def cp_reduced_basis(a, r0=50, eps=1e-2, m_max=200, seed=0, rho=None):
     columns whose pivot falls below 1e-10 times the largest.
     """
     a = as_tensor(a)
-    cfg = CompletionConfig(R0=r0, m_max=m_max, eps_tol=1e-3, mode="hybrid", seed=seed, eps_truncate=eps)
-    model, _, _ = complete(a, Mask.full(a.shape), cfg)
+    model, _, _ = complete(a, Mask.full(a.shape), _basis_config(r0, eps, m_max, seed))
     if rho is None:
         rho = default_rho(a, model.R)
     for _ in range(_ALS_SWEEPS):
@@ -162,25 +165,30 @@ def cp_reduced_basis(a, r0=50, eps=1e-2, m_max=200, seed=0, rho=None):
     return ReducedBasis(np.ascontiguousarray(q[:, :kept]))
 
 
+def _check_pod_rank(r, rows, cols):
+    if r < 1 or r > min(rows, cols):
+        raise ValueError(f"rank {r} out of range for a {rows} x {cols} snapshot matrix")
+
+
 def pod_basis(a, r):
     """Leading left singular vectors of the snapshot matrix (slices as columns)."""
     a = as_tensor(a)
     i, j, k = a.shape
+    _check_pod_rank(r, i * j, k)
     y = a.reshape(i * j, k)
-    if r < 1 or r > min(i * j, k):
-        raise ValueError(f"rank {r} out of range for a {i * j} x {k} snapshot matrix")
     u, _, _ = np.linalg.svd(y, full_matrices=False)
     return ReducedBasis(np.ascontiguousarray(u[:, :r]))
 
 
-def project_error(basis, tests, nx):
-    """l2 error of the orthogonal projection of each truth solve onto the basis."""
+def project_error(basis, truths):
+    """l2 error of projecting each slice of ``truths``, laid out as by assemble_snapshots, onto the basis."""
     phi = basis.phi
-    if phi.shape[0] != nx * nx:
-        raise ValueError(f"basis rows {phi.shape[0]} do not match grid size {nx * nx}")
-    errors = np.zeros(len(tests))
-    for idx, (m1, m2) in enumerate(tests):
-        u = solve_diffusion(DiffusionProblem(nx, m1, m2)).ravel()
+    i, j, n = truths.shape
+    if phi.shape[0] != i * j:
+        raise ValueError(f"basis rows {phi.shape[0]} do not match grid size {i * j}")
+    errors = np.zeros(n)
+    for idx in range(n):
+        u = truths[:, :, idx].ravel()
         proj = phi @ (phi.T @ u)
         errors[idx] = np.linalg.norm(u - proj)
     return errors
@@ -200,15 +208,23 @@ def compression_ratio(dims, r, scheme):
 
 
 def run_mor_demo(nx=40, grid_n=9, r0=50, eps=1e-2, n_tests=10, pod_rank=20, seed=0, m_max=200):
-    """Full pipeline on one parameter grid; returns bases, per-test errors and ratios."""
+    """Full pipeline on one parameter grid; returns bases, per-test errors and ratios.
+
+    Every setting is checked before the first collocation solve.
+    """
+    if n_tests < 1:
+        raise ValueError(f"n_tests must be at least 1, got {n_tests}")
+    _basis_config(r0, eps, m_max, seed)
     grid = parameter_grid(grid_n)
+    _check_pod_rank(pod_rank, nx * nx, len(grid))
     snaps = assemble_snapshots(grid, nx)
     cp = cp_reduced_basis(snaps, r0=r0, eps=eps, m_max=m_max, seed=seed)
     pod = pod_basis(snaps, pod_rank)
     rng = np.random.default_rng(seed)
     tests = [(float(m1), float(m2)) for m1, m2 in rng.uniform(-0.99, 0.99, size=(n_tests, 2))]
-    cp_err = project_error(cp, tests, nx)
-    pod_err = project_error(pod, tests, nx)
+    truths = assemble_snapshots(tests, nx)
+    cp_err = project_error(cp, truths)
+    pod_err = project_error(pod, truths)
     dims = snaps.shape
     return {
         "snapshots": snaps,

@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+from cpcomplete import mor
+from cpcomplete.cli import main
 from cpcomplete.cp_model import CPModel, reconstruct
 from cpcomplete.fileio import load_mask, load_matrix, load_model, load_tensor, save_ppm, save_tensor
 
@@ -189,6 +191,25 @@ class TestMorDemoCommand:
         assert len(lines) == 3
         comp = (tmp_path / "compression.csv").read_text()
         assert comp.startswith("scheme,rank,ratio")
+
+    @pytest.mark.parametrize(
+        "args, shown",
+        [
+            (["--eps", "2"], "2.0"),
+            (["--grid", "3", "--pod-rank", "20"], "rank 20"),
+            (["--tests", "0"], "got 0"),
+            (["--outdir", "{tmp}/missing"], "missing"),
+        ],
+        ids=["eps", "pod-rank", "tests", "outdir"],
+    )
+    def test_bad_value_fails_before_any_solve(self, tmp_path, monkeypatch, capsys, args, shown):
+        def no_solve(p):
+            raise AssertionError("solve_diffusion ran before the arguments were checked")
+
+        monkeypatch.setattr(mor, "solve_diffusion", no_solve)
+        base = ["mor-demo", "--nx", "12", "--grid", "2", "--tests", "2", "--pod-rank", "3", "--outdir", str(tmp_path)]
+        assert main(base + [a.format(tmp=tmp_path) for a in args]) == 2
+        assert shown in capsys.readouterr().err
 
 
 class TestPodCommand:

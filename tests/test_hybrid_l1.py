@@ -322,11 +322,34 @@ class TestWGCV:
         f = 25.0 / (25.0 + lam)
         num = 1 * ((1 - f) ** 2 * (1.2) ** 2 + 1.6**2)
         den = (2 - omega * f) ** 2
-        from cpcomplete.hybrid_l1 import _projected_svd, _wgcv_value
+        from cpcomplete.hybrid_l1 import _wgcv_curve
 
-        s, c, _, rho2 = _projected_svd(state)
-        val = _wgcv_value(lam, s**2, c**2, rho2, 1, 2, omega)
+        val = _wgcv_curve(state, omega, np.array([lam]))[0]
         assert np.isclose(val, num / den, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_selection_matches_fine_grid_minimum(self, seed):
+        # The value at the chosen lambda is within 1e-6 relative of the best
+        # of 20,001 log-spaced lambdas over the same range; seed 0 is the
+        # hand-built 3x2 problem, the rest random upper Hessenberg ones.
+        from cpcomplete.hybrid_l1 import _wgcv_curve
+
+        rng = np.random.default_rng(seed)
+        if seed == 0:
+            m_mat = np.zeros((3, 2))
+            m_mat[0, 0] = 1.0
+            m_mat[1, 1] = 0.1
+            beta1, omega = 1.3, 1.0
+        else:
+            k = int(rng.integers(1, 13))
+            m_mat = np.triu(rng.normal(size=(k + 1, k)), -1) * 10.0 ** rng.uniform(-3, 3, size=k)
+            beta1, omega = rng.uniform(0.5, 3.0), rng.uniform(0.05, 1.0)
+        state = make_state(m_mat, beta1)
+        lam = wgcv_select(state, omega, fallback=None)
+        smax = np.linalg.svd(m_mat, compute_uv=False)[0]
+        dense = _wgcv_curve(state, omega, smax * np.logspace(-10, 0, 20001))
+        val = _wgcv_curve(state, omega, np.array([lam]))[0]
+        assert val <= dense.min() * (1.0 + 1e-6)
 
     def test_non_finite_falls_back(self):
         state = make_state(np.zeros((3, 2)), 1.0)

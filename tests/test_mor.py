@@ -144,25 +144,25 @@ class TestPodBasis:
 
 class TestProjectError:
     def test_truth_in_span(self):
-        nx = 16
-        u = solve_diffusion(DiffusionProblem(nx, 0.2, 0.1)).ravel()
+        truths = assemble_snapshots([(0.2, 0.1)], 16)
+        u = truths.ravel()
         phi = (u / np.linalg.norm(u)).reshape(-1, 1)
-        errors = project_error(ReducedBasis(phi), [(0.2, 0.1)], nx)
+        errors = project_error(ReducedBasis(phi), truths)
         assert errors[0] <= 1e-10
 
     def test_monotone_in_basis_size(self):
         snaps = assemble_snapshots(parameter_grid(3), 16)
-        tests = [(0.31, -0.44), (-0.62, 0.17)]
-        prev = np.full(len(tests), np.inf)
+        truths = assemble_snapshots([(0.31, -0.44), (-0.62, 0.17)], 16)
+        prev = np.full(2, np.inf)
         for r in (1, 2, 4, 6):
             basis = pod_basis(snaps, r)
-            errs = project_error(basis, tests, 16)
+            errs = project_error(basis, truths)
             assert np.all(errs <= prev + 1e-12)
             prev = errs
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
-            project_error(ReducedBasis(np.eye(4)), [(0.0, 0.0)], 16)
+            project_error(ReducedBasis(np.eye(4)), np.zeros((16, 16, 1)))
 
 
 class TestCompressionRatio:

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used there or re-exported."""
+"""Every name a package module imports is used there or re-exported, and
+every private name it defines at module level is read there."""
 
 import ast
 from pathlib import Path
@@ -29,6 +30,24 @@ def unused_imports(source):
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used | exported)
 
 
+def unread_private_names(source):
+    """Module-level ``_name`` functions, classes and assignments the module never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.setdefault(node.name, node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined.setdefault(name.id, node.lineno)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    private = {n: line for n, line in defined.items() if n.startswith("_") and not n.startswith("__")}
+    return sorted(f"{name} (line {line})" for name, line in private.items() if name not in read)
+
+
 def test_checker_flags_leftover_imports():
     source = (
         "import dataclasses\n"
@@ -43,3 +62,26 @@ def test_checker_flags_leftover_imports():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_unread_private_names():
+    source = (
+        "_GRID = 3\n"
+        "_UNUSED, _PAIR = 1, 2\n"
+        "__all__ = ['f']\n"
+        "def _helper(x):\n"
+        "    return x * _GRID\n"
+        "def _old_helper(x):\n"
+        "    return x\n"
+        "class _Cache:\n"
+        "    pass\n"
+        "def f():\n"
+        "    _local = _PAIR\n"
+        "    return _helper(_local)\n"
+    )
+    assert unread_private_names(source) == ["_Cache (line 8)", "_UNUSED (line 2)", "_old_helper (line 6)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text()) == []
