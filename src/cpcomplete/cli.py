@@ -177,7 +177,7 @@ def _cmd_mor_demo(args):
     with open(f"{outdir}/errors.csv", "w") as fh:
         fh.write("test,mu1,mu2,cp_error,pod_error\n")
         for i, (m1, m2) in enumerate(res["tests"]):
-            fh.write(f"{i},{m1!r},{m2!r},{res['cp_errors'][i]!r},{res['pod_errors'][i]!r}\n")
+            fh.write(f"{i},{m1!r},{m2!r},{float(res['cp_errors'][i])!r},{float(res['pod_errors'][i])!r}\n")
     with open(f"{outdir}/compression.csv", "w") as fh:
         fh.write("scheme,rank,ratio\n")
         fh.write(f"cp,{res['cp_basis'].phi.shape[1]},{res['ratios']['cp']!r}\n")

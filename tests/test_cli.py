@@ -189,8 +189,16 @@ class TestMorDemoCommand:
         lines = (tmp_path / "errors.csv").read_text().strip().splitlines()
         assert lines[0] == "test,mu1,mu2,cp_error,pod_error"
         assert len(lines) == 3
-        comp = (tmp_path / "compression.csv").read_text()
-        assert comp.startswith("scheme,rank,ratio")
+        for k, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            assert int(cells[0]) == k
+            assert all(np.isfinite(float(c)) for c in cells[1:]), line
+        comp = (tmp_path / "compression.csv").read_text().strip().splitlines()
+        assert comp[0] == "scheme,rank,ratio"
+        assert [line.split(",")[0] for line in comp[1:]] == ["cp", "pod"]
+        for line in comp[1:]:
+            _, rank, ratio = line.split(",")
+            assert int(rank) >= 1 and float(ratio) > 0, line
 
     @pytest.mark.parametrize(
         "args, shown",

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.interpolate
+import scipy.sparse
+import scipy.sparse.linalg
 
+from cpcomplete import mor
 from cpcomplete.mor import (
     DiffusionProblem,
     ReducedBasis,
@@ -76,6 +79,34 @@ class TestSolveDiffusion:
         with pytest.raises(ValueError):
             DiffusionProblem(20, 1.5, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["mu1", "mu2"])
+    def test_non_finite_mu_rejected(self, bad, which):
+        mu = {"mu1": 0.0, "mu2": 0.0, which: bad}
+        with pytest.raises(ValueError, match=f"{which} .*got {bad!r}"):
+            DiffusionProblem(12, **mu)
+
+    def test_non_integer_nx_rejected(self):
+        with pytest.raises(ValueError, match="12.5"):
+            DiffusionProblem(12.5, 0.0, 0.0)
+
+    @pytest.mark.parametrize("nx", [3, 12, 40])
+    @pytest.mark.parametrize("mu", [(0.0, 0.0), (0.4, -0.6), (0.99, -0.99), (-0.99, 0.99)])
+    def test_matches_sparse_kronecker_solve(self, nx, mu):
+        # independent oracle: the interior collocation operator assembled here
+        # as kron(Ax D2, I) + kron(I, Ay D2) and factored by sparse LU
+        x, d = cheb_diff(nx - 1)
+        xi = x[1:-1]
+        d2 = scipy.sparse.csr_matrix((d @ d)[1:-1, 1:-1])
+        eye = scipy.sparse.identity(nx - 2, format="csr")
+        ax = scipy.sparse.diags(1.0 + mu[0] * xi) @ d2
+        ay = scipy.sparse.diags(1.0 + mu[1] * xi) @ d2
+        op = scipy.sparse.kron(ax, eye) + scipy.sparse.kron(eye, ay)
+        rhs = np.exp(4.0 * np.outer(xi, xi)).ravel()
+        ref = np.atleast_1d(scipy.sparse.linalg.spsolve(op.tocsc(), rhs)).reshape(nx - 2, nx - 2)
+        u = solve_diffusion(DiffusionProblem(nx, *mu))
+        assert np.linalg.norm(u[1:-1, 1:-1] - ref) <= 1e-12 * np.linalg.norm(ref)
+
 
 class TestSnapshots:
     def test_grid_ordering_mu1_major(self):
@@ -93,6 +124,21 @@ class TestSnapshots:
         k = 3
         direct = solve_diffusion(DiffusionProblem(16, *grid[k]))
         assert np.array_equal(snaps[:, :, k], direct)
+
+    def test_one_solve_per_grid_point(self, monkeypatch):
+        # callers that wrap mor.solve_diffusion must see every snapshot solve
+        seen = []
+        real = mor.solve_diffusion
+
+        def counting(p):
+            seen.append((p.nx, p.mu1, p.mu2))
+            return real(p)
+
+        monkeypatch.setattr(mor, "solve_diffusion", counting)
+        grid = parameter_grid(3)
+        snaps = assemble_snapshots(grid, 12)
+        assert seen == [(12, m1, m2) for m1, m2 in grid]
+        assert snaps.shape == (12, 12, len(grid))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
