@@ -27,7 +27,6 @@ moves the outputs shows how far.
 import argparse
 import hashlib
 import os
-import re
 import struct
 import subprocess
 import sys
@@ -61,12 +60,6 @@ def write_tensor(path, dims=(12, 10, 8)):
     path.write_bytes(b"TNS3" + struct.pack("<3Q", *dims) + struct.pack(f"<{len(vals)}d", *vals))
 
 
-def csv_number(cell):
-    # numpy 2 writes a float64's repr as "np.float64(x)"; read the x.
-    wrapped = re.fullmatch(r"np\.float64\((.*)\)", cell)
-    return float(wrapped.group(1) if wrapped else cell)
-
-
 def numbers(path):
     """The numbers an artifact holds as a float array, or None for an unknown type."""
     import numpy as np
@@ -88,7 +81,7 @@ def numbers(path):
         columns = []
         for col in zip(*rows):
             try:
-                columns.append([csv_number(cell) for cell in col])
+                columns.append([float(cell) for cell in col])
             except ValueError:
                 continue
         return np.array(columns).T

@@ -4,18 +4,12 @@ per iteration by a flexible Golub-Kahan hybrid method with weighted GCV."""
 from .completion import (
     CompletionConfig,
     CompletionTrace,
-    CPScalingOperator,
     complete,
     make_random_mask,
     relative_error,
 )
-from .cp_model import CPModel, build_q, normalize, reconstruct, truncate_rank
-from .exceptions import (
-    DataError,
-    DegenerateComponentError,
-    NumericalRankError,
-    PixmapParseError,
-)
+from .cp_model import CPModel, CPScalingOperator, build_q, reconstruct, truncate_rank
+from .exceptions import DataError, NumericalRankError, PixmapParseError
 from .factor_updates import (
     gradient,
     lipschitz_estimate,
@@ -54,8 +48,6 @@ from .tensor_ops import (
     khatri_rao,
     masked_copy,
     matricize,
-    tensorize,
-    unvectorize,
     vectorize,
 )
 

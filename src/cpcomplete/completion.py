@@ -6,16 +6,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cp_model import CPModel, hadamard_gram, reconstruct, truncate_rank
+from .cp_model import CPModel, CPScalingOperator, reconstruct, truncate_rank
 from .exceptions import DataError
 from .factor_updates import mm_update
 from .hybrid_l1 import HybridConfig, ista_alpha_step, solve_l1_hybrid
-from .tensor_ops import Mask, as_tensor, cached_einsum, khatri_rao, masked_copy
+from .tensor_ops import Mask, as_tensor, masked_copy
 
 __all__ = [
     "CompletionConfig",
     "CompletionTrace",
-    "CPScalingOperator",
     "complete",
     "make_random_mask",
     "relative_error",
@@ -73,57 +72,6 @@ class CompletionTrace:
         return len(self.iteration)
 
 
-class CPScalingOperator:
-    """The map alpha -> vectorize(sum_r alpha_r a_r o b_r o c_r) as an operator.
-
-    matvec is Q^T applied to a coefficient vector, rmatvec is Q applied to a
-    vectorized tensor; the R x IJK dictionary is never materialized, only the
-    (JK x R) Khatri-Rao factor shared by every product with these factors.
-    """
-
-    def __init__(self, m):
-        self.A = m.A
-        i, j, k = m.dims
-        self.dims = (i, j, k)
-        self.shape = (i * j * k, m.R)
-        self._w = khatri_rao(m.C, m.B)  # row index k*J + j
-        self._gram = hadamard_gram(m.A, m.B, m.C)
-
-    def coordinates(self, d):
-        """(H, c) with [c H] an (R+1) x (R+1) factor of the joint Gram [d Q^T]^T [d Q^T].
-
-        Every inner product among d and the columns of Q^T is preserved, so
-        min ||H x - c||^2 + lambda ||x||_1 is the same problem as
-        min ||Q^T x - d||^2 + lambda ||x||_1, posed in R+1 coordinates.  The
-        factor is the Cholesky one; when the Gram is numerically indefinite
-        (for example an all-zero factor column) it is the eigenvalue square
-        root, with negative eigenvalues clipped to zero.
-        """
-        xtx = np.empty((self.shape[1] + 1, self.shape[1] + 1))
-        xtx[0, 0] = d @ d
-        xtx[0, 1:] = xtx[1:, 0] = self.rmatvec(d)
-        xtx[1:, 1:] = self._gram
-        try:
-            c = np.linalg.cholesky(xtx).T
-        except np.linalg.LinAlgError:
-            evals, evecs = np.linalg.eigh(xtx)
-            c = np.sqrt(np.maximum(evals, 0.0))[:, None] * evecs.T
-        return c[:, 1:], c[:, 0]
-
-    def matvec(self, x):
-        i, j, k = self.dims
-        m1 = (self.A * x) @ self._w.T
-        return np.ascontiguousarray(m1.reshape(i, k, j).transpose(0, 2, 1)).ravel()
-
-    def rmatvec(self, y):
-        i, j, k = self.dims
-        y1 = y.reshape(i, j, k).transpose(0, 2, 1).reshape(i, k * j)
-        return ((self.A.T @ y1) * self._w.T).sum(axis=1)
-
-    def reconstruct(self, x):
-        return self.matvec(x).reshape(self.dims)
-
-
 def make_random_mask(dims, fraction, seed=0):
     """Uniform mask observing ceil(fraction * IJK) entries, seeded."""
     if not 0.0 < fraction <= 1.0:
@@ -153,14 +101,14 @@ def _init_model(t_zero_filled, dims, r0, rng):
         x = rng.standard_normal((n, r0))
         return x / np.linalg.norm(x, axis=0)
 
-    a, b, c = (unit_columns(d) for d in dims)
-    gram = hadamard_gram(a, b, c)
-    rhs = cached_einsum("ijk,ir,jr,kr->r", t_zero_filled, a, b, c)
-    alpha, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+    model = CPModel(*(unit_columns(d) for d in dims), np.zeros(r0))
+    op = CPScalingOperator(model)
+    alpha, *_ = np.linalg.lstsq(op.gram, op.rmatvec(t_zero_filled), rcond=None)
     # Exact zeros would freeze components (D = 0 annihilates the gradients).
     small = np.abs(alpha) < 1e-8
     alpha[small] = np.where(alpha[small] < 0.0, -1e-8, 1e-8)
-    return CPModel(a, b, c, alpha)
+    model.alpha = alpha
+    return model
 
 
 def complete(t, mask, cfg):
@@ -196,16 +144,15 @@ def complete(t, mask, cfg):
         t_work = masked_copy(t, s_hat, mask)
         for mode in ("A", "B", "C"):
             model = mm_update(mode, model, t_work)
+        op = CPScalingOperator(model)
         if cfg.mode == "hybrid":
-            op = CPScalingOperator(model)
             alpha, lam_hist = solve_l1_hybrid(*op.coordinates(t_work.ravel()), cfg.hybrid)
-            model.alpha = alpha
             lam = float(lam_hist[-1]) if lam_hist.size else float("nan")
-            s_hat = op.reconstruct(alpha)
         else:
-            model.alpha = ista_alpha_step(model, t_work, cfg.lam)
+            alpha = ista_alpha_step(model, t_work, cfg.lam)
             lam = cfg.lam
-            s_hat = reconstruct(model)
+        model.alpha = alpha
+        s_hat = op.reconstruct(alpha)
         residual = float(np.linalg.norm(s_hat[mask.where] - t_obs)) / max(obs_norm, 1e-300)
         trace.append(n, residual, lam, (time.perf_counter() - start) * 1e3)
         if residual <= cfg.eps_tol:

@@ -1,14 +1,15 @@
-"""CP representation [alpha; A, B, C]: reconstruction, normalization, the
-vectorized rank-one dictionary Q, its Hadamard Grams, and rank truncation."""
+"""CP representation [alpha; A, B, C]: reconstruction, the vectorized rank-one
+dictionary Q, the operator that applies Q, Q^T and Q Q^T without forming Q,
+Hadamard Grams, and rank truncation."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DegenerateComponentError
 from .tensor_ops import cached_einsum
 
-__all__ = ["CPModel", "reconstruct", "normalize", "build_q", "hadamard_gram", "truncate_rank"]
+__all__ = ["CPModel", "CPScalingOperator", "reconstruct", "build_q", "hadamard_gram", "truncate_rank"]
 
 
 @dataclass
@@ -48,34 +49,13 @@ class CPModel:
         return CPModel(self.A.copy(), self.B.copy(), self.C.copy(), self.alpha.copy())
 
 
+def _rank_one_sum(x, a, b, c):
+    return cached_einsum("r,ir,jr,kr->ijk", x, a, b, c)
+
+
 def reconstruct(m):
     """Dense tensor sum_r alpha_r * a_r o b_r o c_r."""
-    return cached_einsum("r,ir,jr,kr->ijk", m.alpha, m.A, m.B, m.C)
-
-
-def normalize(m):
-    """Rescale every factor column to unit norm, absorbing norms into alpha.
-
-    The sign of each component is canonicalized: the first nonzero entry of
-    a_r is made positive, with the flip pushed into b_r, so the represented
-    tensor is unchanged.
-    """
-    na = np.linalg.norm(m.A, axis=0)
-    nb = np.linalg.norm(m.B, axis=0)
-    nc = np.linalg.norm(m.C, axis=0)
-    for r in range(m.R):
-        if na[r] == 0.0 or nb[r] == 0.0 or nc[r] == 0.0:
-            raise DegenerateComponentError(r)
-    A = m.A / na
-    B = m.B / nb
-    C = m.C / nc
-    alpha = m.alpha * na * nb * nc
-    for r in range(m.R):
-        nz = np.nonzero(A[:, r])[0]
-        if nz.size and A[nz[0], r] < 0.0:
-            A[:, r] = -A[:, r]
-            B[:, r] = -B[:, r]
-    return CPModel(A, B, C, alpha)
+    return _rank_one_sum(m.alpha, m.A, m.B, m.C)
 
 
 def build_q(m):
@@ -97,6 +77,57 @@ def hadamard_gram(*factors):
     for f in factors[1:]:
         gram = gram * (f.T @ f)
     return gram
+
+
+class CPScalingOperator:
+    """The dictionary Q of a model's factors, applied without forming it.
+
+    Q is R x IJK with row r the vectorized rank-one tensor a_r o b_r o c_r, so
+    matvec(x) is x Q, the vectorized sum_r x_r a_r o b_r o c_r; rmatvec(y) is
+    Q y for a tensor or its vectorization y; and ``gram`` is Q Q^T.  Every
+    product contracts the factors directly, so nothing IJK-sized is formed
+    except the tensor reconstruct returns.
+    """
+
+    def __init__(self, m):
+        self.A, self.B, self.C = m.A, m.B, m.C
+        self.dims = m.dims
+
+    @cached_property
+    def gram(self):
+        """Q Q^T, the Hadamard product of the three factor Grams, formed on first use."""
+        return hadamard_gram(self.A, self.B, self.C)
+
+    def coordinates(self, d):
+        """(H, c) with [c H] an (R+1) x (R+1) factor of the joint Gram [d Q^T]^T [d Q^T].
+
+        Every inner product among d and the columns of Q^T is preserved, so
+        min ||H x - c||^2 + lambda ||x||_1 is the same problem as
+        min ||Q^T x - d||^2 + lambda ||x||_1, posed in R+1 coordinates.  The
+        factor is the Cholesky one; when the Gram is numerically indefinite
+        (for example an all-zero factor column) it is the eigenvalue square
+        root, with negative eigenvalues clipped to zero.
+        """
+        r = self.A.shape[1]
+        xtx = np.empty((r + 1, r + 1))
+        xtx[0, 0] = d @ d
+        xtx[0, 1:] = xtx[1:, 0] = self.rmatvec(d)
+        xtx[1:, 1:] = self.gram
+        try:
+            c = np.linalg.cholesky(xtx).T
+        except np.linalg.LinAlgError:
+            evals, evecs = np.linalg.eigh(xtx)
+            c = np.sqrt(np.maximum(evals, 0.0))[:, None] * evecs.T
+        return c[:, 1:], c[:, 0]
+
+    def matvec(self, x):
+        return self.reconstruct(x).ravel()
+
+    def rmatvec(self, y):
+        return cached_einsum("ijk,ir,jr,kr->r", np.reshape(y, self.dims), self.A, self.B, self.C)
+
+    def reconstruct(self, x):
+        return _rank_one_sum(x, self.A, self.B, self.C)
 
 
 def truncate_rank(m, eps):

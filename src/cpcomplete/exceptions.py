@@ -13,13 +13,5 @@ class PixmapParseError(DataError):
         self.offset = offset
 
 
-class DegenerateComponentError(ValueError):
-    """A factor column collapsed to zero; the component cannot be normalized."""
-
-    def __init__(self, component):
-        super().__init__(f"component {component} has a zero factor column")
-        self.component = component
-
-
 class NumericalRankError(ValueError):
     """A least-squares system is numerically singular; increase the damping."""

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cp_model import hadamard_gram, reconstruct
+from .cp_model import CPScalingOperator, reconstruct
 from .factor_updates import STEP_SAFETY
-from .tensor_ops import as_tensor, cached_einsum
+from .tensor_ops import as_tensor
 
 __all__ = [
     "soft_threshold",
@@ -41,8 +41,6 @@ _BREAKDOWN_RTOL = 1e-14
 # IRN thresholds: |s_i| below _TAU1 counts as vanished and is weighted as _TAU2.
 _TAU1 = 1e-10
 _TAU2 = 1e-14
-# The inner loop stops once a step moves s by at most this fraction of ||s||.
-_STAGNATION_RTOL = 1e-6
 # lambda used if WGCV fails at the first step, which needs non-finite input:
 # M_11 = ||H^T u_1|| > 0 and the WGCV denominator is at least 1.
 _LAMBDA_FALLBACK = 1.0
@@ -61,15 +59,14 @@ def ista_alpha_step(m, t, lam):
 
     alpha <- prox(alpha - (alpha Q - t) Q^T / (s eta), lambda / (s eta)) with
     eta the largest eigenvalue of Q Q^T and s = STEP_SAFETY, the same safety
-    factor the MM factor updates use; Q never needs materializing because
-    Q Q^T is the Hadamard product of the three factor Grams.
+    factor the MM factor updates use; Q Q^T and the products with Q come
+    from :class:`CPScalingOperator`, so Q is never materialized.
     """
     t = as_tensor(t)
-    gram = hadamard_gram(m.A, m.B, m.C)
-    eta = max(float(np.linalg.eigvalsh(gram)[-1]), 1e-12)
+    op = CPScalingOperator(m)
+    eta = max(float(np.linalg.eigvalsh(op.gram)[-1]), 1e-12)
     step = 1.0 / (STEP_SAFETY * eta)
-    resid = reconstruct(m) - t
-    grad = cached_einsum("ijk,ir,jr,kr->r", resid, m.A, m.B, m.C)
+    grad = op.rmatvec(reconstruct(m) - t)
     return soft_threshold(m.alpha - step * grad, lam * step)
 
 
@@ -246,15 +243,19 @@ def projected_tikhonov(state, lam):
 _UNIT_GRID = np.logspace(-10.0, 0.0, 200)
 
 
-def _wgcv_curve(state, omega, lams):
-    """WGCV objective at each lambda in ``lams``; non-finite values read as +inf."""
+def _wgcv_terms(state, lams):
+    # WGCV numerator k * ||(I - M Phi_lam) beta1 e1||^2 and the filter-factor
+    # sum trace(M Phi_lam) at each lambda in ``lams``.
     s, c, _, rho2 = _projected_svd(state)
     s2 = s**2
-    k, rows = state.M.shape[1], state.M.shape[0]
     filt = s2 / (s2 + lams[:, None])
-    num = k * (((1.0 - filt) ** 2) @ c**2 + rho2)
-    den = (rows - omega * filt.sum(axis=1)) ** 2
-    vals = num / den
+    return state.k * (((1.0 - filt) ** 2) @ c**2 + rho2), filt.sum(axis=1)
+
+
+def _wgcv_curve(state, omega, lams):
+    """WGCV objective at each lambda in ``lams``; non-finite values read as +inf."""
+    num, f_sum = _wgcv_terms(state, lams)
+    vals = num / (state.k + 1 - omega * f_sum) ** 2
     return np.where(np.isfinite(vals), vals, np.inf)
 
 
@@ -289,26 +290,25 @@ def wgcv_select(state, omega, fallback):
 def _omega_estimate(state):
     # Weight that makes the WGCV curve stationary at a reference lambda:
     # setting dG/dlambda(lam_ref) = 0 and solving for omega gives
-    # omega = N'(rows) / (N'F - 2NF') with N the numerator and F the sum of
-    # the filter factors.  The reference is sigma_min(M)^2, the smallest
-    # scale the projected problem can resolve, which guards against the
-    # over-smoothing plain GCV exhibits on projected problems.
-    s, c, _, rho2 = _projected_svd(state)
+    # omega = (k+1) N' / (N'F - 2NF') with N the numerator and F the sum of
+    # the filter factors, both from _wgcv_terms.  The reference is
+    # sigma_min(M)^2, the smallest scale the projected problem can resolve,
+    # which guards against the over-smoothing plain GCV exhibits on projected
+    # problems.
+    s, c, _, _ = _projected_svd(state)
     if not s.size or s[0] <= 0.0:
         return 1.0
-    s2, c2 = s**2, c**2
-    k, rows = state.M.shape[1], state.M.shape[0]
+    s2 = s**2
     lam = max(float(s[-1]) ** 2, 1e-300)
-    f = s2 / (s2 + lam)
+    (n_val,), (f_sum,) = _wgcv_terms(state, np.array([lam]))
+    # -dF_i/dlambda for filter factor F_i, and 1 - F_i = lam / (s_i^2 + lam).
     dfac = s2 / (s2 + lam) ** 2
-    n_val = k * (float(((1.0 - f) ** 2) @ c2) + rho2)
-    n_prime = k * float((2.0 * (1.0 - f) * dfac) @ c2)
-    f_sum = float(f.sum())
+    n_prime = state.k * float((2.0 * lam * dfac / (s2 + lam)) @ c**2)
     f_prime = -float(dfac.sum())
     den = n_prime * f_sum - 2.0 * n_val * f_prime
     if not np.isfinite(den) or den <= 0.0:
         return 1.0
-    return float(np.clip(n_prime * rows / den, 1e-3, 1.0))
+    return float(np.clip(n_prime * (state.k + 1) / den, 1e-3, 1.0))
 
 
 @dataclass
@@ -331,8 +331,7 @@ def solve_l1_hybrid(h, d, cfg=None):
     Per step: refresh L from the current iterate (identity before one
     exists), expand the flexible Golub-Kahan factorization, pick lambda by
     WGCV, solve the projected Tikhonov problem and map back through P.
-    Stops after min(k_max, n) steps for an n-column H, on breakdown, or when
-    a step moves s by at most 1e-6 of its norm.
+    Stops after min(k_max, n) steps for an n-column H or on breakdown.
 
     The process only uses inner products among d and the columns of H, so a
     tall problem can be handed over as any (H', d') with the same joint Gram;
@@ -364,9 +363,5 @@ def solve_l1_hybrid(h, d, cfg=None):
         lam_prev = lam
         if state.breakdown:
             break
-        if s_prev is not None:
-            denom = float(np.linalg.norm(s_prev))
-            if denom > 0.0 and float(np.linalg.norm(sol - s_prev)) <= _STAGNATION_RTOL * denom:
-                break
         s_prev = sol
     return sol, np.asarray(lam_history)

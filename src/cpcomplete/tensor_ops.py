@@ -18,9 +18,7 @@ __all__ = [
     "as_tensor",
     "frobenius_norm",
     "matricize",
-    "tensorize",
     "vectorize",
-    "unvectorize",
     "khatri_rao",
     "Mask",
     "masked_copy",
@@ -74,30 +72,9 @@ def matricize(t, mode):
     return t.transpose(p).reshape(t.shape[p[0]], -1)
 
 
-def tensorize(mat, dims, mode):
-    """Inverse of :func:`matricize`: fold an unfolding back to shape ``dims``."""
-    if mode not in _MODE_PERM:
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
-    I, J, K = dims
-    p = _MODE_PERM[mode]
-    shape = (dims[p[0]], dims[p[1]], dims[p[2]])
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.shape != (shape[0], shape[1] * shape[2]):
-        raise ValueError(f"unfolding shape {mat.shape} does not match dims {dims} mode {mode}")
-    return np.ascontiguousarray(mat.reshape(shape).transpose(np.argsort(p)))
-
-
 def vectorize(t):
     """Canonical row vectorization: entry (i,j,k) lands at (i*J + j)*K + k."""
     return as_tensor(t).ravel().copy()
-
-
-def unvectorize(vec, dims):
-    """Inverse of :func:`vectorize`."""
-    vec = np.asarray(vec, dtype=np.float64).ravel()
-    if vec.size != dims[0] * dims[1] * dims[2]:
-        raise ValueError(f"vector length {vec.size} does not match dims {dims}")
-    return vec.reshape(dims).copy()
 
 
 def khatri_rao(x, y):

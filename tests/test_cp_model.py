@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from cpcomplete.cp_model import CPModel, build_q, hadamard_gram, normalize, reconstruct, truncate_rank
-from cpcomplete.exceptions import DegenerateComponentError
+from cpcomplete.cp_model import CPModel, build_q, hadamard_gram, reconstruct, truncate_rank
 from cpcomplete.tensor_ops import frobenius_norm, vectorize
 
 
@@ -50,42 +49,6 @@ class TestReconstruct:
         assert np.linalg.norm(t - oracle) <= 1e-13 * frobenius_norm(oracle)
 
 
-class TestNormalize:
-    def test_three_four_five(self):
-        a = np.array([[3.0], [4.0], [0.0]])
-        b = np.array([[1.0], [0.0]])
-        c = np.array([[1.0], [0.0]])
-        out = normalize(CPModel(a, b, c, np.array([1.0])))
-        assert np.allclose(out.A.ravel(), [0.6, 0.8, 0.0])
-        assert np.isclose(out.alpha[0], 5.0)
-
-    def test_idempotent(self):
-        m = normalize(random_model(2))
-        again = normalize(m)
-        assert np.allclose(m.A, again.A, atol=1e-15)
-        assert np.allclose(m.alpha, again.alpha, atol=1e-15)
-
-    def test_reconstruction_preserved(self):
-        m = random_model(3)
-        before = reconstruct(m)
-        after = reconstruct(normalize(m))
-        assert np.linalg.norm(before - after) <= 1e-12 * frobenius_norm(before)
-
-    def test_unit_columns_and_sign(self):
-        m = normalize(random_model(4))
-        for mat in (m.A, m.B, m.C):
-            assert np.allclose(np.linalg.norm(mat, axis=0), 1.0, atol=1e-10)
-        for r in range(m.R):
-            nz = np.nonzero(m.A[:, r])[0]
-            assert m.A[nz[0], r] > 0
-
-    def test_zero_column_raises(self):
-        m = random_model(5)
-        m.B[:, 1] = 0.0
-        with pytest.raises(DegenerateComponentError):
-            normalize(m)
-
-
 class TestBuildQ:
     def test_unit_spike_row(self):
         e2 = np.zeros((2, 1))
@@ -103,7 +66,7 @@ class TestBuildQ:
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(lhs), 1e-300)
 
     def test_unit_rows_when_normalized(self):
-        m = normalize(random_model(7))
+        m = random_model(7, unit=True)
         q = build_q(m)
         assert np.allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-12)
 

@@ -355,6 +355,26 @@ class TestWGCV:
         state = make_state(np.zeros((3, 2)), 1.0)
         assert wgcv_select(state, 1.0, fallback=0.25) == 0.25
 
+    def test_omega_estimate_makes_curve_stationary(self):
+        # An estimate inside its clamp [1e-3, 1] makes the WGCV curve flat at
+        # the reference lambda sigma_min(M)^2 (central difference in log lambda).
+        from cpcomplete.hybrid_l1 import _omega_estimate, _wgcv_curve
+
+        unclamped = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(2, 13))
+            m_mat = np.triu(rng.normal(size=(k + 1, k)), -1) * 10.0 ** rng.uniform(-1, 1, size=k)
+            state = make_state(m_mat, rng.uniform(0.5, 3.0))
+            omega = _omega_estimate(state)
+            assert 1e-3 <= omega <= 1.0
+            if 1e-3 < omega < 1.0:
+                unclamped += 1
+                lam = np.linalg.svd(m_mat, compute_uv=False)[-1] ** 2
+                g = _wgcv_curve(state, omega, lam * np.exp([-1e-4, 0.0, 1e-4]))
+                assert abs(g[2] - g[0]) / 2e-4 <= 1e-8 * g[1]
+        assert unclamped >= 3
+
 
 class TestSolveHybrid:
     def test_identity_recovers_sparse_nonnegative(self):

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used there or re-exported, and
-every private name it defines at module level is read there."""
+"""Every name a package module imports is used there or re-exported, every
+private name it defines at module level is read there, and every name it
+exports, through its __all__ or the package __init__, is defined there."""
 
 import ast
 from pathlib import Path
@@ -30,11 +31,11 @@ def unused_imports(source):
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used | exported)
 
 
-def unread_private_names(source):
-    """Module-level ``_name`` functions, classes and assignments the module never reads."""
-    tree = ast.parse(source)
+def defined_names(source):
+    """{name: first line} for the names a module binds at top level by def, class
+    or assignment; imports do not count."""
     defined = {}
-    for node in tree.body:
+    for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             defined.setdefault(node.name, node.lineno)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -43,7 +44,14 @@ def unread_private_names(source):
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         defined.setdefault(name.id, node.lineno)
+    return defined
+
+
+def unread_private_names(source):
+    """Module-level ``_name`` functions, classes and assignments the module never reads."""
+    tree = ast.parse(source)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    defined = defined_names(source)
     private = {n: line for n, line in defined.items() if n.startswith("_") and not n.startswith("__")}
     return sorted(f"{name} (line {line})" for name, line in private.items() if name not in read)
 
@@ -85,3 +93,39 @@ def test_checker_flags_unread_private_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def undefined_exports(init_source, sources):
+    """``module.name`` for each name in a module's __all__, or imported from it by the
+    package ``__init__``, that the module does not define itself.
+
+    ``sources`` maps module names to their source; a name re-exported from
+    another module counts as undefined, so every export has one home.
+    """
+    exports = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exports += [(module, name) for name in ast.literal_eval(node.value)]
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            exports += [(node.module, alias.name) for alias in node.names]
+    return sorted(
+        {f"{module}.{name}" for module, name in exports if name not in defined_names(sources.get(module, ""))}
+    )
+
+
+def test_checker_flags_undefined_exports():
+    init_source = "from .model import CPModel, normalize\nfrom .ops import khatri_rao\nfrom .gone import f\n"
+    sources = {
+        "model": "from .ops import khatri_rao\n__all__ = ['CPModel', 'khatri_rao']\nclass CPModel:\n    pass\n",
+        "ops": "__all__ = ['GRID', 'khatri_rao', 'tensorize']\nGRID = 3\ndef khatri_rao(x, y):\n    return x\n",
+    }
+    assert undefined_exports(init_source, sources) == [
+        "gone.f", "model.khatri_rao", "model.normalize", "ops.tensorize",
+    ]
+
+
+def test_exports_are_defined():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert undefined_exports((PACKAGE / "__init__.py").read_text(), sources) == []

@@ -8,8 +8,6 @@ from cpcomplete.tensor_ops import (
     khatri_rao,
     masked_copy,
     matricize,
-    tensorize,
-    unvectorize,
     vectorize,
 )
 
@@ -77,12 +75,6 @@ class TestMatricize:
         expected = np.outer(a, kron_oracle(c, b))
         assert np.allclose(matricize(t, 1), expected, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("mode", [1, 2, 3])
-    def test_round_trip(self, mode):
-        rng = np.random.default_rng(5)
-        t = rng.normal(size=(4, 3, 6))
-        assert np.array_equal(tensorize(matricize(t, mode), t.shape, mode), t)
-
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             matricize(np.zeros((2, 2, 2)), 4)
@@ -101,11 +93,6 @@ class TestVectorize:
         rng = np.random.default_rng(6)
         t = rng.normal(size=(5, 4, 3))
         assert np.isclose(np.linalg.norm(vectorize(t)), frobenius_norm(t), rtol=1e-14)
-
-    def test_unvectorize_round_trip(self):
-        rng = np.random.default_rng(7)
-        t = rng.normal(size=(3, 5, 2))
-        assert np.array_equal(unvectorize(vectorize(t), t.shape), t)
 
 
 class TestKhatriRao:
