@@ -48,7 +48,6 @@ from .tensor_ops import (
     khatri_rao,
     masked_copy,
     matricize,
-    vectorize,
 )
 
 __version__ = "0.1.0"

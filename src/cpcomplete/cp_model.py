@@ -61,7 +61,7 @@ def reconstruct(m):
 def build_q(m):
     """R x (IJK) matrix whose row r is the vectorized rank-one tensor a_r o b_r o c_r.
 
-    Satisfies vectorize(reconstruct(m)) == alpha @ Q.
+    Satisfies reconstruct(m).ravel() == alpha @ Q.
     """
     i, j, k = m.dims
     return cached_einsum("ir,jr,kr->rijk", m.A, m.B, m.C).reshape(m.R, i * j * k)
@@ -133,13 +133,14 @@ class CPScalingOperator:
 def truncate_rank(m, eps):
     """Drop components with |alpha_r| < eps * max|alpha|, sorted by descending |alpha|.
 
-    The threshold is inclusive (ties at exactly eps * max are kept); the
-    maximal component always survives.
+    The threshold is inclusive (ties at exactly eps * max are kept), so a
+    nonzero maximal component always survives; zero components never do, so
+    an all-zero alpha, like an R=0 model, gives an R=0 model.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     mag = np.abs(m.alpha)
-    keep = mag >= eps * mag.max()
+    keep = (mag > 0.0) & (mag >= eps * mag.max(initial=0.0))
     idx = np.nonzero(keep)[0]
     order = idx[np.argsort(-mag[idx], kind="stable")]
     return CPModel(m.A[:, order], m.B[:, order], m.C[:, order], m.alpha[order])

@@ -9,23 +9,29 @@ from .tensor_ops import as_tensor, cached_einsum
 
 __all__ = ["gradient", "lipschitz_estimate", "mm_update", "regularized_als_step"]
 
-_MODES = ("A", "B", "C")
+# The CP mode convention (Kolda & Bader, SIAM Review 2009): each factor's MTTKRP
+# subscripts and the two other factors, whose Khatri-Rao product is the mode's W.
+_MODES = {
+    "A": ("ijk,jr,kr->ir", "B", "C"),
+    "B": ("ijk,ir,kr->jr", "A", "C"),
+    "C": ("ijk,ir,jr->kr", "A", "B"),
+}
 
 # Gradient steps are 1 / (STEP_SAFETY * L) for a Lipschitz constant L; a factor
 # above 1 keeps the step strictly inside the majorizer's descent range.
 STEP_SAFETY = 1.05
 
 
+def _convention(mode):
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {tuple(_MODES)}, got {mode!r}")
+    return _MODES[mode]
+
+
 def _mode_gram(mode, m):
-    # Gram of the mode's Khatri-Rao matrix, via the Hadamard identity
-    # (X kr Y)^T (X kr Y) = X^T X * Y^T Y.
-    if mode == "A":
-        return hadamard_gram(m.C, m.B)
-    if mode == "B":
-        return hadamard_gram(m.C, m.A)
-    if mode == "C":
-        return hadamard_gram(m.B, m.A)
-    raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    # Gram of the mode's Khatri-Rao matrix via (X kr Y)^T (X kr Y) = X^T X * Y^T Y.
+    _, x, y = _convention(mode)
+    return hadamard_gram(getattr(m, x), getattr(m, y))
 
 
 def _set_unit_columns(target, g):
@@ -37,13 +43,8 @@ def _set_unit_columns(target, g):
 
 def _mode_mttkrp(mode, t, m):
     # Unfolding-times-Khatri-Rao product for the requested mode.
-    if mode == "A":
-        return cached_einsum("ijk,jr,kr->ir", t, m.B, m.C)
-    if mode == "B":
-        return cached_einsum("ijk,ir,kr->jr", t, m.A, m.C)
-    if mode == "C":
-        return cached_einsum("ijk,ir,jr->kr", t, m.A, m.B)
-    raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    subscripts, x, y = _convention(mode)
+    return cached_einsum(subscripts, t, getattr(m, x), getattr(m, y))
 
 
 def gradient(mode, m, t):
@@ -55,10 +56,9 @@ def gradient(mode, m, t):
     t = as_tensor(t)
     gram = _mode_gram(mode, m)
     mtt = _mode_mttkrp(mode, t, m)
-    x = {"A": m.A, "B": m.B, "C": m.C}[mode]
     d = m.alpha
     # (X D W^T W - T(mode) W) D, using the Gram identity instead of forming W.
-    return ((x * d) @ gram - mtt) * d
+    return ((getattr(m, mode) * d) @ gram - mtt) * d
 
 
 def lipschitz_estimate(mode, m):
@@ -82,9 +82,9 @@ def mm_update(mode, m, t):
     column; a column that collapses to zero keeps its previous value.
     """
     step = 1.0 / (STEP_SAFETY * lipschitz_estimate(mode, m))
-    d = {"A": m.A, "B": m.B, "C": m.C}[mode] - step * gradient(mode, m, t)
+    d = getattr(m, mode) - step * gradient(mode, m, t)
     out = m.copy()
-    _set_unit_columns({"A": out.A, "B": out.B, "C": out.C}[mode], d)
+    _set_unit_columns(getattr(out, mode), d)
     return out
 
 
@@ -109,7 +109,7 @@ def regularized_als_step(m, t, rho):
                 "normal equations are numerically singular; pass rho > 0 to damp them"
             )
         g = np.linalg.solve(lhs, _mode_mttkrp(mode, t, work).T).T
-        work.alpha = _set_unit_columns({"A": work.A, "B": work.B, "C": work.C}[mode], g)
+        work.alpha = _set_unit_columns(getattr(work, mode), g)
     return work
 
 

@@ -109,9 +109,9 @@ def diffusion_residual(p, u):
     return float(np.linalg.norm(res)) / float(np.linalg.norm(rhs))
 
 
-def parameter_grid(n, lo=-0.99, hi=0.99):
-    """Tensorial n x n cartesian grid over [lo, hi]^2, mu1 varying slowest."""
-    vals = np.linspace(lo, hi, n)
+def parameter_grid(n):
+    """Tensorial n x n cartesian grid over [-0.99, 0.99]^2, mu1 varying slowest."""
+    vals = np.linspace(-0.99, 0.99, n)
     return [(float(m1), float(m2)) for m1 in vals for m2 in vals]
 
 

@@ -1,4 +1,4 @@
-"""Dense third-order tensor kernels: unfoldings, vectorization, Khatri-Rao.
+"""Dense third-order tensor kernels: unfoldings, Khatri-Rao products, masks.
 
 Tensors are plain float64 numpy arrays of shape (I, J, K) in C order, so the
 canonical vectorization (k fastest, then j, then i) is just ``ravel()``.  The
@@ -7,7 +7,8 @@ unfolding column order is the one that makes the three matrix identities
     T(1) = A D (C kr B)^T,   T(2) = B D (C kr A)^T,   T(3) = C D (B kr A)^T
 
 hold exactly against :func:`khatri_rao` below, i.e. mode-1 columns are indexed
-by (k slow, j fast), and analogously for the other modes.
+by (k slow, j fast), and analogously for the other modes.  An observation
+mask is a boolean tensor of the same shape.
 """
 
 from functools import lru_cache
@@ -18,7 +19,6 @@ __all__ = [
     "as_tensor",
     "frobenius_norm",
     "matricize",
-    "vectorize",
     "khatri_rao",
     "Mask",
     "masked_copy",
@@ -38,11 +38,9 @@ def cached_einsum(subscripts, *operands):
     return np.einsum(subscripts, *operands, optimize=path)
 
 
-def as_tensor(values, dims=None):
+def as_tensor(values):
     """Coerce to a C-contiguous float64 third-order array, validating shape."""
     t = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-    if dims is not None:
-        t = t.reshape(dims)
     if t.ndim != 3:
         raise ValueError(f"expected a third-order tensor, got ndim={t.ndim}")
     if min(t.shape) < 1:
@@ -72,11 +70,6 @@ def matricize(t, mode):
     return t.transpose(p).reshape(t.shape[p[0]], -1)
 
 
-def vectorize(t):
-    """Canonical row vectorization: entry (i,j,k) lands at (i*J + j)*K + k."""
-    return as_tensor(t).ravel().copy()
-
-
 def khatri_rao(x, y):
     """Column-wise Kronecker product: column r is x_r kron y_r (x index slow).
 
@@ -91,10 +84,11 @@ def khatri_rao(x, y):
 
 
 class Mask:
-    """Index set of observed entries of an (I, J, K) tensor.
+    """Observed entries of an (I, J, K) tensor, held as a boolean tensor.
 
-    Holds both a sorted (n, 3) int64 triple array (0-based) and a boolean
-    tensor for O(1) membership tests.
+    ``where[i, j, k]`` is True where entry (i, j, k) is observed, ``count`` is
+    the number of observed entries, and ``observed`` lists them as 0-based
+    (i, j, k) triples in C order.
     """
 
     def __init__(self, dims, triples):
@@ -104,22 +98,17 @@ class Mask:
         triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
         if triples.size and (triples.min() < 0 or np.any(triples >= np.array(dims))):
             raise ValueError("mask triple out of range")
-        flat = np.ravel_multi_index(tuple(triples.T), dims) if triples.size else np.empty(0, np.int64)
-        if np.unique(flat).size != flat.size:
-            raise ValueError("duplicate triples in mask")
-        order = np.argsort(flat, kind="stable")
-        self.dims = dims
-        self.observed = np.ascontiguousarray(triples[order])
-        self.flat = flat[order]
         where = np.zeros(dims, dtype=bool)
-        if flat.size:
-            where.ravel()[self.flat] = True
+        where[tuple(triples.T)] = True
+        if np.count_nonzero(where) != triples.shape[0]:
+            raise ValueError("duplicate triples in mask")
+        self.dims = dims
         self.where = where
+        self.count = triples.shape[0]
 
     @classmethod
     def full(cls, dims):
-        idx = np.indices(dims).reshape(3, -1).T
-        return cls(dims, idx)
+        return cls.from_bool(np.ones(dims, dtype=bool))
 
     @classmethod
     def from_bool(cls, where):
@@ -127,19 +116,8 @@ class Mask:
         return cls(where.shape, np.argwhere(where))
 
     @property
-    def count(self):
-        return self.observed.shape[0]
-
-    @property
-    def fill_fraction(self):
-        return self.count / float(np.prod(self.dims))
-
-    def complement(self):
-        return Mask.from_bool(~self.where)
-
-    def __contains__(self, triple):
-        i, j, k = triple
-        return bool(self.where[i, j, k])
+    def observed(self):
+        return np.argwhere(self.where)
 
 
 def masked_copy(t, s, mask):

@@ -174,6 +174,33 @@ class TestCompleteCommand:
             rows = fh.read().strip().splitlines()
         assert len(rows) - 1 <= 3
 
+    def test_config_comments_blank_lines_and_timings(self, workspace):
+        tmp, tpath, mpath = workspace
+        cfg = tmp / "run.cfg"
+        cfg.write_text("# a comment line\n\nmax-iter = 2  # trailing comment\ntimings = yes\n")
+        code = main([
+            "complete", "--input", str(tpath), "--mask", str(mpath), "--rank", "3",
+            "--config", str(cfg), "--trace", str(tmp / "t.csv"),
+        ])
+        assert code == 0
+        rows = (tmp / "t.csv").read_text().strip().splitlines()
+        assert len(rows) == 3
+        assert any(float(row.split(",")[3]) > 0.0 for row in rows[1:])
+
+    def test_config_line_without_equals_is_data_error(self, workspace, capsys):
+        tmp, tpath, mpath = workspace
+        cfg = tmp / "run.cfg"
+        cfg.write_text("rank = 3\nmax-iter 2\n")
+        code = main(["complete", "--input", str(tpath), "--mask", str(mpath), "--config", str(cfg)])
+        assert code == 3
+        assert "run.cfg:2: expected key=value" in capsys.readouterr().err
+
+    def test_unreadable_config_is_data_error(self, workspace, capsys):
+        tmp, tpath, mpath = workspace
+        code = main(["complete", "--input", str(tpath), "--mask", str(mpath), "--config", str(tmp / "missing.cfg")])
+        assert code == 3
+        assert "cannot read config file" in capsys.readouterr().err
+
 
 class TestMorDemoCommand:
     def test_tiny_pipeline_writes_reports(self, tmp_path):

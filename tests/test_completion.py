@@ -10,6 +10,7 @@ from cpcomplete.completion import (
 )
 from cpcomplete.cp_model import CPModel, build_q, reconstruct
 from cpcomplete.exceptions import DataError
+from cpcomplete.fileio import load_model, save_model
 from cpcomplete.hybrid_l1 import HybridConfig, solve_l1_hybrid
 from cpcomplete.tensor_ops import Mask
 
@@ -177,6 +178,17 @@ class TestComplete:
         cfg = CompletionConfig(R0=4, m_max=30, eps_tol=1e-6, mode="fixed", lam=0.01, seed=11)
         _, _, trace = complete(t, mask, cfg)
         assert all(l == 0.01 for l in trace.lam)
+
+    def test_shrinking_every_component_gives_rank_zero(self, tmp_path):
+        # lambda far above every correlation zeroes alpha at the first step.
+        t = synthetic_rank(12, (8, 9, 3), 3, scale=1.0)
+        mask = make_random_mask(t.shape, 0.7, seed=12)
+        cfg = CompletionConfig(R0=5, m_max=3, mode="fixed", lam=1e6, seed=12)
+        model, s, _ = complete(t, mask, cfg)
+        assert model.R == 0
+        assert not s[~mask.where].any()
+        save_model(model, tmp_path / "zero.cpm1")
+        assert load_model(tmp_path / "zero.cpm1").R == 0
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):

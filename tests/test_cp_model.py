@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cpcomplete.cp_model import CPModel, build_q, hadamard_gram, reconstruct, truncate_rank
-from cpcomplete.tensor_ops import frobenius_norm, vectorize
+from cpcomplete.tensor_ops import frobenius_norm
 
 
 def random_model(seed, dims=(4, 5, 6), r=3, unit=False):
@@ -62,7 +62,7 @@ class TestBuildQ:
         m = random_model(6)
         q = build_q(m)
         lhs = m.alpha @ q
-        rhs = vectorize(reconstruct(m))
+        rhs = reconstruct(m).ravel()
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(lhs), 1e-300)
 
     def test_unit_rows_when_normalized(self):
@@ -124,6 +124,18 @@ class TestTruncateRank:
         out = truncate_rank(m, 1e-3)
         mags = np.abs(out.alpha)
         assert np.all(mags[:-1] >= mags[1:])
+
+    def test_all_zero_alpha_gives_rank_zero(self):
+        m = random_model(16, r=3, unit=True)
+        m.alpha = np.array([0.0, -0.0, 0.0])
+        out = truncate_rank(m, 1e-2)
+        assert out.R == 0
+        assert out.dims == m.dims
+        assert not reconstruct(out).any()
+
+    def test_rank_zero_model_accepted(self):
+        empty = CPModel(np.zeros((4, 0)), np.zeros((5, 0)), np.zeros((6, 0)), np.zeros(0))
+        assert truncate_rank(empty, 1e-2).R == 0
 
 
 def test_rank_bound_enforced():

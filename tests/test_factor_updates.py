@@ -87,6 +87,22 @@ class TestGradient:
         assert np.allclose(gradient("A", m, t), explicit, atol=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["D", "alpha"])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda mode, m, t: gradient(mode, m, t),
+        lambda mode, m, t: lipschitz_estimate(mode, m),
+        lambda mode, m, t: mm_update(mode, m, t),
+    ],
+    ids=["gradient", "lipschitz_estimate", "mm_update"],
+)
+def test_unknown_mode_rejected(kernel, mode):
+    m = random_model(20)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        kernel(mode, m, reconstruct(m))
+
+
 class TestLipschitz:
     def test_rank_one_unit(self):
         e = np.eye(3)[:, :1]

@@ -14,7 +14,6 @@ from cpcomplete.hybrid_l1 import (
     solve_l1_hybrid,
     wgcv_select,
 )
-from cpcomplete.tensor_ops import vectorize
 
 
 def prox_grid_oracle(v, lam, zoom=4):
@@ -100,7 +99,7 @@ class TestIstaAlphaStep:
         for _ in range(500):
             work.alpha = ista_alpha_step(work, t_tensor, lam)
         q = build_q(work)
-        t = vectorize(t_tensor)
+        t = t_tensor.ravel()
         oracle_alpha = cd_lasso(q, t, lam)
 
         def obj(alpha):
@@ -355,6 +354,14 @@ class TestWGCV:
         state = make_state(np.zeros((3, 2)), 1.0)
         assert wgcv_select(state, 1.0, fallback=0.25) == 0.25
 
+    def test_non_finite_curve_falls_back(self):
+        # sigma_max(M) is finite and positive, but a NaN beta1 makes the WGCV
+        # numerator NaN at every lambda.
+        m_mat = np.zeros((3, 2))
+        m_mat[0, 0], m_mat[1, 1] = 1.0, 0.5
+        state = make_state(m_mat, np.nan)
+        assert wgcv_select(state, 1.0, fallback=0.25) == 0.25
+
     def test_omega_estimate_makes_curve_stationary(self):
         # An estimate inside its clamp [1e-3, 1] makes the WGCV curve flat at
         # the reference lambda sigma_min(M)^2 (central difference in log lambda).
@@ -389,6 +396,15 @@ class TestSolveHybrid:
     def test_zero_data(self):
         sol, lams = solve_l1_hybrid(np.eye(5), np.zeros(5), HybridConfig())
         assert not sol.any()
+        assert lams.size == 0
+
+    def test_data_orthogonal_to_range(self):
+        # d != 0 but H^T d = 0: fgk_init has nothing to expand.
+        h = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0]])
+        d = np.array([0.0, 4.0, 0.0])
+        assert fgk_init(h, d) is None
+        sol, lams = solve_l1_hybrid(h, d, HybridConfig())
+        assert sol.tolist() == [0.0, 0.0]
         assert lams.size == 0
 
     def test_sparse_recovery_with_noise(self):

@@ -110,7 +110,7 @@ class TestSolveDiffusion:
 
 class TestSnapshots:
     def test_grid_ordering_mu1_major(self):
-        grid = parameter_grid(3, -1.0 + 0.01, 1.0 - 0.01)
+        grid = parameter_grid(3)
         assert grid[0][0] == grid[1][0] == grid[2][0]
         assert grid[0][1] != grid[1][1]
 

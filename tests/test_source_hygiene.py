@@ -1,14 +1,27 @@
 """Every name a package module imports is used there or re-exported, every
-private name it defines at module level is read there, and every name it
-exports, through its __all__ or the package __init__, is defined there."""
+private name it defines at module level is read there, every name it exports,
+through its __all__ or the package __init__, is defined there, and every name
+in its __all__ is read by some caller."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cpcomplete"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cpcomplete"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# Sources whose reads make a public name used: the package, the acceptance
+# criteria, the benchmark and the scripts.  Unit tests do not count.
+CALLERS = [
+    *sorted(PACKAGE.glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+    *sorted((ROOT / "bench").glob("*.py")),
+    *sorted((ROOT / "scripts").glob("*.py")),
+]
+# Public names kept with no caller: build_q is the dense oracle that the
+# operator tests check CPScalingOperator against.
+UNCALLED_ALLOWED = {"cp_model.build_q"}
 
 
 def unused_imports(source):
@@ -95,6 +108,15 @@ def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
 
 
+def all_names(source):
+    """The names a module lists in its top-level __all__."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            names += ast.literal_eval(node.value)
+    return names
+
+
 def undefined_exports(init_source, sources):
     """``module.name`` for each name in a module's __all__, or imported from it by the
     package ``__init__``, that the module does not define itself.
@@ -102,11 +124,7 @@ def undefined_exports(init_source, sources):
     ``sources`` maps module names to their source; a name re-exported from
     another module counts as undefined, so every export has one home.
     """
-    exports = []
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-                exports += [(module, name) for name in ast.literal_eval(node.value)]
+    exports = [(module, name) for module, source in sources.items() for name in all_names(source)]
     for node in ast.parse(init_source).body:
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
             exports += [(node.module, alias.name) for alias in node.names]
@@ -129,3 +147,43 @@ def test_checker_flags_undefined_exports():
 def test_exports_are_defined():
     sources = {p.stem: p.read_text() for p in MODULES}
     assert undefined_exports((PACKAGE / "__init__.py").read_text(), sources) == []
+
+
+def read_names(source):
+    """Names a source reads: loaded identifiers and attribute names.  Import
+    statements and __all__ strings do not count."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+    return reads
+
+
+def unread_exports(sources, caller_sources):
+    """``module.name`` for each name in a module's __all__ that no caller source reads."""
+    read = set().union(*(read_names(source) for source in caller_sources))
+    return sorted(
+        f"{module}.{name}" for module, source in sources.items() for name in all_names(source) if name not in read
+    )
+
+
+def test_checker_flags_unread_exports():
+    sources = {
+        "ops": "__all__ = ['khatri_rao', 'vectorize', 'Mask']\ndef khatri_rao(x, y):\n    return x\n"
+        "def vectorize(t):\n    return t\nclass Mask:\n    pass\n",
+        "model": "from .ops import khatri_rao\n__all__ = ['reconstruct']\ndef reconstruct(m):\n    return khatri_rao(m, m)\n",
+    }
+    callers = [
+        *sources.values(),
+        "from cpcomplete.ops import vectorize\n",
+        "import cpcomplete\nmask = cpcomplete.tensor_ops.Mask((2, 2, 2), [])\n",
+    ]
+    assert unread_exports(sources, callers) == ["model.reconstruct", "ops.vectorize"]
+
+
+def test_every_export_has_a_caller():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    unread = unread_exports(sources, [p.read_text() for p in CALLERS])
+    assert sorted(set(unread) - UNCALLED_ALLOWED) == []

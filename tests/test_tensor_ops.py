@@ -8,7 +8,6 @@ from cpcomplete.tensor_ops import (
     khatri_rao,
     masked_copy,
     matricize,
-    vectorize,
 )
 
 
@@ -80,21 +79,6 @@ class TestMatricize:
             matricize(np.zeros((2, 2, 2)), 4)
 
 
-class TestVectorize:
-    def test_last_index_fastest(self):
-        # k varies fastest, then j, then i
-        expected = [111, 112, 121, 122, 211, 212, 221, 222]
-        assert vectorize(indexed_tensor()).tolist() == expected
-
-    def test_zero(self):
-        assert not vectorize(np.zeros((2, 3, 4))).any()
-
-    def test_isometry(self):
-        rng = np.random.default_rng(6)
-        t = rng.normal(size=(5, 4, 3))
-        assert np.isclose(np.linalg.norm(vectorize(t)), frobenius_norm(t), rtol=1e-14)
-
-
 class TestKhatriRao:
     def test_single_column(self):
         x = np.array([[1.0], [2.0]])
@@ -140,7 +124,7 @@ class TestMask:
     def test_full(self):
         mask = Mask.full((2, 3, 2))
         assert mask.count == 12
-        assert mask.fill_fraction == 1.0
+        assert mask.where.all()
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
@@ -150,16 +134,12 @@ class TestMask:
         with pytest.raises(ValueError):
             Mask((2, 2, 2), [(0, 0, 2)])
 
-    def test_membership(self):
-        mask = Mask((2, 2, 2), [(0, 1, 0)])
-        assert (0, 1, 0) in mask
-        assert (1, 1, 1) not in mask
-
-    def test_complement(self):
-        mask = Mask((2, 2, 2), [(0, 0, 0)])
-        comp = mask.complement()
-        assert comp.count == 7
-        assert not np.logical_and(mask.where, comp.where).any()
+    def test_observed_in_c_order(self):
+        # MSK3 files list the triples in this order, whatever order they came in.
+        mask = Mask((2, 3, 2), [(1, 0, 1), (0, 2, 0), (0, 0, 1)])
+        assert mask.count == 3
+        assert mask.observed.tolist() == [[0, 0, 1], [0, 2, 0], [1, 0, 1]]
+        assert np.array_equal(Mask.from_bool(mask.where).observed, mask.observed)
 
 
 class TestMaskedCopy:
