@@ -117,7 +117,9 @@ def complete(t, mask, cfg):
     Each outer iteration imputes the unobserved entries from the current
     reconstruction, runs one MM update per factor, then refits the scaling
     vector (hybrid solver or fixed-lambda ISTA step).  Stops when the
-    relative residual on the observed entries drops below ``cfg.eps_tol``.
+    relative residual on the observed entries drops below ``cfg.eps_tol``,
+    or when alpha is all zero on two consecutive iterations, after which no
+    later iteration could change anything.
 
     Returns ``(model, s, trace)`` where ``model`` is truncated at
     ``cfg.eps_truncate`` (components sorted by descending |alpha|) and ``s``
@@ -132,16 +134,17 @@ def complete(t, mask, cfg):
         raise ValueError("mask observes no entries")
 
     rng = np.random.default_rng(cfg.seed)
-    zeros = np.zeros(t.shape)
-    model = _init_model(masked_copy(t, zeros, mask), t.shape, cfg.R0, rng)
+    t_zero_filled = masked_copy(t, np.zeros(t.shape), mask)
+    model = _init_model(t_zero_filled, t.shape, cfg.R0, rng)
+    obs_norm = max(float(np.linalg.norm(t_zero_filled.ravel())), 1e-300)
+    del t_zero_filled
 
-    t_obs = t[mask.where]
-    obs_norm = float(np.linalg.norm(t_obs))
     trace = CompletionTrace()
-    s_hat = reconstruct(model)
     start = time.perf_counter()
+    s_hat = reconstruct(model)
+    t_work = masked_copy(t, s_hat, mask)
+    zero_alpha_run = 0
     for n in range(1, cfg.m_max + 1):
-        t_work = masked_copy(t, s_hat, mask)
         for mode in ("A", "B", "C"):
             model = mm_update(mode, model, t_work)
         op = CPScalingOperator(model)
@@ -153,10 +156,17 @@ def complete(t, mask, cfg):
             lam = cfg.lam
         model.alpha = alpha
         s_hat = op.reconstruct(alpha)
-        residual = float(np.linalg.norm(s_hat[mask.where] - t_obs)) / max(obs_norm, 1e-300)
+        # The next imputation differs from s_hat only on the observed entries,
+        # where it holds t, so their difference is the observed residual.
+        t_work = masked_copy(t, s_hat, mask)
+        residual = float(np.linalg.norm((s_hat - t_work).ravel())) / obs_norm
         trace.append(n, residual, lam, (time.perf_counter() - start) * 1e3)
         if residual <= cfg.eps_tol:
             break
+        # alpha = 0 twice running is a fixed point: D = 0 annihilates the MM
+        # gradients, so the factors, s_hat = 0 and the imputation repeat.
+        zero_alpha_run = 0 if alpha.any() else zero_alpha_run + 1
+        if zero_alpha_run == 2:
+            break
 
-    s_out = masked_copy(t, s_hat, mask)
-    return truncate_rank(model, cfg.eps_truncate), s_out, trace
+    return truncate_rank(model, cfg.eps_truncate), t_work, trace

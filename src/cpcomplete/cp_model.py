@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor_ops import cached_einsum
+from .tensor_ops import mttkrp, rank_one_sum
 
 __all__ = ["CPModel", "CPScalingOperator", "reconstruct", "build_q", "hadamard_gram", "truncate_rank"]
 
@@ -49,13 +49,9 @@ class CPModel:
         return CPModel(self.A.copy(), self.B.copy(), self.C.copy(), self.alpha.copy())
 
 
-def _rank_one_sum(x, a, b, c):
-    return cached_einsum("r,ir,jr,kr->ijk", x, a, b, c)
-
-
 def reconstruct(m):
     """Dense tensor sum_r alpha_r * a_r o b_r o c_r."""
-    return _rank_one_sum(m.alpha, m.A, m.B, m.C)
+    return rank_one_sum(m.alpha, (m.A, m.B, m.C))
 
 
 def build_q(m):
@@ -64,7 +60,7 @@ def build_q(m):
     Satisfies reconstruct(m).ravel() == alpha @ Q.
     """
     i, j, k = m.dims
-    return cached_einsum("ir,jr,kr->rijk", m.A, m.B, m.C).reshape(m.R, i * j * k)
+    return np.einsum("ir,jr,kr->rijk", m.A, m.B, m.C).reshape(m.R, i * j * k)
 
 
 def hadamard_gram(*factors):
@@ -84,9 +80,11 @@ class CPScalingOperator:
 
     Q is R x IJK with row r the vectorized rank-one tensor a_r o b_r o c_r, so
     matvec(x) is x Q, the vectorized sum_r x_r a_r o b_r o c_r; rmatvec(y) is
-    Q y for a tensor or its vectorization y; and ``gram`` is Q Q^T.  Every
-    product contracts the factors directly, so nothing IJK-sized is formed
-    except the tensor reconstruct returns.
+    Q y for a tensor or its vectorization y; and ``gram`` is Q Q^T.  The
+    products with Q and Q^T are each one GEMM on a free reshape of the tensor
+    (:func:`~cpcomplete.tensor_ops.rank_one_sum`, and the mode-0
+    :func:`~cpcomplete.tensor_ops.mttkrp` summed against A), so nothing
+    IJK-sized is formed except the tensor reconstruct returns.
     """
 
     def __init__(self, m):
@@ -124,10 +122,12 @@ class CPScalingOperator:
         return self.reconstruct(x).ravel()
 
     def rmatvec(self, y):
-        return cached_einsum("ijk,ir,jr,kr->r", np.reshape(y, self.dims), self.A, self.B, self.C)
+        # (Q y)_r = sum_i A[i, r] M[i, r] with M the mode-0 MTTKRP of y.
+        factors = (self.A, self.B, self.C)
+        return np.einsum("ir,ir->r", self.A, mttkrp(np.reshape(y, self.dims), factors, 0))
 
     def reconstruct(self, x):
-        return _rank_one_sum(x, self.A, self.B, self.C)
+        return rank_one_sum(x, (self.A, self.B, self.C))
 
 
 def truncate_rank(m, eps):

@@ -5,16 +5,16 @@ import numpy as np
 
 from .cp_model import hadamard_gram, reconstruct
 from .exceptions import NumericalRankError
-from .tensor_ops import as_tensor, cached_einsum
+from .tensor_ops import as_tensor, mttkrp
 
 __all__ = ["gradient", "lipschitz_estimate", "mm_update", "regularized_als_step"]
 
-# The CP mode convention (Kolda & Bader, SIAM Review 2009): each factor's MTTKRP
-# subscripts and the two other factors, whose Khatri-Rao product is the mode's W.
+# The CP mode convention (Kolda & Bader, SIAM Review 2009): each factor's tensor
+# axis and the two other factors, whose Khatri-Rao product is the mode's W.
 _MODES = {
-    "A": ("ijk,jr,kr->ir", "B", "C"),
-    "B": ("ijk,ir,kr->jr", "A", "C"),
-    "C": ("ijk,ir,jr->kr", "A", "B"),
+    "A": (0, "B", "C"),
+    "B": (1, "A", "C"),
+    "C": (2, "A", "B"),
 }
 
 # Gradient steps are 1 / (STEP_SAFETY * L) for a Lipschitz constant L; a factor
@@ -43,8 +43,8 @@ def _set_unit_columns(target, g):
 
 def _mode_mttkrp(mode, t, m):
     # Unfolding-times-Khatri-Rao product for the requested mode.
-    subscripts, x, y = _convention(mode)
-    return cached_einsum(subscripts, t, getattr(m, x), getattr(m, y))
+    axis, _, _ = _convention(mode)
+    return mttkrp(t, (m.A, m.B, m.C), axis)
 
 
 def gradient(mode, m, t):

@@ -241,6 +241,12 @@ def projected_tikhonov(state, lam):
 
 
 _UNIT_GRID = np.logspace(-10.0, 0.0, 200)
+# Refinement points as ratios to the best grid point: 200 logarithmic points
+# spanning its two grid neighbours, or its one neighbour at either end.
+_GRID_STEP = 10.0 / (_UNIT_GRID.size - 1)
+_REFINE_INTERIOR = np.logspace(-_GRID_STEP, _GRID_STEP, _UNIT_GRID.size)
+_REFINE_FIRST = np.logspace(0.0, _GRID_STEP, _UNIT_GRID.size)
+_REFINE_LAST = np.logspace(-_GRID_STEP, 0.0, _UNIT_GRID.size)
 
 
 def _wgcv_terms(state, lams):
@@ -281,9 +287,14 @@ def wgcv_select(state, omega, fallback):
     best = int(np.argmin(vals))
     if not np.isfinite(vals[best]):
         return fallback
-    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    if best == 0:
+        ratios = _REFINE_FIRST
+    elif best == grid.size - 1:
+        ratios = _REFINE_LAST
+    else:
+        ratios = _REFINE_INTERIOR
     # The coarse minimizer comes first so that a tie keeps it.
-    lams = np.concatenate(([grid[best]], np.geomspace(lo, hi, grid.size)))
+    lams = np.concatenate(([grid[best]], grid[best] * ratios))
     return float(lams[np.argmin(_wgcv_curve(state, omega, lams))])
 
 

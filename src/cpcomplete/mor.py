@@ -29,6 +29,11 @@ __all__ = [
 ]
 
 
+# Largest admissible |mu1|, |mu2|: it keeps the coefficients 1 + mu x positive
+# on [-1, 1]; the training grid and the test draws span [-MU_MAX, MU_MAX].
+MU_MAX = 0.99
+
+
 def cheb_diff(n):
     """Chebyshev-Gauss-Lobatto points cos(j pi / n) and the differentiation matrix.
 
@@ -51,7 +56,7 @@ class DiffusionProblem:
     """(1 + mu1 x) u_xx + (1 + mu2 y) u_yy = e^{4xy} on [-1,1]^2, u = 0 on the boundary.
 
     ``nx`` is the number of collocation points per direction including the
-    boundary; |mu| <= 0.99 keeps the coefficients positive (ellipticity).
+    boundary; |mu| <= MU_MAX keeps the coefficients positive (ellipticity).
     """
 
     nx: int
@@ -64,8 +69,8 @@ class DiffusionProblem:
         if self.nx < 3:
             raise ValueError(f"nx must be at least 3 for a nonempty interior, got {self.nx}")
         for name, mu in (("mu1", self.mu1), ("mu2", self.mu2)):
-            if not abs(mu) <= 0.99:
-                raise ValueError(f"{name} must be finite with |{name}| <= 0.99, got {mu!r}")
+            if not abs(mu) <= MU_MAX:
+                raise ValueError(f"{name} must be finite with |{name}| <= {MU_MAX}, got {mu!r}")
 
 
 def _diffusion_system(p):
@@ -110,8 +115,8 @@ def diffusion_residual(p, u):
 
 
 def parameter_grid(n):
-    """Tensorial n x n cartesian grid over [-0.99, 0.99]^2, mu1 varying slowest."""
-    vals = np.linspace(-0.99, 0.99, n)
+    """Tensorial n x n cartesian grid over [-MU_MAX, MU_MAX]^2, mu1 varying slowest."""
+    vals = np.linspace(-MU_MAX, MU_MAX, n)
     return [(float(m1), float(m2)) for m1 in vals for m2 in vals]
 
 
@@ -234,7 +239,7 @@ def run_mor_demo(nx=40, grid_n=9, r0=50, eps=1e-2, n_tests=10, pod_rank=20, seed
     cp = cp_reduced_basis(snaps, r0=r0, eps=eps, m_max=m_max, seed=seed)
     pod = pod_basis(snaps, pod_rank)
     rng = np.random.default_rng(seed)
-    tests = [(float(m1), float(m2)) for m1, m2 in rng.uniform(-0.99, 0.99, size=(n_tests, 2))]
+    tests = [(float(m1), float(m2)) for m1, m2 in rng.uniform(-MU_MAX, MU_MAX, size=(n_tests, 2))]
     truths = assemble_snapshots(tests, nx)
     cp_err = project_error(cp, truths)
     pod_err = project_error(pod, truths)

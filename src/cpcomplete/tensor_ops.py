@@ -1,4 +1,6 @@
-"""Dense third-order tensor kernels: unfoldings, Khatri-Rao products, masks.
+"""Dense third-order tensor kernels: unfoldings, Khatri-Rao products, the
+matricized-tensor-times-Khatri-Rao product (MTTKRP), sums of weighted
+rank-one tensors, and masks.
 
 Tensors are plain float64 numpy arrays of shape (I, J, K) in C order, so the
 canonical vectorization (k fastest, then j, then i) is just ``ravel()``.  The
@@ -7,11 +9,11 @@ unfolding column order is the one that makes the three matrix identities
     T(1) = A D (C kr B)^T,   T(2) = B D (C kr A)^T,   T(3) = C D (B kr A)^T
 
 hold exactly against :func:`khatri_rao` below, i.e. mode-1 columns are indexed
-by (k slow, j fast), and analogously for the other modes.  An observation
-mask is a boolean tensor of the same shape.
+by (k slow, j fast), and analogously for the other modes.  The unfoldings
+are for reading; the kernels that run on every completion iteration use only
+the two free reshapes ``t.reshape(I, J*K)`` and ``t.reshape(I*J, K)``.  An
+observation mask is a boolean tensor of the same shape.
 """
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,22 +22,11 @@ __all__ = [
     "frobenius_norm",
     "matricize",
     "khatri_rao",
+    "mttkrp",
+    "rank_one_sum",
     "Mask",
     "masked_copy",
-    "cached_einsum",
 ]
-
-
-@lru_cache(maxsize=256)
-def _einsum_path(subscripts, shapes):
-    dummies = [np.broadcast_to(0.0, s) for s in shapes]
-    return np.einsum_path(subscripts, *dummies, optimize="optimal")[0]
-
-
-def cached_einsum(subscripts, *operands):
-    """einsum with the contraction path memoized per (subscripts, shapes)."""
-    path = _einsum_path(subscripts, tuple(op.shape for op in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
 
 
 def as_tensor(values):
@@ -80,7 +71,51 @@ def khatri_rao(x, y):
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise ValueError(f"column counts must match, got {x.shape} and {y.shape}")
-    return np.einsum("ir,jr->ijr", x, y).reshape(-1, x.shape[1])
+    return np.einsum("ir,jr->ijr", x, y).reshape(x.shape[0] * y.shape[0], x.shape[1])
+
+
+def mttkrp(t, factors, mode):
+    """Mode-``mode`` unfolding of ``t`` times the Khatri-Rao product of the other two factors.
+
+    ``factors`` is (A, B, C) and ``mode`` is 0, 1 or 2; for mode 0 the result
+    is M[i, r] = sum_jk t[i, j, k] B[j, r] C[k, r], and likewise for the
+    others, so the mode's own factor is not read.
+
+    One GEMM runs on a free reshape of ``t``.  When J*K <= I*J (K <= I) that
+    is ``t.reshape(I, J*K)``: mode 0 multiplies it by B kr C, and modes 1
+    and 2 contract i against A into an R x J x K intermediate that is then
+    reduced against C or B.  Otherwise it is ``t.reshape(I*J, K)``: mode 2
+    multiplies by A kr B, and modes 0 and 1 contract k against C into an
+    R x I x J intermediate reduced against B or A.  Either way the
+    intermediate is the smaller of the two.
+    """
+    a, b, c = factors
+    i, j, k = t.shape
+    if k <= i:
+        flat = t.reshape(i, j * k)
+        if mode == 0:
+            return flat @ khatri_rao(b, c)
+        part = (a.T @ flat).reshape(-1, j, k)
+        return np.einsum("rjk,kr->jr", part, c) if mode == 1 else np.einsum("rjk,jr->kr", part, b)
+    flat = t.reshape(i * j, k)
+    if mode == 2:
+        return (khatri_rao(a, b).T @ flat).T
+    part = (c.T @ flat.T).reshape(-1, i, j)
+    return np.einsum("rij,jr->ir", part, b) if mode == 0 else np.einsum("rij,ir->jr", part, a)
+
+
+def rank_one_sum(x, factors):
+    """Tensor sum_r x_r a_r o b_r o c_r for ``factors`` (A, B, C).
+
+    One GEMM against the smaller Khatri-Rao product, on the same side as
+    :func:`mttkrp`, written straight into a free reshape: (A diag(x)) (B kr C)^T
+    is I x JK when K <= I, otherwise (A diag(x) kr B) C^T is IJ x K.
+    """
+    a, b, c = factors
+    i, j, k = a.shape[0], b.shape[0], c.shape[0]
+    if k <= i:
+        return ((a * x) @ khatri_rao(b, c).T).reshape(i, j, k)
+    return (khatri_rao(a * x, b) @ c.T).reshape(i, j, k)
 
 
 class Mask:

@@ -34,6 +34,22 @@ class TestScalingOperator:
         y = rng.normal(size=5 * 6 * 7)
         assert np.allclose(op.rmatvec(y), q @ y, atol=1e-12)
 
+    @pytest.mark.parametrize("dims", [(5, 4, 3), (3, 4, 5), (4, 6, 4), (2, 7, 9)])
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_gemm_kernels_match_dense_q(self, dims, r):
+        # every contraction order: K < I, K > I and the K == I tie
+        rng = np.random.default_rng(sum(dims) + r)
+        m = CPModel(*(rng.normal(size=(d, r)) for d in dims), rng.normal(size=r))
+        op = CPScalingOperator(m)
+        q = build_q(m)
+        y = rng.normal(size=dims)
+        x = rng.normal(size=r)
+        assert np.allclose(op.rmatvec(y), q @ y.ravel(), rtol=1e-12, atol=1e-12)
+        assert np.allclose(op.rmatvec(y.ravel()), q @ y.ravel(), rtol=1e-12, atol=1e-12)
+        recon = op.reconstruct(x)
+        assert recon.shape == dims
+        assert np.allclose(recon.ravel(), x @ q, rtol=1e-12, atol=1e-12)
+
     def test_reconstruct_consistency(self):
         rng = np.random.default_rng(1)
         mats = [rng.normal(size=(d, 3)) for d in (4, 4, 4)]
@@ -161,6 +177,30 @@ class TestComplete:
         assert trace.residual[-1] <= trace.residual[0]
         assert len(trace) == 60
 
+    @pytest.mark.parametrize("mode", ["hybrid", "fixed"])
+    def test_trace_residual_is_the_gathered_observed_residual(self, mode, monkeypatch):
+        # The driver reads the residual off the next imputation; it must equal
+        # ||s_hat(Omega) - t(Omega)|| / ||t(Omega)|| for each iteration's s_hat.
+        t = synthetic_rank(13, (7, 8, 9), 3)
+        mask = make_random_mask(t.shape, 0.6, seed=13)
+        recons = []
+        original = CPScalingOperator.reconstruct
+
+        def recording(op, x):
+            recons.append(original(op, x))
+            return recons[-1]
+
+        monkeypatch.setattr(CPScalingOperator, "reconstruct", recording)
+        cfg = CompletionConfig(R0=5, m_max=12, eps_tol=1e-8, mode=mode, lam=0.1, seed=13)
+        _, s, trace = complete(t, mask, cfg)
+        assert len(recons) == len(trace) == 12
+        t_obs = t[mask.where]
+        for s_hat, residual in zip(recons, trace.residual):
+            gathered = np.linalg.norm(s_hat[mask.where] - t_obs) / np.linalg.norm(t_obs)
+            assert residual == pytest.approx(gathered, rel=1e-13, abs=0.0)
+        # the returned tensor is the last imputation
+        assert np.array_equal(s, np.where(mask.where, t, recons[-1]))
+
     def test_deterministic_given_seed(self):
         t = synthetic_rank(10, (9, 9, 9), 3)
         mask = make_random_mask(t.shape, 0.7, seed=10)
@@ -189,6 +229,19 @@ class TestComplete:
         assert not s[~mask.where].any()
         save_model(model, tmp_path / "zero.cpm1")
         assert load_model(tmp_path / "zero.cpm1").R == 0
+
+    def test_stops_at_the_all_zero_fixed_point(self):
+        # Once alpha is zero on two iterations running, D = 0 freezes the
+        # factors and every later iteration would repeat the last one.
+        t = synthetic_rank(12, (8, 9, 3), 3, scale=1.0)
+        mask = make_random_mask(t.shape, 0.7, seed=12)
+        cfg = CompletionConfig(R0=5, mode="fixed", lam=1e6, seed=12)
+        model, s, trace = complete(t, mask, cfg)
+        assert cfg.m_max == 500
+        assert len(trace) <= 3
+        assert trace.residual == [1.0] * len(trace)
+        assert model.R == 0
+        assert np.array_equal(s, np.where(mask.where, t, 0.0))
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):

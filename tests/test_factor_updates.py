@@ -4,6 +4,7 @@ import pytest
 from cpcomplete.cp_model import CPModel, reconstruct
 from cpcomplete.exceptions import NumericalRankError
 from cpcomplete.factor_updates import (
+    _mode_mttkrp,
     _set_unit_columns,
     gradient,
     lipschitz_estimate,
@@ -85,6 +86,21 @@ class TestGradient:
         w = khatri_rao(m.C, m.B)
         explicit = (m.A @ d @ w.T - matricize(t, 1)) @ w @ d
         assert np.allclose(gradient("A", m, t), explicit, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(5, 4, 3), (3, 4, 5), (4, 6, 4)], ids=["K<I", "K>I", "K=I"])
+@pytest.mark.parametrize("r", [1, 4])
+def test_mode_mttkrp_matches_unfolding_oracle(dims, r):
+    # T(1) W_A with W_A = C kr B, and analogously for B and C
+    m = random_model(7, dims, r)
+    t = np.random.default_rng(8).normal(size=dims)
+    oracles = {
+        "A": matricize(t, 1) @ khatri_rao(m.C, m.B),
+        "B": matricize(t, 2) @ khatri_rao(m.C, m.A),
+        "C": matricize(t, 3) @ khatri_rao(m.B, m.A),
+    }
+    for mode, oracle in oracles.items():
+        assert np.allclose(_mode_mttkrp(mode, t, m), oracle, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["D", "alpha"])

@@ -8,6 +8,7 @@ from cpcomplete.tensor_ops import (
     khatri_rao,
     masked_copy,
     matricize,
+    mttkrp,
 )
 
 
@@ -118,6 +119,33 @@ class TestKhatriRaoConsistency:
                 lhs = matricize(t, mode)
                 rhs = (x * d) @ khatri_rao(y, z).T
                 assert np.linalg.norm(lhs - rhs) <= 1e-12 * scale
+
+
+# Shapes that take each contraction order of the GEMM kernels: K < I (the
+# (j, k) side), K > I (the (i, j) side), K == I (the tie goes to the (j, k)
+# side), and one-entry axes.
+KERNEL_SHAPES = [(5, 4, 3), (3, 4, 5), (4, 6, 4), (2, 7, 9), (9, 1, 2), (1, 3, 1)]
+
+
+class TestMttkrp:
+    @pytest.mark.parametrize("dims", KERNEL_SHAPES)
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_matches_unfolding_oracle(self, dims, r, mode):
+        rng = np.random.default_rng(sum(dims) + r)
+        t = rng.normal(size=dims)
+        a, b, c = (rng.normal(size=(d, r)) for d in dims)
+        oracle = [
+            matricize(t, 1) @ khatri_rao(c, b),
+            matricize(t, 2) @ khatri_rao(c, a),
+            matricize(t, 3) @ khatri_rao(b, a),
+        ][mode]
+        # the mode's own factor is never read
+        factors = [a, b, c]
+        factors[mode] = None
+        out = mttkrp(t, factors, mode)
+        assert out.shape == (dims[mode], r)
+        assert np.allclose(out, oracle, rtol=1e-12, atol=1e-12)
 
 
 class TestMask:
