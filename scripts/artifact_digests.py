@@ -8,7 +8,11 @@ snapshot tensor), then runs ``python -m cpcomplete`` from this checkout's
 - ``complete`` on the pixmap at rank 50 in hybrid mode;
 - ``complete`` on the pixmap at ``fixed:35``;
 - ``pod`` on the small tensor;
-- a small ``mor-demo``.
+- a small ``mor-demo``;
+- ``mask`` for the small tensor at the default fraction and seed, and
+  ``complete`` on the small tensor with that mask, taking rank, mode and
+  tolerance from the defaults and the iteration cap from a ``--config``
+  file, so the defaults the CLI hands the library are covered byte for byte.
 
 Every run is its own process with OPENBLAS/OMP/MKL_NUM_THREADS=1, because
 results are byte-identical only at a fixed BLAS thread count.  Two trees that
@@ -36,6 +40,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEIGHT, WIDTH = 189, 267
 MAX_ITER = 200
+DEFAULTS_MAX_ITER = 40
 
 
 def write_pixmap(path):
@@ -134,6 +139,11 @@ def main():
         (out / "mor").mkdir(exist_ok=True)
         run(["mor-demo", "--nx", "16", "--grid", "5", "--rank0", "12", "--tests", "3", "--pod-rank", "6",
              "--max-iter", "60", "--outdir", out / "mor"], env)
+        run(["mask", "--dims", "12,10,8", "--out", out / "defaults.msk3"], env)
+        (out / "defaults.cfg").write_text(f"max-iter = {DEFAULTS_MAX_ITER}\n")
+        run(["complete", "--input", out / "snaps.tns3", "--mask", out / "defaults.msk3",
+             "--config", out / "defaults.cfg", "--out", out / "defaults.cpm1",
+             "--trace", out / "defaults.csv", "--recon", out / "defaults.tns3"], env)
         paths = sorted(p for p in out.rglob("*") if p.is_file())
         for path in paths:
             print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out).as_posix())

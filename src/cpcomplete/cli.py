@@ -6,11 +6,13 @@ Subcommands: ``complete`` (run the completion driver on a tensor or pixmap),
 tensor), ``report`` (render CSV traces for gnuplot).  Exit codes: 0 success,
 2 argument errors, 3 data errors.
 
-Option precedence is flags > config file (key=value lines) > built-in
-defaults.
+Option precedence is flags > config file (key=value lines) > defaults.  Each
+default lives in the library parameter its setting feeds, or in a constant
+below where the library declares none; --help reads it from there.
 """
 
 import argparse
+import inspect
 import os
 import sys
 
@@ -25,10 +27,14 @@ from .tensor_ops import Mask
 __all__ = ["main"]
 
 
-def _parse_config_file(path):
-    if path is None:
-        return {}
-    values = {}
+# Defaults of the two settings whose library functions declare none.
+MASK_FRACTION = 0.3
+POD_RANK = 20
+
+
+def _config_flags(path, keys):
+    """The entries of a key=value config file as flags; each key must be one of ``keys``."""
+    flags = []
     try:
         with open(path, "r") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -37,27 +43,23 @@ def _parse_config_file(path):
                     continue
                 if "=" not in line:
                     raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, val = line.split("=", 1)
-                values[key.strip()] = val.strip()
+                key, val = (part.strip() for part in line.split("=", 1))
+                if key not in keys:
+                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}; settings are {', '.join(keys)}")
+                flags.append(f"--{key}={val}")
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
-    return values
+    return flags
 
 
-class _Options:
-    """Merges command-line values, config-file entries, and defaults."""
+def _given(args, *names):
+    """The values among ``names`` set by flag or config file; the library defaults the rest."""
+    return {name: getattr(args, name) for name in names if name in args}
 
-    def __init__(self, args):
-        self.args = args
-        self.config = _parse_config_file(getattr(args, "config", None))
 
-    def get(self, name, typ, default):
-        cli_val = getattr(self.args, name.replace("-", "_"))
-        if cli_val is not None:
-            return cli_val
-        if name in self.config:
-            return typ(self.config[name])
-        return default
+def _check_dir(flag, path):
+    if not os.path.isdir(path):
+        raise ValueError(f"{flag}: {path!r} is not a directory")
 
 
 def _parse_bool(text):
@@ -65,15 +67,16 @@ def _parse_bool(text):
         return True
     if text.lower() in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {text!r}")
+    raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
 
 
 def _parse_mode(text):
+    """'hybrid' or 'fixed:<lambda>' as the CompletionConfig fields it sets."""
     if text == "hybrid":
-        return "hybrid", None
+        return {"mode": "hybrid"}
     if text.startswith("fixed:"):
-        return "fixed", float(text.split(":", 1)[1])
-    raise ValueError(f"mode must be 'hybrid' or 'fixed:<lambda>', got {text!r}")
+        return {"mode": "fixed", "lam": float(text.split(":", 1)[1])}
+    raise argparse.ArgumentTypeError(f"mode must be 'hybrid' or 'fixed:<lambda>', got {text!r}")
 
 
 def _parse_ints(text, n, what):
@@ -95,31 +98,23 @@ def _load_input_tensor(path):
 
 
 def _cmd_complete(args):
-    opts = _Options(args)
-    rank = opts.get("rank", int, 50)
-    mode_text = opts.get("mode", str, "hybrid")
-    max_iter = opts.get("max-iter", int, 500)
-    tol = opts.get("tol", float, 1e-3)
-    seed = opts.get("seed", int, 0)
-    timings = bool(opts.get("timings", _parse_bool, False))
-    mode, lam = _parse_mode(mode_text)
-    cfg = CompletionConfig(
-        R0=rank,
-        m_max=max_iter,
-        eps_tol=tol,
-        mode=mode,
-        lam=lam if lam is not None else 35.0,
-        seed=seed,
-    )
+    settings = _given(args, *inspect.signature(CompletionConfig).parameters)
+    settings.update(settings.pop("mode", {}))  # --mode gives both mode and lam
+    cfg = CompletionConfig(**settings)
+    outputs = _given(args, "out", "trace", "recon")
+    for name, path in outputs.items():
+        if not os.path.basename(path):
+            raise ValueError(f"--{name} {path!r} names no file")
+        _check_dir(f"--{name}", os.path.dirname(path) or ".")
 
     t = _load_input_tensor(args.input)
     mask = fileio.load_mask(args.mask)
     model, s, trace = complete(t, mask, cfg)
-    if args.out:
+    if "out" in outputs:
         fileio.save_model(model, args.out)
-    if args.trace:
-        fileio.write_trace_csv(trace, args.trace, timings=timings)
-    if args.recon:
+    if "trace" in outputs:
+        fileio.write_trace_csv(trace, args.trace, **_given(args, "timings"))
+    if "recon" in outputs:
         if args.recon.endswith(".ppm"):
             fileio.save_ppm(s, args.recon)
         else:
@@ -130,15 +125,14 @@ def _cmd_complete(args):
 
 
 def _cmd_mask(args):
-    opts = _Options(args)
-    if args.like is not None:
+    if "like" in args:
         dims = _load_input_tensor(args.like).shape
-    elif args.dims is not None:
+    elif "dims" in args:
         dims = _parse_ints(args.dims, 3, "--dims")
     else:
         raise ValueError("one of --dims or --like is required")
 
-    if args.rect is not None:
+    if "rect" in args:
         x0, y0, x1, y1 = _parse_ints(args.rect, 4, "--rect")
         if not (0 <= x0 <= x1 < dims[1] and 0 <= y0 <= y1 < dims[0]):
             raise ValueError(f"rectangle {args.rect} out of bounds for dims {dims}")
@@ -146,31 +140,15 @@ def _cmd_mask(args):
         where[y0 : y1 + 1, x0 : x1 + 1, :] = False
         mask = Mask.from_bool(where)
     else:
-        fraction = opts.get("fraction", float, 0.3)
-        seed = opts.get("seed", int, 0)
-        mask = make_random_mask(dims, fraction, seed)
+        mask = make_random_mask(dims, args.fraction, **_given(args, "seed"))
     fileio.save_mask(mask, args.out)
     print(f"mask with {mask.count} of {int(np.prod(dims))} entries written to {args.out}")
     return 0
 
 
 def _cmd_mor_demo(args):
-    opts = _Options(args)
-    nx = opts.get("nx", int, 40)
-    grid_n = opts.get("grid", int, 9)
-    r0 = opts.get("rank0", int, 50)
-    eps = opts.get("eps", float, 1e-2)
-    n_tests = opts.get("tests", int, 10)
-    pod_rank = opts.get("pod-rank", int, 20)
-    seed = opts.get("seed", int, 0)
-    max_iter = opts.get("max-iter", int, 200)
-    if not os.path.isdir(args.outdir):
-        raise ValueError(f"--outdir {args.outdir!r} is not a directory")
-
-    res = run_mor_demo(
-        nx=nx, grid_n=grid_n, r0=r0, eps=eps, n_tests=n_tests,
-        pod_rank=pod_rank, seed=seed, m_max=max_iter,
-    )
+    _check_dir("--outdir", args.outdir)
+    res = run_mor_demo(**_given(args, *inspect.signature(run_mor_demo).parameters))
     outdir = args.outdir.rstrip("/")
     fileio.save_matrix(res["cp_basis"].phi, f"{outdir}/cp_basis.mat1")
     fileio.save_matrix(res["pod_basis"].phi, f"{outdir}/pod_basis.mat1")
@@ -191,12 +169,10 @@ def _cmd_mor_demo(args):
 
 
 def _cmd_pod(args):
-    opts = _Options(args)
-    rank = opts.get("rank", int, 20)
     t = fileio.load_tensor(args.input)
-    basis = pod_basis(t, rank)
+    basis = pod_basis(t, args.r)
     fileio.save_matrix(basis.phi, args.out)
-    print(f"pod basis with {rank} columns written to {args.out}")
+    print(f"pod basis with {args.r} columns written to {args.out}")
     return 0
 
 
@@ -206,6 +182,23 @@ def _cmd_report(args):
     return 0
 
 
+def _command(sub, name, func, text):
+    """A subcommand parser that leaves unset options out of the namespace and
+    reads its settings from ``--config`` too."""
+    p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+    p.add_argument("--config", help="key=value file of the settings shown with a default (flags win)")
+    p.set_defaults(func=func, settings=[])
+    return p
+
+
+def _setting(p, flag, text, owner, name, **kw):
+    """Add ``flag``, which a config file may also set, feeding parameter ``name`` of
+    ``owner``; --help shows the default declared there, or ``kw``'s where none is."""
+    default = kw.get("default", inspect.signature(owner).parameters[name].default)
+    p.get_default("settings").append(flag[2:])
+    p.add_argument(flag, dest=name, help=f"{text} (default {default})", **kw)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cpcomplete",
@@ -213,50 +206,44 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("complete", help="complete a partially observed tensor or image")
+    p = _command(sub, "complete", _cmd_complete, "complete a partially observed tensor or image")
     p.add_argument("--input", required=True, help="TNS3 tensor or P3/P6 pixmap")
     p.add_argument("--mask", required=True, help="MSK3 observation mask")
-    p.add_argument("--rank", type=int, help="upper-bound rank (default 50)")
-    p.add_argument("--mode", help="'hybrid' or 'fixed:<lambda>' (default hybrid)")
-    p.add_argument("--max-iter", type=int, help="outer iteration cap (default 500)")
-    p.add_argument("--tol", type=float, help="observed-residual tolerance (default 1e-3)")
-    p.add_argument("--seed", type=int, help="initialization seed (default 0)")
+    _setting(p, "--rank", "upper-bound rank", CompletionConfig, "R0", type=int)
+    _setting(p, "--mode", "'hybrid' or 'fixed:<lambda>'", CompletionConfig, "mode", type=_parse_mode)
+    _setting(p, "--max-iter", "outer iteration cap", CompletionConfig, "m_max", type=int)
+    _setting(p, "--tol", "observed-residual tolerance", CompletionConfig, "eps_tol", type=float)
+    _setting(p, "--seed", "initialization seed", CompletionConfig, "seed", type=int)
     p.add_argument("--out", help="write the CP model (CPM1)")
     p.add_argument("--trace", help="write the per-iteration trace CSV")
     p.add_argument("--recon", help="write the completed tensor (TNS3, or PPM by extension)")
-    p.add_argument("--timings", action="store_const", const=True, help="record wall times in the trace")
-    p.add_argument("--config", help="key=value config file (flags win)")
-    p.set_defaults(func=_cmd_complete)
+    _setting(p, "--timings", "record wall times in the trace", fileio.write_trace_csv, "timings",
+             type=_parse_bool, nargs="?", const=True)
 
-    p = sub.add_parser("mask", help="generate an observation mask")
+    p = _command(sub, "mask", _cmd_mask, "generate an observation mask")
     p.add_argument("--dims", help="I,J,K dimensions")
     p.add_argument("--like", help="take dimensions from this tensor/pixmap file")
-    p.add_argument("--fraction", type=float, help="observed fraction for random masks (default 0.3)")
-    p.add_argument("--seed", type=int, help="sampling seed (default 0)")
+    _setting(p, "--fraction", "observed fraction for random masks", make_random_mask, "fraction",
+             type=float, default=MASK_FRACTION)
+    _setting(p, "--seed", "sampling seed", make_random_mask, "seed", type=int)
     p.add_argument("--rect", help="x0,y0,x1,y1 rectangle to hide (inclusive, all channels)")
     p.add_argument("--out", required=True, help="output MSK3 path")
-    p.add_argument("--config", help="key=value config file (flags win)")
-    p.set_defaults(func=_cmd_mask)
 
-    p = sub.add_parser("mor-demo", help="diffusion snapshot pipeline with CP and POD bases")
-    p.add_argument("--nx", type=int, help="collocation points per direction (default 40)")
-    p.add_argument("--grid", type=int, help="training grid is grid x grid (default 9)")
-    p.add_argument("--rank0", type=int, help="upper-bound rank (default 50)")
-    p.add_argument("--eps", type=float, help="rank truncation tolerance (default 1e-2)")
-    p.add_argument("--tests", type=int, help="number of random test parameters (default 10)")
-    p.add_argument("--pod-rank", type=int, help="POD basis size (default 20)")
-    p.add_argument("--seed", type=int, help="seed (default 0)")
-    p.add_argument("--max-iter", type=int, help="completion iteration cap (default 200)")
+    p = _command(sub, "mor-demo", _cmd_mor_demo, "diffusion snapshot pipeline with CP and POD bases")
+    _setting(p, "--nx", "collocation points per direction", run_mor_demo, "nx", type=int)
+    _setting(p, "--grid", "training grid is grid x grid", run_mor_demo, "grid_n", type=int)
+    _setting(p, "--rank0", "upper-bound rank", run_mor_demo, "r0", type=int)
+    _setting(p, "--eps", "rank truncation tolerance", run_mor_demo, "eps", type=float)
+    _setting(p, "--tests", "number of random test parameters", run_mor_demo, "n_tests", type=int)
+    _setting(p, "--pod-rank", "POD basis size", run_mor_demo, "pod_rank", type=int)
+    _setting(p, "--seed", "seed", run_mor_demo, "seed", type=int)
+    _setting(p, "--max-iter", "completion iteration cap", run_mor_demo, "m_max", type=int)
     p.add_argument("--outdir", default=".", help="directory for bases and reports")
-    p.add_argument("--config", help="key=value config file (flags win)")
-    p.set_defaults(func=_cmd_mor_demo)
 
-    p = sub.add_parser("pod", help="POD basis of a stored snapshot tensor")
+    p = _command(sub, "pod", _cmd_pod, "POD basis of a stored snapshot tensor")
     p.add_argument("--input", required=True, help="TNS3 tensor")
-    p.add_argument("--rank", type=int, help="basis size (default 20)")
+    _setting(p, "--rank", "basis size", pod_basis, "r", type=int, default=POD_RANK)
     p.add_argument("--out", required=True, help="output MAT1 path")
-    p.add_argument("--config", help="key=value config file (flags win)")
-    p.set_defaults(func=_cmd_pod)
 
     p = sub.add_parser("report", help="render a CSV trace as a gnuplot data file")
     p.add_argument("--input", required=True, help="input CSV")
@@ -266,9 +253,14 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "config" in args:
+            # Config entries become flags ahead of the command line's own, so
+            # argparse converts and checks both alike and the command line wins.
+            args = parser.parse_args([argv[0], *_config_flags(args.config, args.settings), *argv[1:]])
         return args.func(args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

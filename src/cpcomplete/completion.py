@@ -55,21 +55,20 @@ class CompletionConfig:
 
 @dataclass
 class CompletionTrace:
-    """Per-iteration diagnostics: observed-entry residual, lambda, wall time."""
+    """Per-iteration diagnostics: observed-entry residual, lambda, wall time.
+    Entry i belongs to outer iteration i + 1."""
 
-    iteration: list = field(default_factory=list)
     residual: list = field(default_factory=list)
     lam: list = field(default_factory=list)
     wall_ms: list = field(default_factory=list)
 
-    def append(self, iteration, residual, lam, wall_ms):
-        self.iteration.append(int(iteration))
+    def append(self, residual, lam, wall_ms):
         self.residual.append(float(residual))
         self.lam.append(float(lam))
         self.wall_ms.append(float(wall_ms))
 
     def __len__(self):
-        return len(self.iteration)
+        return len(self.residual)
 
 
 def make_random_mask(dims, fraction, seed=0):
@@ -144,7 +143,7 @@ def complete(t, mask, cfg):
     s_hat = reconstruct(model)
     t_work = masked_copy(t, s_hat, mask)
     zero_alpha_run = 0
-    for n in range(1, cfg.m_max + 1):
+    for _ in range(cfg.m_max):
         for mode in ("A", "B", "C"):
             model = mm_update(mode, model, t_work)
         op = CPScalingOperator(model)
@@ -160,7 +159,7 @@ def complete(t, mask, cfg):
         # where it holds t, so their difference is the observed residual.
         t_work = masked_copy(t, s_hat, mask)
         residual = float(np.linalg.norm((s_hat - t_work).ravel())) / obs_norm
-        trace.append(n, residual, lam, (time.perf_counter() - start) * 1e3)
+        trace.append(residual, lam, (time.perf_counter() - start) * 1e3)
         if residual <= cfg.eps_tol:
             break
         # alpha = 0 twice running is a fixed point: D = 0 annihilates the MM

@@ -227,7 +227,7 @@ def write_trace_csv(trace, path, timings=False):
         fh.write("iteration,residual,lambda,wall_ms\n")
         for i in range(len(trace)):
             ms = trace.wall_ms[i] if timings else 0.0
-            fh.write(f"{trace.iteration[i]},{trace.residual[i]!r},{trace.lam[i]!r},{ms!r}\n")
+            fh.write(f"{i + 1},{trace.residual[i]!r},{trace.lam[i]!r},{ms!r}\n")
 
 
 def read_csv_columns(path):

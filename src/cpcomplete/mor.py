@@ -147,10 +147,10 @@ def default_rho(t, r):
 
 
 def _basis_config(r0, eps, m_max, seed):
-    return CompletionConfig(R0=r0, m_max=m_max, eps_tol=1e-3, mode="hybrid", seed=seed, eps_truncate=eps)
+    return CompletionConfig(R0=r0, m_max=m_max, seed=seed, eps_truncate=eps)
 
 
-def cp_reduced_basis(a, r0=50, eps=1e-2, m_max=200, seed=0, rho=None):
+def cp_reduced_basis(a, r0, eps, m_max, seed, rho=None):
     """Reduced basis from a rank-revealing CP fit of the snapshot tensor.
 
     Runs the completion driver in hybrid mode on the fully observed tensor to

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import struct
 import subprocess
 import sys
@@ -5,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from cpcomplete import mor
+from cpcomplete import cli, mor
 from cpcomplete.cli import main
+from cpcomplete.completion import CompletionConfig
 from cpcomplete.cp_model import CPModel, reconstruct
 from cpcomplete.fileio import load_mask, load_matrix, load_model, load_tensor, save_ppm, save_tensor
 
@@ -24,6 +27,14 @@ def small_tensor(seed=0, dims=(8, 9, 3), r=3):
     mats = [rng.normal(size=(d, r)) for d in dims]
     mats = [m / np.linalg.norm(m, axis=0) for m in mats]
     return reconstruct(CPModel(*mats, rng.uniform(1, 2, r)))
+
+
+class Captured(Exception):
+    pass
+
+
+def no_solve(*args, **kwargs):
+    raise AssertionError("the solve ran before the arguments were checked")
 
 
 @pytest.fixture
@@ -72,6 +83,12 @@ class TestMaskCommand:
     def test_missing_dims_is_usage_error(self, tmp_path):
         res = run_cli("mask", "--fraction", "0.5", "--out", tmp_path / "m.msk3")
         assert res.returncode == 2
+
+    def test_defaults_match_explicit_fraction_and_seed(self, tmp_path):
+        assert main(["mask", "--dims", "10,10,10", "--out", str(tmp_path / "bare.msk3")]) == 0
+        explicit = ["--fraction", "0.3", "--seed", "0", "--out", str(tmp_path / "explicit.msk3")]
+        assert main(["mask", "--dims", "10,10,10", *explicit]) == 0
+        assert (tmp_path / "bare.msk3").read_bytes() == (tmp_path / "explicit.msk3").read_bytes()
 
 
 class TestCompleteCommand:
@@ -201,8 +218,109 @@ class TestCompleteCommand:
         assert code == 3
         assert "cannot read config file" in capsys.readouterr().err
 
+    def test_unknown_config_key_is_usage_error(self, workspace, monkeypatch, capsys):
+        tmp, tpath, mpath = workspace
+        monkeypatch.setattr(cli, "complete", no_solve)
+        cfg = tmp / "run.cfg"
+        cfg.write_text("max-iter = 2\nrnak = 2\n")
+        code = main([
+            "complete", "--input", str(tpath), "--mask", str(mpath), "--rank", "3", "--config", str(cfg),
+        ])
+        assert code == 2
+        assert "run.cfg:2: unknown key 'rnak'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_path", ["{tmp}/missing/x.out", ""], ids=["missing-dir", "empty"])
+    @pytest.mark.parametrize("bad", ["out", "trace", "recon"])
+    def test_bad_output_path_fails_before_the_solve(self, workspace, monkeypatch, capsys, bad, bad_path):
+        tmp, tpath, mpath = workspace
+        monkeypatch.setattr(cli, "complete", no_solve)
+        outputs = {"out": tmp / "m.cpm1", "trace": tmp / "t.csv", "recon": tmp / "r.tns3"}
+        argv = ["complete", "--input", str(tpath), "--mask", str(mpath)]
+        for name, path in outputs.items():
+            argv += [f"--{name}", bad_path.format(tmp=tmp) if name == bad else str(path)]
+        assert main(argv) == 2
+        assert f"--{bad}" in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs.values())
+
+    @pytest.mark.parametrize(
+        "flags, config, expected",
+        [
+            ([], None, CompletionConfig()),
+            (
+                ["--rank", "7", "--mode", "fixed:2", "--max-iter", "9", "--tol", "0.5", "--seed", "4"], None,
+                CompletionConfig(R0=7, mode="fixed", lam=2.0, m_max=9, eps_tol=0.5, seed=4),
+            ),
+            (
+                ["--rank", "6"], "rank = 7\nmode = fixed:2\nmax-iter = 9\ntol = 0.5\nseed = 4\n",
+                CompletionConfig(R0=6, mode="fixed", lam=2.0, m_max=9, eps_tol=0.5, seed=4),
+            ),
+            (["--mode", "hybrid"], "mode = fixed:2\n", CompletionConfig()),
+        ],
+        ids=["bare", "flags", "config", "flag-mode-over-config"],
+    )
+    def test_settings_reach_the_completion_config(self, workspace, monkeypatch, flags, config, expected):
+        tmp, tpath, mpath = workspace
+        if config is not None:
+            (tmp / "run.cfg").write_text(config)
+            flags = ["--config", str(tmp / "run.cfg"), *flags]
+        seen = []
+
+        def capture(t, mask, cfg):
+            seen.append(cfg)
+            raise Captured
+
+        monkeypatch.setattr(cli, "complete", capture)
+        with pytest.raises(Captured):
+            main(["complete", "--input", str(tpath), "--mask", str(mpath), *flags])
+        assert seen == [expected]
+
+    def test_bare_timings_flag_records_wall_times(self, workspace):
+        tmp, tpath, mpath = workspace
+        code = main([
+            "complete", "--input", str(tpath), "--mask", str(mpath), "--rank", "3", "--max-iter", "2",
+            "--timings", "--trace", str(tmp / "t.csv"),
+        ])
+        assert code == 0
+        rows = (tmp / "t.csv").read_text().strip().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["iteration", "1", "2"]
+        assert all(float(row.split(",")[3]) > 0.0 for row in rows[1:])
+
+
+@pytest.mark.parametrize(
+    "command, owner, names",
+    [
+        ("complete", CompletionConfig, ["R0", "mode", "m_max", "eps_tol", "seed"]),
+        ("mor-demo", mor.run_mor_demo, list(inspect.signature(mor.run_mor_demo).parameters)),
+    ],
+)
+def test_help_shows_the_library_defaults(capsys, command, owner, names):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    lines = capsys.readouterr().out.splitlines()
+    params = inspect.signature(owner).parameters
+    for name in names:
+        # each setting's metavar is the name of the library parameter it feeds
+        shown = [line for line in lines if f" {name.upper()} " in line]
+        assert len(shown) == 1 and shown[0].endswith(f"(default {params[name].default})"), name
+
 
 class TestMorDemoCommand:
+    def test_bare_command_uses_the_signature_defaults(self, tmp_path, monkeypatch):
+        calls = []
+
+        @functools.wraps(mor.run_mor_demo)
+        def capture(*args, **kwargs):
+            calls.append(inspect.signature(mor.run_mor_demo).bind(*args, **kwargs))
+            raise Captured
+
+        monkeypatch.setattr(cli, "run_mor_demo", capture)
+        with pytest.raises(Captured):
+            main(["mor-demo", "--outdir", str(tmp_path)])
+        (bound,) = calls
+        bound.apply_defaults()
+        defaults = {name: p.default for name, p in inspect.signature(mor.run_mor_demo).parameters.items()}
+        assert bound.arguments == defaults
+
     def test_tiny_pipeline_writes_reports(self, tmp_path):
         res = run_cli(
             "mor-demo", "--nx", "12", "--grid", "2", "--rank0", "4",

@@ -197,8 +197,8 @@ class TestPixmaps:
 class TestTraceCsv:
     def make_trace(self):
         trace = CompletionTrace()
-        trace.append(1, 0.5, 2.0, 13.25)
-        trace.append(2, 0.25, 1.0, 27.5)
+        trace.append(0.5, 2.0, 13.25)
+        trace.append(0.25, 1.0, 27.5)
         return trace
 
     def test_wall_time_zeroed_by_default(self, tmp_path):
