@@ -12,7 +12,11 @@ snapshot tensor), then runs ``python -m cpcomplete`` from this checkout's
 - ``mask`` for the small tensor at the default fraction and seed, and
   ``complete`` on the small tensor with that mask, taking rank, mode and
   tolerance from the defaults and the iteration cap from a ``--config``
-  file, so the defaults the CLI hands the library are covered byte for byte.
+  file, so the defaults the CLI hands the library are covered byte for byte;
+- ``report`` on the hybrid trace;
+- ``mask --like`` on the pixmap with a hidden rectangle;
+- ``mask --like`` on a small plain-text (P3) pixmap and a short ``complete``
+  on it, so the P3 reader and the input sniffing are covered.
 
 Every run is its own process with OPENBLAS/OMP/MKL_NUM_THREADS=1, because
 results are byte-identical only at a fixed BLAS thread count.  Two trees that
@@ -51,6 +55,14 @@ def write_pixmap(path):
             for c in range(3):
                 rows.append(((i * 255) // (HEIGHT - 1) * (c + 1) + (j * 255) // (WIDTH - 1) * (3 - c)) // 4)
     path.write_bytes(b"P6\n%d %d\n255\n" % (WIDTH, HEIGHT) + bytes(rows))
+
+
+def write_p3(path, height=12, width=16):
+    # A small ramp image as a plain-text pixmap, one row of samples per line.
+    lines = [f"P3\n# ramp\n{width} {height}\n255"]
+    for i in range(height):
+        lines.append(" ".join(str((i * 19 + j * 13 + c * 40) % 256) for j in range(width) for c in range(3)))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def write_tensor(path, dims=(12, 10, 8)):
@@ -144,6 +156,13 @@ def main():
         run(["complete", "--input", out / "snaps.tns3", "--mask", out / "defaults.msk3",
              "--config", out / "defaults.cfg", "--out", out / "defaults.cpm1",
              "--trace", out / "defaults.csv", "--recon", out / "defaults.tns3"], env)
+        run(["report", "--input", out / "hybrid.csv", "--out", out / "hybrid.dat"], env)
+        run(["mask", "--like", out / "image.ppm", "--rect", "60,40,140,120", "--out", out / "rect.msk3"], env)
+        write_p3(out / "small.ppm")
+        run(["mask", "--like", out / "small.ppm", "--fraction", "0.8", "--seed", "2", "--out", out / "small.msk3"], env)
+        run(["complete", "--input", out / "small.ppm", "--mask", out / "small.msk3", "--rank", "8",
+             "--max-iter", "20", "--out", out / "small.cpm1", "--trace", out / "small.csv",
+             "--recon", out / "small_recon.ppm"], env)
         paths = sorted(p for p in out.rglob("*") if p.is_file())
         for path in paths:
             print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out).as_posix())

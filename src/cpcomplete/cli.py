@@ -35,20 +35,10 @@ POD_RANK = 20
 def _config_flags(path, keys):
     """The entries of a key=value config file as flags; each key must be one of ``keys``."""
     flags = []
-    try:
-        with open(path, "r") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, val = (part.strip() for part in line.split("=", 1))
-                if key not in keys:
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}; settings are {', '.join(keys)}")
-                flags.append(f"--{key}={val}")
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, key, val in fileio.read_config(path):
+        if key not in keys:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}; settings are {', '.join(keys)}")
+        flags.append(f"--{key}={val}")
     return flags
 
 
@@ -86,17 +76,6 @@ def _parse_ints(text, n, what):
     return tuple(int(p) for p in parts)
 
 
-def _load_input_tensor(path):
-    # Input files self-describe: TNS3 containers and P3/P6 pixmaps both work.
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == b"TNS3":
-        return fileio.load_tensor(path)
-    if head[:2] in (b"P3", b"P6"):
-        return fileio.load_ppm(path)
-    raise DataError(f"{path}: unrecognized input format (magic {head!r})")
-
-
 def _cmd_complete(args):
     settings = _given(args, *inspect.signature(CompletionConfig).parameters)
     settings.update(settings.pop("mode", {}))  # --mode gives both mode and lam
@@ -107,7 +86,7 @@ def _cmd_complete(args):
             raise ValueError(f"--{name} {path!r} names no file")
         _check_dir(f"--{name}", os.path.dirname(path) or ".")
 
-    t = _load_input_tensor(args.input)
+    t = fileio.load_input(args.input)
     mask = fileio.load_mask(args.mask)
     model, s, trace = complete(t, mask, cfg)
     if "out" in outputs:
@@ -115,22 +94,20 @@ def _cmd_complete(args):
     if "trace" in outputs:
         fileio.write_trace_csv(trace, args.trace, **_given(args, "timings"))
     if "recon" in outputs:
-        if args.recon.endswith(".ppm"):
-            fileio.save_ppm(s, args.recon)
-        else:
-            fileio.save_tensor(s, args.recon)
+        save = fileio.save_ppm if args.recon.endswith(".ppm") else fileio.save_tensor
+        save(s, args.recon)
     final = trace.residual[-1] if len(trace) else float("nan")
     print(f"completed in {len(trace)} iterations, observed residual {final:.6g}, rank {model.R}")
     return 0
 
 
 def _cmd_mask(args):
-    if "like" in args:
-        dims = _load_input_tensor(args.like).shape
-    elif "dims" in args:
-        dims = _parse_ints(args.dims, 3, "--dims")
-    else:
-        raise ValueError("one of --dims or --like is required")
+    # --rect fixes the observed entries, so a sampling setting would be dropped
+    # without a word (argparse keeps --dims and --like apart).
+    clash = [f"--{name}" for name in ("fraction", "seed") if name in args]
+    if "rect" in args and clash:
+        raise ValueError(f"--rect cannot be combined with {' or '.join(clash)}")
+    dims = fileio.load_input(args.like).shape if "like" in args else _parse_ints(args.dims, 3, "--dims")
 
     if "rect" in args:
         x0, y0, x1, y1 = _parse_ints(args.rect, 4, "--rect")
@@ -140,7 +117,7 @@ def _cmd_mask(args):
         where[y0 : y1 + 1, x0 : x1 + 1, :] = False
         mask = Mask.from_bool(where)
     else:
-        mask = make_random_mask(dims, args.fraction, **_given(args, "seed"))
+        mask = make_random_mask(dims, getattr(args, "fraction", MASK_FRACTION), **_given(args, "seed"))
     fileio.save_mask(mask, args.out)
     print(f"mask with {mask.count} of {int(np.prod(dims))} entries written to {args.out}")
     return 0
@@ -152,14 +129,16 @@ def _cmd_mor_demo(args):
     outdir = args.outdir.rstrip("/")
     fileio.save_matrix(res["cp_basis"].phi, f"{outdir}/cp_basis.mat1")
     fileio.save_matrix(res["pod_basis"].phi, f"{outdir}/pod_basis.mat1")
-    with open(f"{outdir}/errors.csv", "w") as fh:
-        fh.write("test,mu1,mu2,cp_error,pod_error\n")
-        for i, (m1, m2) in enumerate(res["tests"]):
-            fh.write(f"{i},{m1!r},{m2!r},{float(res['cp_errors'][i])!r},{float(res['pod_errors'][i])!r}\n")
-    with open(f"{outdir}/compression.csv", "w") as fh:
-        fh.write("scheme,rank,ratio\n")
-        fh.write(f"cp,{res['cp_basis'].phi.shape[1]},{res['ratios']['cp']!r}\n")
-        fh.write(f"pod,{res['pod_basis'].phi.shape[1]},{res['ratios']['pod']!r}\n")
+    fileio.write_csv(
+        f"{outdir}/errors.csv",
+        ("test", "mu1", "mu2", "cp_error", "pod_error"),
+        [(i, *mu, res["cp_errors"][i], res["pod_errors"][i]) for i, mu in enumerate(res["tests"])],
+    )
+    fileio.write_csv(
+        f"{outdir}/compression.csv",
+        ("scheme", "rank", "ratio"),
+        [(scheme, res[f"{scheme}_basis"].phi.shape[1], res["ratios"][scheme]) for scheme in ("cp", "pod")],
+    )
     print(
         f"cp basis: {res['cp_basis'].phi.shape[1]} columns, "
         f"pod basis: {res['pod_basis'].phi.shape[1]} columns; "
@@ -170,9 +149,10 @@ def _cmd_mor_demo(args):
 
 def _cmd_pod(args):
     t = fileio.load_tensor(args.input)
-    basis = pod_basis(t, args.r)
+    r = getattr(args, "r", POD_RANK)
+    basis = pod_basis(t, r)
     fileio.save_matrix(basis.phi, args.out)
-    print(f"pod basis with {args.r} columns written to {args.out}")
+    print(f"pod basis with {r} columns written to {args.out}")
     return 0
 
 
@@ -191,10 +171,12 @@ def _command(sub, name, func, text):
     return p
 
 
-def _setting(p, flag, text, owner, name, **kw):
+def _setting(p, flag, text, owner, name, default=None, **kw):
     """Add ``flag``, which a config file may also set, feeding parameter ``name`` of
-    ``owner``; --help shows the default declared there, or ``kw``'s where none is."""
-    default = kw.get("default", inspect.signature(owner).parameters[name].default)
+    ``owner``; --help shows the default declared there, or ``default`` where none
+    is.  An unset flag stays out of the namespace either way."""
+    if default is None:
+        default = inspect.signature(owner).parameters[name].default
     p.get_default("settings").append(flag[2:])
     p.add_argument(flag, dest=name, help=f"{text} (default {default})", **kw)
 
@@ -221,8 +203,9 @@ def build_parser():
              type=_parse_bool, nargs="?", const=True)
 
     p = _command(sub, "mask", _cmd_mask, "generate an observation mask")
-    p.add_argument("--dims", help="I,J,K dimensions")
-    p.add_argument("--like", help="take dimensions from this tensor/pixmap file")
+    shape = p.add_mutually_exclusive_group(required=True)
+    shape.add_argument("--dims", help="I,J,K dimensions")
+    shape.add_argument("--like", help="take dimensions from this tensor/pixmap file")
     _setting(p, "--fraction", "observed fraction for random masks", make_random_mask, "fraction",
              type=float, default=MASK_FRACTION)
     _setting(p, "--seed", "sampling seed", make_random_mask, "seed", type=int)

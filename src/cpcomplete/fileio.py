@@ -1,12 +1,20 @@
-"""Binary containers, portable pixmaps, and CSV trace handling.
+"""Every file layout the package reads or writes: binary containers, portable
+pixmaps, key=value config files and CSV reports.
 
-All binary formats are little-endian and self-describe through a four-byte
-magic: "TNS3" (third-order tensor), "MSK3" (observed-index mask, 1-based on
-disk), "CPM1" (CP model, factors column-major), "MAT1" (plain matrix,
-row-major).  Pixmaps are P3/P6 with maxval 255, mapped to [0, 1] floats.
+The binary containers share one layout: a four-byte magic, a header of
+little-endian u64 sizes, then little-endian payload arrays whose lengths
+follow from the header.  "TNS3" (tensor): I, J, K; the entries in C order.
+"MSK3" (mask): I, J, K, count; count 1-based (i, j, k) u64 triples.  "CPM1"
+(CP model): I, J, K, R; factors A, B, C column-major, then alpha.  "MAT1"
+(matrix): rows, cols; the entries row-major.  Entries are float64.
+
+Pixmaps are P3/P6 with maxval 255, mapped to [0, 1] floats.  CSV reports
+write every float as the ``repr`` of a Python float, the shortest text that
+reads back to the same double, and integers and labels as they are.
 """
 
 import os
+import re
 import struct
 
 import numpy as np
@@ -16,72 +24,67 @@ from .exceptions import DataError, PixmapParseError
 from .tensor_ops import Mask, as_tensor
 
 __all__ = [
-    "save_tensor",
-    "load_tensor",
-    "save_mask",
-    "load_mask",
-    "save_model",
-    "load_model",
-    "save_matrix",
-    "load_matrix",
-    "load_ppm",
-    "save_ppm",
-    "write_trace_csv",
-    "read_csv_columns",
-    "csv_to_gnuplot",
+    "save_tensor", "load_tensor", "save_mask", "load_mask", "save_model", "load_model",
+    "save_matrix", "load_matrix", "load_ppm", "save_ppm", "load_input",
+    "read_config", "write_csv", "write_trace_csv", "read_csv_columns", "csv_to_gnuplot",
 ]
 
-_MAGIC_TENSOR = b"TNS3"
-_MAGIC_MASK = b"MSK3"
-_MAGIC_MODEL = b"CPM1"
-_MAGIC_MATRIX = b"MAT1"
+_TENSOR = b"TNS3"
+_MASK = b"MSK3"
+_MODEL = b"CPM1"
+_MATRIX = b"MAT1"
+_PIXMAPS = (b"P3", b"P6")
 
 
-def _read_exact(fh, n, what):
-    # Sizes come from headers, so check them against the bytes left before
-    # reading: a corrupt header must not request an impossible allocation.
-    if n > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise DataError(f"truncated file while reading {what}")
-    return fh.read(n)
+def _save(path, magic, header, *payloads):
+    # Each payload array goes out in its C order.
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack(f"<{len(header)}Q", *header))
+        for payload in payloads:
+            fh.write(payload.tobytes())
 
 
-def _check_magic(fh, magic, path):
-    got = fh.read(4)
-    if got != magic:
-        raise DataError(f"{path}: bad magic {got!r}, expected {magic.decode()}")
+def _load(path, magic, n_header, counts, dtype="<f8"):
+    """The header of the container at ``path`` and its ``dtype`` payload arrays,
+    of the lengths ``counts(*header)`` lists, each read into its own buffer.
+
+    A corrupt header must not request an impossible allocation, so the sizes
+    are checked against the bytes left in the file before any is allocated.
+    """
+    with open(path, "rb") as fh:
+        got = fh.read(4)
+        if got != magic:
+            raise DataError(f"{path}: bad magic {got!r}, expected {magic.decode()}")
+        left = os.fstat(fh.fileno()).st_size - 4 - 8 * n_header
+        if left < 0:
+            raise DataError(f"{path}: truncated header")
+        header = struct.unpack(f"<{n_header}Q", fh.read(8 * n_header))
+        lengths = counts(*header)
+        need = sum(lengths) * np.dtype(dtype).itemsize
+        if need > left:
+            raise DataError(f"{path}: truncated file: the header needs {need} payload bytes, {left} follow")
+        payloads = [np.empty(n, dtype=dtype) for n in lengths]
+        for payload in payloads:
+            fh.readinto(payload)
+    return header, payloads
 
 
 def save_tensor(t, path):
     t = as_tensor(t)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_TENSOR)
-        fh.write(struct.pack("<3Q", *t.shape))
-        fh.write(t.astype("<f8").tobytes())
+    _save(path, _TENSOR, t.shape, t.astype("<f8"))
 
 
 def load_tensor(path):
-    with open(path, "rb") as fh:
-        _check_magic(fh, _MAGIC_TENSOR, path)
-        dims = struct.unpack("<3Q", _read_exact(fh, 24, "dims"))
-        count = dims[0] * dims[1] * dims[2]
-        data = np.frombuffer(_read_exact(fh, 8 * count, "payload"), dtype="<f8")
+    dims, (data,) = _load(path, _TENSOR, 3, lambda i, j, k: [i * j * k])
     return as_tensor(data.reshape(dims))
 
 
 def save_mask(mask, path):
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_MASK)
-        fh.write(struct.pack("<3Q", *mask.dims))
-        fh.write(struct.pack("<Q", mask.count))
-        fh.write((mask.observed + 1).astype("<u8").tobytes())
+    _save(path, _MASK, (*mask.dims, mask.count), (mask.observed + 1).astype("<u8"))
 
 
 def load_mask(path):
-    with open(path, "rb") as fh:
-        _check_magic(fh, _MAGIC_MASK, path)
-        dims = struct.unpack("<3Q", _read_exact(fh, 24, "dims"))
-        (count,) = struct.unpack("<Q", _read_exact(fh, 8, "count"))
-        raw = np.frombuffer(_read_exact(fh, 24 * count, "triples"), dtype="<u8")
+    (*dims, count), (raw,) = _load(path, _MASK, 4, lambda i, j, k, count: [3 * count], "<u8")
     triples = raw.reshape(count, 3).astype(np.int64) - 1
     try:
         return Mask(dims, triples)
@@ -90,68 +93,42 @@ def load_mask(path):
 
 
 def save_model(m, path):
-    i, j, k = m.dims
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_MODEL)
-        fh.write(struct.pack("<3Q", i, j, k))
-        fh.write(struct.pack("<Q", m.R))
-        for mat in (m.A, m.B, m.C):
-            fh.write(np.asfortranarray(mat).astype("<f8").tobytes(order="F"))
-        fh.write(m.alpha.astype("<f8").tobytes())
+    # The transpose of a factor in C order is the factor in column-major order.
+    factors = (mat.T.astype("<f8") for mat in (m.A, m.B, m.C))
+    _save(path, _MODEL, (*m.dims, m.R), *factors, m.alpha.astype("<f8"))
 
 
 def load_model(path):
-    with open(path, "rb") as fh:
-        _check_magic(fh, _MAGIC_MODEL, path)
-        i, j, k = struct.unpack("<3Q", _read_exact(fh, 24, "dims"))
-        (r,) = struct.unpack("<Q", _read_exact(fh, 8, "rank"))
-        mats = []
-        for dim, name in ((i, "A"), (j, "B"), (k, "C")):
-            raw = np.frombuffer(_read_exact(fh, 8 * dim * r, f"factor {name}"), dtype="<f8")
-            mats.append(raw.reshape((dim, r), order="F"))
-        alpha = np.frombuffer(_read_exact(fh, 8 * r, "alpha"), dtype="<f8")
-    return CPModel(*mats, alpha)
+    (*dims, r), payloads = _load(path, _MODEL, 4, lambda i, j, k, r: [i * r, j * r, k * r, r])
+    factors = (raw.reshape((dim, r), order="F") for dim, raw in zip(dims, payloads))
+    return CPModel(*factors, payloads[3])
 
 
 def save_matrix(mat, path):
-    mat = np.ascontiguousarray(mat, dtype=np.float64)
+    mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError("expected a matrix")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_MATRIX)
-        fh.write(struct.pack("<2Q", *mat.shape))
-        fh.write(mat.astype("<f8").tobytes())
+    _save(path, _MATRIX, mat.shape, mat.astype("<f8"))
 
 
 def load_matrix(path):
-    with open(path, "rb") as fh:
-        _check_magic(fh, _MAGIC_MATRIX, path)
-        rows, cols = struct.unpack("<2Q", _read_exact(fh, 16, "shape"))
-        data = np.frombuffer(_read_exact(fh, 8 * rows * cols, "payload"), dtype="<f8")
-    return data.reshape(rows, cols).copy()
+    shape, (data,) = _load(path, _MATRIX, 2, lambda rows, cols: [rows * cols])
+    return data.reshape(shape)
 
 
 # -- portable pixmaps ---------------------------------------------------------
 
 
+# Whitespace and '#' comments, then one token; a comment runs to the end of
+# its line, so no backtracking can end it early.
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]+)")
+
+
 def _next_token(buf, pos):
-    # Skip whitespace and '#' comments, then collect one token.
-    n = len(buf)
-    while pos < n:
-        ch = buf[pos : pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            while pos < n and buf[pos : pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise PixmapParseError("unexpected end of header", pos)
-    start = pos
-    while pos < n and not buf[pos : pos + 1].isspace() and buf[pos : pos + 1] != b"#":
-        pos += 1
-    return buf[start:pos], pos
+    match = _TOKEN.match(buf, pos)
+    if match is None:
+        raise PixmapParseError("unexpected end of header", len(buf))
+    return match.group(1), match.end()
 
 
 def load_ppm(path):
@@ -159,7 +136,7 @@ def load_ppm(path):
     with open(path, "rb") as fh:
         buf = fh.read()
     magic, pos = _next_token(buf, 0)
-    if magic not in (b"P3", b"P6"):
+    if magic not in _PIXMAPS:
         raise PixmapParseError(f"not a P3/P6 pixmap (magic {magic!r})", 0)
     fields = []
     for name in ("width", "height", "maxval"):
@@ -214,7 +191,50 @@ def save_ppm(img, path):
         fh.write(quantized.tobytes())
 
 
-# -- traces -------------------------------------------------------------------
+def load_input(path):
+    """A TNS3 tensor or a P3/P6 pixmap, told apart by the file's magic."""
+    with open(path, "rb") as fh:
+        head = fh.read(4)
+    if head == _TENSOR:
+        return load_tensor(path)
+    if head[:2] in _PIXMAPS:
+        return load_ppm(path)
+    raise DataError(f"{path}: unrecognized input format (magic {head!r})")
+
+
+# -- text files ---------------------------------------------------------------
+
+
+def read_config(path):
+    """The (line number, key, value) entries of a file of ``key = value`` lines,
+    where ``#`` starts a comment."""
+    entries = []
+    try:
+        with open(path, "r") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                key, val = (part.strip() for part in line.split("=", 1))
+                entries.append((lineno, key, val))
+    except OSError as exc:
+        raise DataError(f"cannot read config file {path}: {exc}") from exc
+    return entries
+
+
+def _write_table(path, rows, sep):
+    with open(path, "w", newline="") as fh:
+        for row in rows:
+            cells = (repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
+            fh.write(sep.join(cells) + "\n")
+
+
+def write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` as a CSV report, numbers as the module
+    docstring states."""
+    _write_table(path, [header, *rows], ",")
 
 
 def write_trace_csv(trace, path, timings=False):
@@ -223,11 +243,9 @@ def write_trace_csv(trace, path, timings=False):
     The wall-time column is zeroed unless ``timings`` is set, keeping output
     files byte-identical across reruns with the same seed.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write("iteration,residual,lambda,wall_ms\n")
-        for i in range(len(trace)):
-            ms = trace.wall_ms[i] if timings else 0.0
-            fh.write(f"{i + 1},{trace.residual[i]!r},{trace.lam[i]!r},{ms!r}\n")
+    wall_ms = trace.wall_ms if timings else [0.0] * len(trace)
+    rows = zip(range(1, len(trace) + 1), trace.residual, trace.lam, wall_ms)
+    write_csv(path, ("iteration", "residual", "lambda", "wall_ms"), rows)
 
 
 def read_csv_columns(path):
@@ -247,7 +265,4 @@ def read_csv_columns(path):
 def csv_to_gnuplot(csv_path, dat_path):
     """Render a CSV as a gnuplot-ready whitespace-separated data file."""
     header, rows = read_csv_columns(csv_path)
-    with open(dat_path, "w") as fh:
-        fh.write("# " + " ".join(header) + "\n")
-        for row in rows:
-            fh.write(" ".join(row) + "\n")
+    _write_table(dat_path, [["#", *header], *rows], " ")

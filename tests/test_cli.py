@@ -84,6 +84,34 @@ class TestMaskCommand:
         res = run_cli("mask", "--fraction", "0.5", "--out", tmp_path / "m.msk3")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize(
+        "args, config, named",
+        [
+            (["--fraction", "0.5", "--seed", "3"], None, ["--fraction", "--seed"]),
+            (["--fraction", "0.3"], None, ["--fraction"]),
+            ([], "seed = 3\n", ["--seed"]),
+        ],
+        ids=["flags", "default-valued-flag", "config"],
+    )
+    def test_rect_with_sampling_settings_is_usage_error(self, tmp_path, args, config, named):
+        out = tmp_path / "m.msk3"
+        if config is not None:
+            (tmp_path / "m.cfg").write_text(config)
+            args = [*args, "--config", tmp_path / "m.cfg"]
+        res = run_cli("mask", "--dims", "6,7,3", "--rect", "1,2,3,4", *args, "--out", out)
+        assert res.returncode == 2
+        assert all(option in res.stderr for option in ["--rect", *named]), res.stderr
+        assert not out.exists()
+
+    def test_like_with_dims_is_usage_error(self, tmp_path):
+        tpath = tmp_path / "t.tns3"
+        save_tensor(np.zeros((8, 9, 3)), tpath)
+        out = tmp_path / "m.msk3"
+        res = run_cli("mask", "--dims", "6,7,3", "--like", tpath, "--out", out)
+        assert res.returncode == 2
+        assert "--like" in res.stderr and "--dims" in res.stderr
+        assert not out.exists()
+
     def test_defaults_match_explicit_fraction_and_seed(self, tmp_path):
         assert main(["mask", "--dims", "10,10,10", "--out", str(tmp_path / "bare.msk3")]) == 0
         explicit = ["--fraction", "0.3", "--seed", "0", "--out", str(tmp_path / "explicit.msk3")]
@@ -393,3 +421,11 @@ class TestReportCommand:
     def test_missing_file_is_data_error(self, tmp_path):
         res = run_cli("report", "--input", tmp_path / "nope.csv", "--out", tmp_path / "x.dat")
         assert res.returncode in (2, 3)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "a,b\n1,2\n3\n"], ids=["empty", "blank", "ragged"])
+    def test_malformed_csv_is_data_error(self, tmp_path, text):
+        src = tmp_path / "x.csv"
+        src.write_text(text)
+        res = run_cli("report", "--input", src, "--out", tmp_path / "x.dat")
+        assert res.returncode == 3
+        assert not (tmp_path / "x.dat").exists()

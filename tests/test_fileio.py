@@ -7,6 +7,7 @@ from cpcomplete.cp_model import CPModel
 from cpcomplete.exceptions import DataError, PixmapParseError
 from cpcomplete.fileio import (
     csv_to_gnuplot,
+    load_input,
     load_mask,
     load_matrix,
     load_model,
@@ -18,6 +19,7 @@ from cpcomplete.fileio import (
     save_model,
     save_ppm,
     save_tensor,
+    write_csv,
     write_trace_csv,
 )
 from cpcomplete.completion import CompletionTrace, make_random_mask
@@ -53,7 +55,8 @@ class TestTensorContainer:
         # headers whose payload overflows a C ssize_t, or exceeds any memory
         overflowing = b"TNS3" + struct.pack("<3Q", 2**40, 2**40, 2**40) + b"\x00" * 8
         huge = b"TNS3" + struct.pack("<3Q", 100000, 100000, 1000) + b"\x00" * 64
-        for payload in (short, overflowing, huge):
+        short_header = b"TNS3" + struct.pack("<2Q", 2, 2)
+        for payload in (short, overflowing, huge, short_header):
             path.write_bytes(payload)
             with pytest.raises(DataError):
                 load_tensor(path)
@@ -193,6 +196,75 @@ class TestPixmaps:
         with pytest.raises(PixmapParseError):
             load_ppm(path)
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"P6\n2 2\n", "unexpected end of header"),
+            (b"P6\n2 2 # no maxval", "unexpected end of header"),
+            (b"P6\nx 2\n255\n", "non-numeric width"),
+            (b"P6\n2 y\n255\n", "non-numeric height"),
+            (b"P3\n2 2\n25z\n", "non-numeric maxval"),
+            (b"P6\n0 2\n255\n", "bad dimensions"),
+            (b"P3\n2 0\n255\n", "bad dimensions"),
+            (b"P6\n1 1\n255", "missing whitespace after maxval"),
+            (b"P6\n1 1\n255#c\n\x00\x00\x00", "missing whitespace after maxval"),
+            (b"P3\n1 1\n255\n1 2 x\n", "non-numeric sample"),
+            (b"P3\n1 1\n255\n1 2 256\n", "out of range"),
+            (b"P3\n1 1\n255\n-1 2 3\n", "out of range"),
+            (b"P3\n1 1\n255\n1 2\n", "unexpected end of header"),
+        ],
+        ids=[
+            "no-maxval", "comment-to-eof", "width", "height", "maxval", "zero-width", "zero-height",
+            "p6-eof-after-maxval", "p6-comment-after-maxval", "p3-word", "p3-256", "p3-negative", "p3-short",
+        ],
+    )
+    def test_malformed_header_or_samples(self, tmp_path, raw, message):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(raw)
+        with pytest.raises(PixmapParseError, match=message):
+            load_ppm(path)
+
+
+def test_loaders_return_writable_arrays(tmp_path):
+    rng = np.random.default_rng(7)
+    arrays = []
+    for r in (1, 3):  # at R=1 the column-major factors are also C-contiguous
+        save_model(CPModel(*(rng.normal(size=(d, r)) for d in (4, 5, 6)), rng.normal(size=r)), tmp_path / "m.cpm1")
+        m = load_model(tmp_path / "m.cpm1")
+        arrays += [m.A, m.B, m.C, m.alpha]
+    save_tensor(rng.normal(size=(3, 4, 5)), tmp_path / "t.tns3")
+    save_matrix(rng.normal(size=(4, 2)), tmp_path / "b.mat1")
+    save_mask(make_random_mask((3, 4, 5), 0.5, seed=1), tmp_path / "m.msk3")
+    save_ppm(rng.uniform(size=(2, 3, 3)), tmp_path / "p6.ppm")
+    (tmp_path / "p3.ppm").write_text("P3\n1 1\n255\n1 2 3\n")
+    mask = load_mask(tmp_path / "m.msk3")
+    arrays += [
+        load_tensor(tmp_path / "t.tns3"),
+        load_matrix(tmp_path / "b.mat1"),
+        mask.where,
+        mask.observed,
+        load_ppm(tmp_path / "p6.ppm"),
+        load_input(tmp_path / "t.tns3"),
+        load_input(tmp_path / "p3.ppm"),
+    ]
+    for a in arrays:
+        a[...] = 0
+        assert not a.any()
+
+
+class TestInputSniffing:
+    def test_magic_picks_the_reader(self, tmp_path):
+        t = np.arange(24.0).reshape(2, 3, 4) / 24.0
+        save_tensor(t, tmp_path / "t.bin")
+        assert np.array_equal(load_input(tmp_path / "t.bin"), t)
+        (tmp_path / "p3.bin").write_text("P3\n1 2\n255\n0 51 102 153 204 255\n")
+        assert np.array_equal(load_input(tmp_path / "p3.bin"), np.arange(6.0).reshape(2, 1, 3) / 5.0)
+
+    def test_unknown_magic(self, tmp_path):
+        save_matrix(np.eye(2), tmp_path / "b.mat1")
+        with pytest.raises(DataError, match="unrecognized input format"):
+            load_input(tmp_path / "b.mat1")
+
 
 class TestTraceCsv:
     def make_trace(self):
@@ -222,3 +294,19 @@ class TestTraceCsv:
         lines = dst.read_text().splitlines()
         assert lines[0].startswith("# iteration residual")
         assert lines[1].split() == ["1", "0.5", "2.0", "0.0"]
+
+
+class TestCsvReports:
+    def test_floats_are_python_float_reprs(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_csv(path, ("scheme", "rank", "ratio"), [("cp", 3, np.float64(0.1)), ("pod", np.int64(2), 2.5)])
+        assert path.read_text() == "scheme,rank,ratio\ncp,3,0.1\npod,2,2.5\n"
+
+    @pytest.mark.parametrize(
+        "text", ["", "\n  \n", "a,b\n1,2\n3\n", "a,b\n1,2,3\n"], ids=["empty", "blank", "short-row", "long-row"]
+    )
+    def test_empty_or_ragged_csv_rejected(self, tmp_path, text):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        with pytest.raises(DataError):
+            read_csv_columns(path)
