@@ -1,6 +1,7 @@
 """Outer tensor-completion driver: impute missing entries from the current
 model, update factors cyclically, solve the scaling vector, repeat."""
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -41,8 +42,10 @@ class CompletionConfig:
     hybrid: HybridConfig = field(default_factory=HybridConfig)
 
     def __post_init__(self):
-        if self.R0 < 1 or self.m_max < 1:
-            raise ValueError("R0 and m_max must be at least 1")
+        for name in ("R0", "m_max"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0.0 < self.eps_tol < 1.0:
             raise ValueError(f"eps_tol must lie in (0, 1), got {self.eps_tol}")
         if self.mode not in ("hybrid", "fixed"):

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DataError", "NumericalRankError", "PixmapParseError"]
+
 
 class DataError(Exception):
     """Raised when an input file or data payload is malformed or unusable."""

@@ -3,10 +3,11 @@ pixmaps, key=value config files and CSV reports.
 
 The binary containers share one layout: a four-byte magic, a header of
 little-endian u64 sizes, then little-endian payload arrays whose lengths
-follow from the header.  "TNS3" (tensor): I, J, K; the entries in C order.
-"MSK3" (mask): I, J, K, count; count 1-based (i, j, k) u64 triples.  "CPM1"
-(CP model): I, J, K, R; factors A, B, C column-major, then alpha.  "MAT1"
-(matrix): rows, cols; the entries row-major.  Entries are float64.
+follow from the header and that end the file.  "TNS3" (tensor): I, J, K; the
+entries in C order.  "MSK3" (mask): I, J, K, count; count 1-based (i, j, k)
+u64 triples.  "CPM1" (CP model): I, J, K, R; factors A, B, C column-major,
+then alpha.  "MAT1" (matrix): rows, cols; the entries row-major.  Entries are
+float64.
 
 Pixmaps are P3/P6 with maxval 255, mapped to [0, 1] floats.  CSV reports
 write every float as the ``repr`` of a Python float, the shortest text that
@@ -49,7 +50,9 @@ def _load(path, magic, n_header, counts, dtype="<f8"):
     of the lengths ``counts(*header)`` lists, each read into its own buffer.
 
     A corrupt header must not request an impossible allocation, so the sizes
-    are checked against the bytes left in the file before any is allocated.
+    are checked against the bytes left in the file before any is allocated;
+    they must account for every byte, so a file with bytes past its payload
+    is rejected too.
     """
     with open(path, "rb") as fh:
         got = fh.read(4)
@@ -61,8 +64,9 @@ def _load(path, magic, n_header, counts, dtype="<f8"):
         header = struct.unpack(f"<{n_header}Q", fh.read(8 * n_header))
         lengths = counts(*header)
         need = sum(lengths) * np.dtype(dtype).itemsize
-        if need > left:
-            raise DataError(f"{path}: truncated file: the header needs {need} payload bytes, {left} follow")
+        if need != left:
+            problem = "truncated file" if need > left else "bytes past the payload"
+            raise DataError(f"{path}: {problem}: the header needs {need} payload bytes, {left} follow")
         payloads = [np.empty(n, dtype=dtype) for n in lengths]
         for payload in payloads:
             fh.readinto(payload)
@@ -209,18 +213,15 @@ def read_config(path):
     """The (line number, key, value) entries of a file of ``key = value`` lines,
     where ``#`` starts a comment."""
     entries = []
-    try:
-        with open(path, "r") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, val = (part.strip() for part in line.split("=", 1))
-                entries.append((lineno, key, val))
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
+    with open(path, "r") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, val = (part.strip() for part in line.split("=", 1))
+            entries.append((lineno, key, val))
     return entries
 
 

@@ -16,6 +16,7 @@ A fixed-lambda ISTA step for the CP scaling vector is provided as a baseline,
 together with the closed-form soft-threshold proximal map.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,10 +306,8 @@ def _omega_estimate(state):
     # the filter factors, both from _wgcv_terms.  The reference is
     # sigma_min(M)^2, the smallest scale the projected problem can resolve,
     # which guards against the over-smoothing plain GCV exhibits on projected
-    # problems.
+    # problems.  It runs after an expansion, so sigma_max(M) >= M_11 > 0.
     s, c, _, _ = _projected_svd(state)
-    if not s.size or s[0] <= 0.0:
-        return 1.0
     s2 = s**2
     lam = max(float(s[-1]) ** 2, 1e-300)
     (n_val,), (f_sum,) = _wgcv_terms(state, np.array([lam]))
@@ -334,6 +333,12 @@ class HybridConfig:
 
     k_max: int = 50
     omega: object = "adapt"
+
+    def __post_init__(self):
+        if not isinstance(self.k_max, numbers.Integral) or self.k_max < 1:
+            raise ValueError(f"k_max must be an integer >= 1, got {self.k_max!r}")
+        if self.omega != "adapt" and not (isinstance(self.omega, numbers.Real) and 0.0 < self.omega <= 1.0):
+            raise ValueError(f"omega must be 'adapt' or a number in (0, 1], got {self.omega!r}")
 
 
 def solve_l1_hybrid(h, d, cfg=None):

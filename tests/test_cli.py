@@ -1,5 +1,7 @@
+import contextlib
 import functools
 import inspect
+import io
 import struct
 import subprocess
 import sys
@@ -15,11 +17,14 @@ from cpcomplete.fileio import load_mask, load_matrix, load_model, load_tensor, s
 
 
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "cpcomplete", *map(str, args)],
-        capture_output=True,
-        text=True,
-    )
+    """Run the command in this process; argparse's SystemExit becomes the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(arg) for arg in args])
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def small_tensor(seed=0, dims=(8, 9, 3), r=3):
@@ -181,8 +186,24 @@ class TestCompleteCommand:
         tmp, tpath, mpath = workspace
         bogus = tmp / "bogus.bin"
         bogus.write_bytes(b"JUNKJUNKJUNK")
-        res = run_cli("complete", "--input", bogus, "--mask", mpath)
+        # through the ``python -m cpcomplete`` entry point, which must pass the code on
+        res = subprocess.run(
+            [sys.executable, "-m", "cpcomplete", "complete", "--input", str(bogus), "--mask", str(mpath)],
+            capture_output=True,
+            text=True,
+        )
         assert res.returncode == 3
+        assert "unrecognized input format" in res.stderr
+
+    @pytest.mark.parametrize("which", ["input", "mask"])
+    def test_bytes_past_the_payload_is_data_error(self, workspace, which):
+        tmp, tpath, mpath = workspace
+        path = {"input": tpath, "mask": mpath}[which]
+        path.write_bytes(path.read_bytes() + b"\x00" * 24)
+        res = run_cli("complete", "--input", tpath, "--mask", mpath, "--out", tmp / "m.cpm1")
+        assert res.returncode == 3
+        assert "bytes past the payload" in res.stderr
+        assert not (tmp / "m.cpm1").exists()
 
     def test_unknown_flag_exits_two(self, workspace):
         tmp, tpath, mpath = workspace
@@ -240,11 +261,11 @@ class TestCompleteCommand:
         assert code == 3
         assert "run.cfg:2: expected key=value" in capsys.readouterr().err
 
-    def test_unreadable_config_is_data_error(self, workspace, capsys):
+    def test_unreadable_config_is_usage_error(self, workspace, capsys):
         tmp, tpath, mpath = workspace
         code = main(["complete", "--input", str(tpath), "--mask", str(mpath), "--config", str(tmp / "missing.cfg")])
-        assert code == 3
-        assert "cannot read config file" in capsys.readouterr().err
+        assert code == 2
+        assert str(tmp / "missing.cfg") in capsys.readouterr().err
 
     def test_unknown_config_key_is_usage_error(self, workspace, monkeypatch, capsys):
         tmp, tpath, mpath = workspace
@@ -420,7 +441,7 @@ class TestReportCommand:
 
     def test_missing_file_is_data_error(self, tmp_path):
         res = run_cli("report", "--input", tmp_path / "nope.csv", "--out", tmp_path / "x.dat")
-        assert res.returncode in (2, 3)
+        assert res.returncode == 2
 
     @pytest.mark.parametrize("text", ["", "\n\n", "a,b\n1,2\n3\n"], ids=["empty", "blank", "ragged"])
     def test_malformed_csv_is_data_error(self, tmp_path, text):

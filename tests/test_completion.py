@@ -142,6 +142,10 @@ class TestRelativeError:
         with pytest.raises(ValueError):
             relative_error(np.ones((2, 2, 2)), np.zeros((2, 2, 2)))
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            relative_error(np.ones((2, 2, 2)), np.ones((2, 2, 3)))
+
 
 class TestComplete:
     def test_full_mask_exact_rank(self):
@@ -247,6 +251,10 @@ class TestComplete:
         with pytest.raises(ValueError):
             complete(np.ones((3, 3, 3)), Mask((3, 3, 3), []), CompletionConfig(R0=2))
 
+    def test_mask_dims_must_match_tensor(self):
+        with pytest.raises(ValueError, match=r"mask dims \(3, 3, 2\) do not match tensor \(3, 3, 3\)"):
+            complete(np.ones((3, 3, 3)), Mask.full((3, 3, 2)), CompletionConfig(R0=2))
+
     def test_non_finite_rejected(self):
         t = np.ones((3, 3, 3))
         t[0, 0, 0] = np.nan
@@ -260,6 +268,12 @@ class TestComplete:
             CompletionConfig(eps_tol=2.0)
         with pytest.raises(ValueError):
             CompletionConfig(mode="banana")
+
+    @pytest.mark.parametrize("name", ["R0", "m_max"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    def test_non_integer_count_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {value!r}"):
+            CompletionConfig(**{name: value})
 
     @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
     def test_bad_fixed_lambda_rejected(self, lam):

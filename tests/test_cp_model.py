@@ -133,6 +133,11 @@ class TestTruncateRank:
         assert out.dims == m.dims
         assert not reconstruct(out).any()
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, float("nan")])
+    def test_bad_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match=f"got {eps}"):
+            truncate_rank(random_model(17, unit=True), eps)
+
     def test_rank_zero_model_accepted(self):
         empty = CPModel(np.zeros((4, 0)), np.zeros((5, 0)), np.zeros((6, 0)), np.zeros(0))
         assert truncate_rank(empty, 1e-2).R == 0
@@ -147,3 +152,12 @@ def test_rank_bound_enforced():
             rng.normal(size=(2, 5)),
             rng.normal(size=5),
         )
+
+
+@pytest.mark.parametrize("short", ["B", "C", "alpha"])
+def test_component_counts_must_agree(short):
+    m = random_model(18)
+    parts = {"A": m.A, "B": m.B, "C": m.C, "alpha": m.alpha}
+    parts[short] = parts[short][..., :2]
+    with pytest.raises(ValueError, match="inconsistent component counts"):
+        CPModel(**parts)

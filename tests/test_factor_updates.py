@@ -227,6 +227,10 @@ class TestRegularizedALS:
             norms.append(np.linalg.norm(out.A * out.alpha))
         assert norms[0] > norms[1] > norms[2]
 
+    def test_negative_rho_rejected(self):
+        with pytest.raises(ValueError, match="got -1.0"):
+            regularized_als_step(random_model(25), np.zeros((4, 5, 6)), -1.0)
+
     def test_exact_rank_convergence(self):
         t = reconstruct(random_model(21, dims=(8, 8, 8), r=3, alpha_scale=3.0))
         m = random_model(22, dims=(8, 8, 8), r=3)

@@ -58,8 +58,30 @@ class TestTensorContainer:
         short_header = b"TNS3" + struct.pack("<2Q", 2, 2)
         for payload in (short, overflowing, huge, short_header):
             path.write_bytes(payload)
-            with pytest.raises(DataError):
+            with pytest.raises(DataError, match="truncated"):
                 load_tensor(path)
+
+
+@pytest.mark.parametrize("kind", ["tns3-header-shrunk", "tns3-appended", "msk3-appended"])
+def test_bytes_past_the_payload_rejected(tmp_path, kind):
+    # A 3x3x3 tensor whose header is rewritten to 2x2x2 keeps 27 entries after
+    # a header that promises 8; the other files carry one extra payload item.
+    path = tmp_path / "x.bin"
+    if kind == "tns3-header-shrunk":
+        save_tensor(np.arange(27.0).reshape(3, 3, 3), path)
+        path.write_bytes(b"TNS3" + struct.pack("<3Q", 2, 2, 2) + path.read_bytes()[28:])
+        load, need, left = load_tensor, 64, 216
+    elif kind == "tns3-appended":
+        save_tensor(np.ones((2, 2, 2)), path)
+        path.write_bytes(path.read_bytes() + struct.pack("<d", 1.0))
+        load, need, left = load_tensor, 64, 72
+    else:
+        save_mask(Mask((2, 2, 2), [(0, 0, 0)]), path)
+        path.write_bytes(path.read_bytes() + struct.pack("<3Q", 1, 1, 2))
+        load, need, left = load_mask, 24, 48
+    message = f"bytes past the payload: the header needs {need} payload bytes, {left} follow"
+    with pytest.raises(DataError, match=message):
+        load(path)
 
 
 class TestMaskContainer:
@@ -142,6 +164,12 @@ class TestMatrixContainer:
         with pytest.raises(DataError):
             load_matrix(path)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_save_needs_a_matrix(self, tmp_path, shape):
+        with pytest.raises(ValueError, match="expected a matrix"):
+            save_matrix(np.zeros(shape), tmp_path / "b.mat1")
+        assert not (tmp_path / "b.mat1").exists()
+
     def test_overflowing_shape(self, tmp_path):
         path = tmp_path / "huge.mat1"
         path.write_bytes(b"MAT1" + struct.pack("<2Q", 2**62, 2**62) + b"\x00" * 64)
@@ -156,6 +184,12 @@ class TestPixmaps:
         img = load_ppm(path)
         assert img.shape == (1, 1, 3)
         assert np.array_equal(img, np.ones((1, 1, 3)))
+
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_save_needs_three_channels(self, tmp_path, channels):
+        with pytest.raises(ValueError, match=f"expected 3 channels, got {channels}"):
+            save_ppm(np.zeros((2, 2, channels)), tmp_path / "x.ppm")
+        assert not (tmp_path / "x.ppm").exists()
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -187,6 +187,21 @@ class TestFGK:
         assert state.k == 1
         q = projected_tikhonov(state, 0.0)
         assert np.allclose(state.P @ q, d, atol=1e-14)
+        with pytest.raises(ValueError, match="broken-down"):
+            fgk_expand(state, h, None)
+
+    @pytest.mark.parametrize(
+        "h, d, message",
+        [
+            (np.ones(3), np.ones(3), "two-dimensional"),
+            ([[1.0, 2.0]], [1.0], "two-dimensional"),
+            (np.ones((3, 2)), np.ones(4), "data length 4 does not match operator rows 3"),
+        ],
+        ids=["1-D", "list", "length"],
+    )
+    def test_bad_operator_or_data_rejected(self, h, d, message):
+        with pytest.raises(ValueError, match=message):
+            fgk_init(h, d)
 
     def test_invariants_with_random_preconditioners(self):
         rng = np.random.default_rng(7)
@@ -233,6 +248,12 @@ class TestProjectedTikhonov:
         fgk_expand(state, np.eye(3), None)
         q = projected_tikhonov(state, 1.0)
         assert np.allclose(q, [1.0])  # 2 / (1 + 1)
+
+    def test_negative_lambda_rejected(self):
+        state = fgk_init(np.eye(3), np.array([2.0, 0.0, 0.0]))
+        fgk_expand(state, np.eye(3), None)
+        with pytest.raises(ValueError, match="got -1.0"):
+            projected_tikhonov(state, -1.0)
 
     def test_lambda_zero_least_squares(self):
         rng = np.random.default_rng(9)
@@ -350,6 +371,19 @@ class TestWGCV:
         val = _wgcv_curve(state, omega, np.array([lam]))[0]
         assert val <= dense.min() * (1.0 + 1e-6)
 
+    @pytest.mark.parametrize(
+        "omega, steps, message",
+        [(0.0, 1, "omega"), (1.5, 1, "omega"), (float("nan"), 1, "omega"), (1.0, 0, "at least one expansion")],
+        ids=["omega-zero", "omega-above-one", "omega-nan", "no-step"],
+    )
+    def test_bad_omega_or_step_count_rejected(self, omega, steps, message):
+        h = np.eye(3)
+        state = fgk_init(h, np.array([2.0, 1.0, 0.0]))
+        for _ in range(steps):
+            fgk_expand(state, h, None)
+        with pytest.raises(ValueError, match=message):
+            wgcv_select(state, omega, fallback=1.0)
+
     def test_non_finite_falls_back(self):
         state = make_state(np.zeros((3, 2)), 1.0)
         assert wgcv_select(state, 1.0, fallback=0.25) == 0.25
@@ -406,6 +440,25 @@ class TestSolveHybrid:
         sol, lams = solve_l1_hybrid(h, d, HybridConfig())
         assert sol.tolist() == [0.0, 0.0]
         assert lams.size == 0
+
+    @pytest.mark.parametrize(
+        "settings, named",
+        [
+            ({"k_max": 0}, "k_max"),
+            ({"k_max": -3}, "k_max"),
+            ({"k_max": 2.5}, "k_max"),
+            ({"omega": "adpt"}, "omega"),
+            ({"omega": 0.0}, "omega"),
+            ({"omega": 1.5}, "omega"),
+            ({"omega": float("nan")}, "omega"),
+            ({"omega": None}, "omega"),
+        ],
+        ids=["k_max-zero", "k_max-negative", "k_max-fraction", "omega-typo", "omega-zero", "omega-above-one",
+             "omega-nan", "omega-none"],
+    )
+    def test_bad_settings_rejected(self, settings, named):
+        with pytest.raises(ValueError, match=f"{named} must be .*got {next(iter(settings.values()))!r}"):
+            HybridConfig(**settings)
 
     def test_sparse_recovery_with_noise(self):
         rng = np.random.default_rng(13)

@@ -90,6 +90,11 @@ class TestSolveDiffusion:
         with pytest.raises(ValueError, match="12.5"):
             DiffusionProblem(12.5, 0.0, 0.0)
 
+    @pytest.mark.parametrize("nx", [2, 0, -4])
+    def test_too_few_points_rejected(self, nx):
+        with pytest.raises(ValueError, match=f"nx must be at least 3 .*got {nx}"):
+            DiffusionProblem(nx, 0.0, 0.0)
+
     @pytest.mark.parametrize("nx", [3, 12, 40])
     @pytest.mark.parametrize("mu", [(0.0, 0.0), (0.4, -0.6), (0.99, -0.99), (-0.99, 0.99)])
     def test_matches_sparse_kronecker_solve(self, nx, mu):
@@ -226,6 +231,12 @@ class TestCompressionRatio:
     def test_bad_scheme(self):
         with pytest.raises(ValueError):
             compression_ratio((2, 2, 2), 1, "tucker")
+
+    @pytest.mark.parametrize("scheme", ["pod", "cp"])
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_rank_below_one_rejected(self, scheme, r):
+        with pytest.raises(ValueError, match=f"got {r}"):
+            compression_ratio((2, 2, 2), r, scheme)
 
 
 class TestCpReducedBasis:

@@ -1,9 +1,14 @@
 """Every name a package module imports is used there or re-exported, every
 private name it defines at module level is read there, every name it exports,
-through its __all__ or the package __init__, is defined there, and every name
-in its __all__ is read by some caller."""
+through its __all__ or the package __init__, is defined there, every name in
+its __all__ is read by some caller, and the package __init__ republishes the
+numerical modules' __all__ lists without naming a public name itself."""
 
 import ast
+import importlib
+import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +24,9 @@ CALLERS = [
     *sorted((ROOT / "bench").glob("*.py")),
     *sorted((ROOT / "scripts").glob("*.py")),
 ]
+# The modules whose __all__ the package republishes; fileio and cli stay
+# submodules, so importing the package reads no file and parses no argument.
+NUMERICAL = ["completion", "cp_model", "exceptions", "factor_updates", "hybrid_l1", "mor", "tensor_ops"]
 # Public names kept with no caller: build_q is the dense oracle that the
 # operator tests check CPScalingOperator against.
 UNCALLED_ALLOWED = {"cp_model.build_q"}
@@ -122,25 +130,36 @@ def undefined_exports(init_source, sources):
     package ``__init__``, that the module does not define itself.
 
     ``sources`` maps module names to their source; a name re-exported from
-    another module counts as undefined, so every export has one home.
+    another module counts as undefined, so every export has one home.  A star
+    import exports the module's __all__, or reads as ``module.*`` when the
+    module has none.
     """
     exports = [(module, name) for module, source in sources.items() for name in all_names(source)]
     for node in ast.parse(init_source).body:
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-            exports += [(node.module, alias.name) for alias in node.names]
+            for alias in node.names:
+                if alias.name != "*":
+                    exports.append((node.module, alias.name))
+                else:
+                    listed = all_names(sources.get(node.module, ""))
+                    exports += [(node.module, name) for name in listed or ["*"]]
     return sorted(
         {f"{module}.{name}" for module, name in exports if name not in defined_names(sources.get(module, ""))}
     )
 
 
 def test_checker_flags_undefined_exports():
-    init_source = "from .model import CPModel, normalize\nfrom .ops import khatri_rao\nfrom .gone import f\n"
+    init_source = (
+        "from .model import CPModel, normalize\nfrom .ops import khatri_rao\nfrom .gone import f\n"
+        "from .ops import *\nfrom .errors import *\nfrom .missing import *\n"
+    )
     sources = {
         "model": "from .ops import khatri_rao\n__all__ = ['CPModel', 'khatri_rao']\nclass CPModel:\n    pass\n",
         "ops": "__all__ = ['GRID', 'khatri_rao', 'tensorize']\nGRID = 3\ndef khatri_rao(x, y):\n    return x\n",
+        "errors": "class DataError(Exception):\n    pass\n",
     }
     assert undefined_exports(init_source, sources) == [
-        "gone.f", "model.khatri_rao", "model.normalize", "ops.tensorize",
+        "errors.*", "gone.f", "missing.*", "model.khatri_rao", "model.normalize", "ops.tensorize",
     ]
 
 
@@ -187,3 +206,73 @@ def test_every_export_has_a_caller():
     sources = {p.stem: p.read_text() for p in MODULES}
     unread = unread_exports(sources, [p.read_text() for p in CALLERS])
     assert sorted(set(unread) - UNCALLED_ALLOWED) == []
+
+
+def republishing_faults(init_source, sources):
+    """Faults that keep a package ``__init__`` from republishing exactly the
+    __all__ lists of the modules in ``sources``: any statement besides the
+    docstring, relative star imports and dunder assignments; a module of
+    ``sources`` it does not star-import, or another module it does; and a name
+    that two modules list.
+    """
+    faults = []
+    starred = set()
+    for idx, node in enumerate(ast.parse(init_source).body):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and [a.name for a in node.names] == ["*"]:
+            starred.add(node.module)
+        elif idx == 0 and isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue
+        elif not (
+            isinstance(node, ast.Assign)
+            and all(isinstance(t, ast.Name) and t.id.startswith("__") and t.id.endswith("__") for t in node.targets)
+        ):
+            faults.append(f"line {node.lineno} binds by hand: {ast.unparse(node)}")
+    faults += [f"does not republish {module}" for module in sorted(set(sources) - starred)]
+    faults += [f"republishes {module}" for module in sorted(starred - set(sources))]
+    homes = {}
+    for module, source in sources.items():
+        for name in all_names(source):
+            homes.setdefault(name, []).append(module)
+    faults += [f"{name} is listed by {', '.join(mods)}" for name, mods in sorted(homes.items()) if len(mods) > 1]
+    return faults
+
+
+def test_checker_flags_republishing_faults():
+    init_source = (
+        '"""Package."""\n'
+        "from .model import *\nfrom .io import *\nfrom .ops import khatri_rao\n"
+        "__version__ = '1'\nVERSION = __version__\n"
+    )
+    sources = {
+        "model": "__all__ = ['CPModel', 'khatri_rao']\n",
+        "ops": "__all__ = ['khatri_rao']\n",
+    }
+    assert republishing_faults(init_source, sources) == [
+        "line 4 binds by hand: from .ops import khatri_rao",
+        "line 6 binds by hand: VERSION = __version__",
+        "does not republish ops",
+        "republishes io",
+        "khatri_rao is listed by model, ops",
+    ]
+
+
+def test_package_republishes_the_numerical_modules():
+    sources = {name: (PACKAGE / f"{name}.py").read_text() for name in NUMERICAL}
+    assert republishing_faults((PACKAGE / "__init__.py").read_text(), sources) == []
+
+
+def test_package_names_are_the_union_of_the_lists():
+    import cpcomplete
+
+    public = {name for name, value in vars(cpcomplete).items() if not (name.startswith("_") or inspect.ismodule(value))}
+    listed = [name for module in NUMERICAL for name in importlib.import_module(f"cpcomplete.{module}").__all__]
+    assert sorted(public) == sorted(listed)
+
+
+def test_import_loads_no_file_or_command_line_code():
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import cpcomplete; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('cpcomplete.'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.split() == sorted(f"cpcomplete.{module}" for module in NUMERICAL)

@@ -158,6 +158,11 @@ class TestMask:
         with pytest.raises(ValueError):
             Mask((2, 2, 2), [(0, 0, 0), (0, 0, 0)])
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2), (2, 0, 2), (2, -1, 2)])
+    def test_bad_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match="dims must be three positive integers"):
+            Mask(dims, [])
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Mask((2, 2, 2), [(0, 0, 2)])
@@ -201,3 +206,5 @@ class TestMaskedCopy:
 def test_as_tensor_validates():
     with pytest.raises(ValueError):
         as_tensor(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"dimensions must be >= 1, got \(2, 0, 3\)"):
+        as_tensor(np.zeros((2, 0, 3)))
