@@ -27,7 +27,10 @@ with ``--keep``, each artifact whose bytes differ from DIR's copy is also
 read back as numbers (CPM1, MAT1, TNS3 and MSK3 through the package's
 readers, the numeric columns of a CSV, the samples of a PPM) and the largest
 absolute and elementwise relative differences are printed, so a change that
-moves the outputs shows how far.
+moves the outputs shows how far.  The last line then reads "N of M
+artifacts differ", where an artifact found in only one of the two trees
+counts as differing, and the exit status is 1 when N > 0, so
+"byte-identical" is the exit status.
 
     python scripts/artifact_digests.py [--keep DIR] [--against DIR]
 """
@@ -120,6 +123,32 @@ def compare(path, ref):
     return f"max abs diff {diff.max():.3g}, max rel diff {rel.max():.3g} over {a.size} numbers"
 
 
+def differences(out, ref_dir):
+    """Compare the artifacts under ``out`` with those under ``ref_dir``.
+
+    Prints one line per artifact that is missing from either directory or
+    whose bytes differ, and returns (number of such artifacts, number of
+    artifacts in either directory).
+    """
+    def names(root):
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    ours, theirs = names(out), names(ref_dir)
+    differ = 0
+    for name in sorted(ours | theirs):
+        path, ref = out / name, ref_dir / name
+        if name not in theirs:
+            print(f"{name}: not in {ref_dir}")
+        elif name not in ours:
+            print(f"{name}: only in {ref_dir}")
+        elif ref.read_bytes() != path.read_bytes():
+            print(f"{name}: {compare(path, ref)}")
+        else:
+            continue
+        differ += 1
+    return differ, len(ours | theirs)
+
+
 def run(args, env):
     res = subprocess.run([sys.executable, "-m", "cpcomplete", *args], env=env, capture_output=True, text=True)
     if res.returncode != 0:
@@ -129,7 +158,9 @@ def run(args, env):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--keep", help="write the artifacts here instead of a temporary directory")
-    parser.add_argument("--against", help="compare the numbers of differing artifacts with this directory's")
+    parser.add_argument(
+        "--against", help="compare with the artifacts in this directory; exit 1 if any differ or is missing"
+    )
     args = parser.parse_args()
     if args.against:
         sys.path.insert(0, str(SRC))
@@ -167,13 +198,10 @@ def main():
         for path in paths:
             print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out).as_posix())
         if args.against:
-            for path in paths:
-                name = path.relative_to(out).as_posix()
-                ref = Path(args.against) / name
-                if not ref.is_file():
-                    print(f"{name}: not in {args.against}")
-                elif ref.read_bytes() != path.read_bytes():
-                    print(f"{name}: {compare(path, ref)}")
+            differ, total = differences(out, Path(args.against))
+            print(f"{differ} of {total} artifacts differ")
+            if differ:
+                sys.exit(1)
 
 
 if __name__ == "__main__":

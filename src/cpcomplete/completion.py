@@ -11,7 +11,7 @@ from .cp_model import CPModel, CPScalingOperator, reconstruct, truncate_rank
 from .exceptions import DataError
 from .factor_updates import mm_update
 from .hybrid_l1 import HybridConfig, ista_alpha_step, solve_l1_hybrid
-from .tensor_ops import Mask, as_tensor, masked_copy
+from .tensor_ops import Mask, as_tensor, mask_dims, masked_copy
 
 __all__ = [
     "CompletionConfig",
@@ -44,7 +44,7 @@ class CompletionConfig:
     def __post_init__(self):
         for name in ("R0", "m_max"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0.0 < self.eps_tol < 1.0:
             raise ValueError(f"eps_tol must lie in (0, 1), got {self.eps_tol}")
@@ -78,6 +78,7 @@ def make_random_mask(dims, fraction, seed=0):
     """Uniform mask observing ceil(fraction * IJK) entries, seeded."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
+    dims = mask_dims(dims)
     total = int(np.prod(dims))
     count = int(np.ceil(fraction * total))
     rng = np.random.default_rng(seed)

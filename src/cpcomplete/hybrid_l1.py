@@ -16,6 +16,7 @@ A fixed-lambda ISTA step for the CP scaling vector is provided as a baseline,
 together with the closed-form soft-threshold proximal map.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -149,12 +150,14 @@ def fgk_init(h, d):
     d = np.asarray(d, dtype=np.float64).ravel()
     if d.size != h.shape[0]:
         raise ValueError(f"data length {d.size} does not match operator rows {h.shape[0]}")
-    beta1 = float(np.linalg.norm(d))
+    if not (np.isfinite(h).all() and np.isfinite(d).all()):
+        raise ValueError("operator and data must be finite")
+    beta1 = math.sqrt(d @ d)
     if beta1 == 0.0:
         return None
     u1 = d / beta1
     z = h.T @ u1
-    t11 = float(np.linalg.norm(z))
+    t11 = math.sqrt(z @ z)
     if t11 <= _BREAKDOWN_RTOL * beta1:
         return None
     return FGKState(u1, z / t11, t11, beta1)
@@ -187,9 +190,9 @@ def fgk_expand(state, h, weights=None):
     p = v.copy() if weights is None else v / weights
 
     w = h @ p
-    scale = float(np.linalg.norm(w))
+    scale = math.sqrt(w @ w)
     mcol, w = _orthogonalize(state._u[: state._nu], w)
-    beta = float(np.linalg.norm(w))
+    beta = math.sqrt(w @ w)
 
     state._p[state.k] = p
     k = state.k = state.k + 1
@@ -202,9 +205,9 @@ def fgk_expand(state, h, weights=None):
     state._nu += 1
 
     z = h.T @ state._u[state._nu - 1]
-    zscale = float(np.linalg.norm(z))
+    zscale = math.sqrt(z @ z)
     tcol, z = _orthogonalize(state._v[: state._nv], z)
-    gamma = float(np.linalg.norm(z))
+    gamma = math.sqrt(z @ z)
     state._t[: tcol.size, state._nu - 1] = tcol
     if gamma <= _BREAKDOWN_RTOL * zscale:
         state.breakdown = True
@@ -215,12 +218,25 @@ def fgk_expand(state, h, weights=None):
     return state
 
 
+class _Spectrum:
+    # SVD M = W diag(s) V^T of the projected matrix with s^2, c = beta1 W^T e1,
+    # c^2 and rho2 = ||beta1 e1||^2 - ||c||^2, the part of beta1 e1 outside
+    # range(M).
+    __slots__ = ("s", "s2", "c", "c2", "vt", "rho2")
+
+    def __init__(self, m, beta1):
+        w, self.s, self.vt = np.linalg.svd(m, full_matrices=False)
+        self.c = beta1 * w[0]
+        self.s2 = self.s * self.s
+        self.c2 = self.c * self.c
+        self.rho2 = max(beta1**2 - float(self.c @ self.c), 0.0)
+
+
 def _projected_svd(state):
+    # Computed at its first use after each expansion and shared by
+    # _omega_estimate, wgcv_select and projected_tikhonov.
     if state._svd_cache is None:
-        u, s, vt = np.linalg.svd(state.M, full_matrices=False)
-        c = state.beta1 * u[0]
-        rho2 = max(state.beta1**2 - float(c @ c), 0.0)
-        state._svd_cache = (s, c, vt, rho2)
+        state._svd_cache = _Spectrum(state.M, state.beta1)
     return state._svd_cache
 
 
@@ -232,38 +248,57 @@ def projected_tikhonov(state, lam):
     """
     if lam < 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    s, c, vt, _ = _projected_svd(state)
+    spec = _projected_svd(state)
+    s = spec.s
     if lam == 0.0:
         cutoff = (s[0] * 1e-14) if s.size else 0.0
         filt = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     else:
-        filt = s / (s**2 + lam)
-    return vt.T @ (filt * c)
+        filt = s / (spec.s2 + lam)
+    return spec.vt.T @ (filt * spec.c)
 
 
 _UNIT_GRID = np.logspace(-10.0, 0.0, 200)
 # Refinement points as ratios to the best grid point: 200 logarithmic points
-# spanning its two grid neighbours, or its one neighbour at either end.
+# spanning its two grid neighbours, or its one neighbour at either end,
+# behind a leading 1 that puts the grid point itself first, so that a tie
+# keeps it.
 _GRID_STEP = 10.0 / (_UNIT_GRID.size - 1)
-_REFINE_INTERIOR = np.logspace(-_GRID_STEP, _GRID_STEP, _UNIT_GRID.size)
-_REFINE_FIRST = np.logspace(0.0, _GRID_STEP, _UNIT_GRID.size)
-_REFINE_LAST = np.logspace(-_GRID_STEP, 0.0, _UNIT_GRID.size)
+_REFINE_INTERIOR = np.concatenate(([1.0], np.logspace(-_GRID_STEP, _GRID_STEP, _UNIT_GRID.size)))
+_REFINE_FIRST = np.concatenate(([1.0], np.logspace(0.0, _GRID_STEP, _UNIT_GRID.size)))
+_REFINE_LAST = np.concatenate(([1.0], np.logspace(-_GRID_STEP, 0.0, _UNIT_GRID.size)))
 
 
 def _wgcv_terms(state, lams):
     # WGCV numerator k * ||(I - M Phi_lam) beta1 e1||^2 and the filter-factor
-    # sum trace(M Phi_lam) at each lambda in ``lams``.
-    s, c, _, rho2 = _projected_svd(state)
-    s2 = s**2
-    filt = s2 / (s2 + lams[:, None])
-    return state.k * (((1.0 - filt) ** 2) @ c**2 + rho2), filt.sum(axis=1)
+    # sum trace(M Phi_lam) at each lambda in ``lams``.  The filter factors
+    # s_i^2 / (s_i^2 + lam) form a k x L array with lambda along the
+    # contiguous axis, overwritten in place by (1 - filter)^2.  Summation
+    # order differs from other layouts by rounding only; wgcv_select returns
+    # a point of its grids, so only the position of the minimum matters.
+    spec = _projected_svd(state)
+    s2 = spec.s2[:, None]
+    filt = s2 + lams
+    np.divide(s2, filt, out=filt)
+    f_sum = filt.sum(axis=0)
+    np.subtract(1.0, filt, out=filt)
+    np.square(filt, out=filt)
+    num = spec.c2 @ filt
+    num += spec.rho2
+    num *= state.k
+    return num, f_sum
 
 
 def _wgcv_curve(state, omega, lams):
     """WGCV objective at each lambda in ``lams``; non-finite values read as +inf."""
-    num, f_sum = _wgcv_terms(state, lams)
-    vals = num / (state.k + 1 - omega * f_sum) ** 2
-    return np.where(np.isfinite(vals), vals, np.inf)
+    vals, den = _wgcv_terms(state, lams)
+    den *= -omega
+    den += state.k + 1
+    np.square(den, out=den)
+    vals /= den
+    # Numerator and squared denominator are >= 0, so the only non-finite
+    # values are +inf and NaN, and fmin maps NaN to +inf.
+    return np.fmin(vals, np.inf, out=vals)
 
 
 def wgcv_select(state, omega, fallback):
@@ -272,21 +307,24 @@ def wgcv_select(state, omega, fallback):
     Minimizes k * ||(I - M Phi_lam) beta1 e1||^2 / trace(I - omega M Phi_lam)^2
     over a 200-point logarithmic grid spanning [1e-10, 1] * sigma_max(M), then
     over 200 logarithmic points spanning the grid neighbours of the best
-    point, and returns the better of the two minimizers.  Returns ``fallback``
-    when the objective is not finite anywhere on the grid.
+    point, and returns the better of the two minimizers.  The result is
+    always one of these grid points, so the contract is the position of the
+    minimum, not the curve values: how the curve is summed changes lambda
+    only where rounding reorders two nearly equal values.  Returns
+    ``fallback`` itself when the objective is not finite anywhere on the
+    grid.
     """
     if not 0.0 < omega <= 1.0:
         raise ValueError(f"omega must lie in (0, 1], got {omega}")
     if state.k < 1:
         raise ValueError("wgcv_select needs at least one expansion step")
-    s = _projected_svd(state)[0]
-    smax = float(s[0]) if s.size else 0.0
-    if smax <= 0.0 or not np.isfinite(smax):
+    smax = float(_projected_svd(state).s[0])
+    if smax <= 0.0 or not math.isfinite(smax):
         return fallback
     grid = smax * _UNIT_GRID
     vals = _wgcv_curve(state, omega, grid)
-    best = int(np.argmin(vals))
-    if not np.isfinite(vals[best]):
+    best = int(vals.argmin())
+    if not math.isfinite(vals[best]):
         return fallback
     if best == 0:
         ratios = _REFINE_FIRST
@@ -294,9 +332,8 @@ def wgcv_select(state, omega, fallback):
         ratios = _REFINE_LAST
     else:
         ratios = _REFINE_INTERIOR
-    # The coarse minimizer comes first so that a tie keeps it.
-    lams = np.concatenate(([grid[best]], grid[best] * ratios))
-    return float(lams[np.argmin(_wgcv_curve(state, omega, lams))])
+    lams = grid[best] * ratios
+    return float(lams[_wgcv_curve(state, omega, lams).argmin()])
 
 
 def _omega_estimate(state):
@@ -307,18 +344,19 @@ def _omega_estimate(state):
     # sigma_min(M)^2, the smallest scale the projected problem can resolve,
     # which guards against the over-smoothing plain GCV exhibits on projected
     # problems.  It runs after an expansion, so sigma_max(M) >= M_11 > 0.
-    s, c, _, _ = _projected_svd(state)
-    s2 = s**2
-    lam = max(float(s[-1]) ** 2, 1e-300)
+    spec = _projected_svd(state)
+    s2 = spec.s2
+    lam = max(float(spec.s[-1]) ** 2, 1e-300)
     (n_val,), (f_sum,) = _wgcv_terms(state, np.array([lam]))
+    shifted = s2 + lam
     # -dF_i/dlambda for filter factor F_i, and 1 - F_i = lam / (s_i^2 + lam).
-    dfac = s2 / (s2 + lam) ** 2
-    n_prime = state.k * float((2.0 * lam * dfac / (s2 + lam)) @ c**2)
+    dfac = s2 / (shifted * shifted)
+    n_prime = state.k * float((2.0 * lam * dfac / shifted) @ spec.c2)
     f_prime = -float(dfac.sum())
     den = n_prime * f_sum - 2.0 * n_val * f_prime
-    if not np.isfinite(den) or den <= 0.0:
+    if not math.isfinite(den) or den <= 0.0:
         return 1.0
-    return float(np.clip(n_prime * (state.k + 1) / den, 1e-3, 1.0))
+    return float(min(max(n_prime * (state.k + 1) / den, 1e-3), 1.0))
 
 
 @dataclass
@@ -327,15 +365,15 @@ class HybridConfig:
 
     ``k_max`` caps the inner steps; the solver also stops after n steps for an
     n-column H, where the process must break down.  ``omega`` is either a
-    fixed weight in (0, 1] or "adapt", which averages per-iteration estimates
-    (clamped to [1e-3, 1]).
+    fixed weight in (0, 1] or "adapt", which uses the running mean of one
+    estimate per inner step (clamped to [1e-3, 1]).
     """
 
     k_max: int = 50
     omega: object = "adapt"
 
     def __post_init__(self):
-        if not isinstance(self.k_max, numbers.Integral) or self.k_max < 1:
+        if not isinstance(self.k_max, numbers.Integral) or isinstance(self.k_max, bool) or self.k_max < 1:
             raise ValueError(f"k_max must be an integer >= 1, got {self.k_max!r}")
         if self.omega != "adapt" and not (isinstance(self.omega, numbers.Real) and 0.0 < self.omega <= 1.0):
             raise ValueError(f"omega must be 'adapt' or a number in (0, 1], got {self.omega!r}")
@@ -361,17 +399,18 @@ def solve_l1_hybrid(h, d, cfg=None):
 
     s_prev = None
     lam_prev = _LAMBDA_FALLBACK
-    omega_estimates = []
+    adapt = cfg.omega == "adapt"
+    omega = None if adapt else float(cfg.omega)
+    omega_sum = 0.0
     lam_history = []
     sol = np.zeros(ncols)
     for _ in range(min(cfg.k_max, ncols)):
         weights = None if s_prev is None else irn_weights(s_prev, _TAU1, _TAU2)
         fgk_expand(state, h, weights)
-        if cfg.omega == "adapt":
-            omega_estimates.append(_omega_estimate(state))
-            omega = float(np.clip(np.mean(omega_estimates), 1e-3, 1.0))
-        else:
-            omega = float(cfg.omega)
+        if adapt:
+            # Running mean of the per-step estimates, one per expansion.
+            omega_sum += _omega_estimate(state)
+            omega = min(max(omega_sum / state.k, 1e-3), 1.0)
         lam = wgcv_select(state, omega, fallback=lam_prev)
         q = projected_tikhonov(state, lam)
         sol = state.P @ q

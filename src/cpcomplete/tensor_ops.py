@@ -15,6 +15,8 @@ the two free reshapes ``t.reshape(I, J*K)`` and ``t.reshape(I*J, K)``.  An
 observation mask is a boolean tensor of the same shape.
 """
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -24,6 +26,7 @@ __all__ = [
     "khatri_rao",
     "mttkrp",
     "rank_one_sum",
+    "mask_dims",
     "Mask",
     "masked_copy",
 ]
@@ -118,6 +121,20 @@ def rank_one_sum(x, factors):
     return (khatri_rao(a * x, b) @ c.T).reshape(i, j, k)
 
 
+def mask_dims(dims):
+    """``dims`` as a tuple of three Python ints >= 1.
+
+    Raises ValueError for any other length or entry, bools and non-integral
+    numbers included, so that no dimension is silently rounded.
+    """
+    dims = tuple(dims)
+    if len(dims) != 3 or not all(
+        isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1 for d in dims
+    ):
+        raise ValueError(f"dims must be three positive integers, got {dims}")
+    return tuple(int(d) for d in dims)
+
+
 class Mask:
     """Observed entries of an (I, J, K) tensor, held as a boolean tensor.
 
@@ -127,9 +144,7 @@ class Mask:
     """
 
     def __init__(self, dims, triples):
-        dims = tuple(int(d) for d in dims)
-        if len(dims) != 3 or min(dims) < 1:
-            raise ValueError(f"dims must be three positive integers, got {dims}")
+        dims = mask_dims(dims)
         triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
         if triples.size and (triples.min() < 0 or np.any(triples >= np.array(dims))):
             raise ValueError("mask triple out of range")

@@ -122,6 +122,16 @@ class TestMakeRandomMask:
         with pytest.raises(ValueError):
             make_random_mask((3, 3, 3), 0.0)
 
+    @pytest.mark.parametrize("dims", [(2.7, 2, 2), (2, 2.0, 2), (True, 2, 2), (2, 2), (2, 0, 2)])
+    def test_bad_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match="dims must be three positive integers"):
+            make_random_mask(dims, 0.5)
+
+    def test_numpy_integer_dims(self):
+        mask = make_random_mask(np.array([3, 2, 2]), 0.5)
+        assert mask.dims == (3, 2, 2)
+        assert all(type(d) is int for d in mask.dims)
+
 
 class TestRelativeError:
     def test_identical(self):
@@ -270,7 +280,7 @@ class TestComplete:
             CompletionConfig(mode="banana")
 
     @pytest.mark.parametrize("name", ["R0", "m_max"])
-    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
     def test_non_integer_count_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {value!r}"):
             CompletionConfig(**{name: value})

@@ -196,8 +196,12 @@ class TestFGK:
             (np.ones(3), np.ones(3), "two-dimensional"),
             ([[1.0, 2.0]], [1.0], "two-dimensional"),
             (np.ones((3, 2)), np.ones(4), "data length 4 does not match operator rows 3"),
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2), "must be finite"),
+            (np.array([[1.0, 0.0], [np.inf, 1.0]]), np.ones(2), "must be finite"),
+            (np.eye(2), np.array([1.0, np.nan]), "must be finite"),
+            (np.eye(2), np.array([np.inf, 0.0]), "must be finite"),
         ],
-        ids=["1-D", "list", "length"],
+        ids=["1-D", "list", "length", "nan-operator", "inf-operator", "nan-data", "inf-data"],
     )
     def test_bad_operator_or_data_rejected(self, h, d, message):
         with pytest.raises(ValueError, match=message):
@@ -417,6 +421,72 @@ class TestWGCV:
         assert unclamped >= 3
 
 
+def wgcv_row_layout_oracle(m_mat, beta1, omega, fallback):
+    # The two-stage WGCV search as first written, with a (lambda x k) filter
+    # array; wgcv_select must pick the same grid point.
+    k = m_mat.shape[1]
+    u, s, _ = np.linalg.svd(m_mat, full_matrices=False)
+    c = beta1 * u[0]
+    rho2 = max(beta1**2 - float(c @ c), 0.0)
+
+    def curve(lams):
+        filt = s**2 / (s**2 + lams[:, None])
+        vals = k * (((1.0 - filt) ** 2) @ c**2 + rho2) / (k + 1 - omega * filt.sum(axis=1)) ** 2
+        return np.where(np.isfinite(vals), vals, np.inf)
+
+    smax = float(s[0])
+    if smax <= 0.0 or not np.isfinite(smax):
+        return fallback
+    grid = smax * np.logspace(-10.0, 0.0, 200)
+    vals = curve(grid)
+    best = int(np.argmin(vals))
+    if not np.isfinite(vals[best]):
+        return fallback
+    step = 10.0 / 199
+    lo, hi = (0.0 if best == 0 else -step), (0.0 if best == 199 else step)
+    lams = np.concatenate(([grid[best]], grid[best] * np.logspace(lo, hi, 200)))
+    return float(lams[np.argmin(curve(lams))])
+
+
+class TestWGCVExactOracle:
+    def test_same_lambda_as_row_layout_search(self):
+        # 240 random upper Hessenberg problems, k = 1..60 four times over,
+        # columns scaled over 14 decades so that for k >= 2 the singular
+        # values spread over at least 12, beta1 over 6 decades, omega in (0, 1].
+        mismatches = []
+        for seed in range(240):
+            rng = np.random.default_rng(seed)
+            k = 1 + seed % 60
+            scales = 10.0 ** rng.uniform(-7.0, 7.0, size=k)
+            if k >= 2:
+                scales[rng.choice(k, 2, replace=False)] = (1e-7, 1e7)
+            m_mat = np.triu(rng.normal(size=(k + 1, k)), -1) * scales
+            if k >= 2:
+                s = np.linalg.svd(m_mat, compute_uv=False)
+                assert s[0] >= 1e12 * s[-1], seed
+            beta1 = 10.0 ** rng.uniform(-3.0, 3.0)
+            omega = 1.0 if seed % 8 == 0 else 1.0 - rng.uniform()
+            lam = wgcv_select(make_state(m_mat, beta1), omega, fallback=None)
+            if lam != wgcv_row_layout_oracle(m_mat, beta1, omega, None):
+                mismatches.append(seed)
+        assert mismatches == []
+
+    @pytest.mark.parametrize(
+        "m_mat, beta1",
+        [
+            (np.zeros((3, 2)), 1.0),
+            (np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]]), np.nan),
+            (np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]]), np.inf),
+        ],
+        ids=["zero-matrix", "nan-beta1", "inf-beta1"],
+    )
+    def test_non_finite_returns_the_fallback_object(self, m_mat, beta1):
+        fallback = object()
+        with np.errstate(invalid="ignore"):  # inf * 0 in c = beta1 * u[0]
+            assert wgcv_row_layout_oracle(m_mat, beta1, 1.0, fallback) is fallback
+            assert wgcv_select(make_state(m_mat, beta1), 1.0, fallback) is fallback
+
+
 class TestSolveHybrid:
     def test_identity_recovers_sparse_nonnegative(self):
         rng = np.random.default_rng(12)
@@ -447,13 +517,14 @@ class TestSolveHybrid:
             ({"k_max": 0}, "k_max"),
             ({"k_max": -3}, "k_max"),
             ({"k_max": 2.5}, "k_max"),
+            ({"k_max": True}, "k_max"),
             ({"omega": "adpt"}, "omega"),
             ({"omega": 0.0}, "omega"),
             ({"omega": 1.5}, "omega"),
             ({"omega": float("nan")}, "omega"),
             ({"omega": None}, "omega"),
         ],
-        ids=["k_max-zero", "k_max-negative", "k_max-fraction", "omega-typo", "omega-zero", "omega-above-one",
+        ids=["k_max-zero", "k_max-negative", "k_max-fraction", "k_max-bool", "omega-typo", "omega-zero", "omega-above-one",
              "omega-nan", "omega-none"],
     )
     def test_bad_settings_rejected(self, settings, named):

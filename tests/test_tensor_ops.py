@@ -158,7 +158,9 @@ class TestMask:
         with pytest.raises(ValueError):
             Mask((2, 2, 2), [(0, 0, 0), (0, 0, 0)])
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2), (2, 0, 2), (2, -1, 2)])
+    @pytest.mark.parametrize(
+        "dims", [(2, 2), (2, 2, 2, 2), (2, 0, 2), (2, -1, 2), (2.7, 2, 2), (2, 2, 2.0), (True, 2, 2), (2, False, 2)]
+    )
     def test_bad_dims_rejected(self, dims):
         with pytest.raises(ValueError, match="dims must be three positive integers"):
             Mask(dims, [])
