@@ -42,15 +42,15 @@ class CompletionConfig:
     hybrid: HybridConfig = field(default_factory=HybridConfig)
 
     def __post_init__(self):
-        for name in ("R0", "m_max"):
+        for name, least in (("R0", 1), ("m_max", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 < self.eps_tol < 1.0:
             raise ValueError(f"eps_tol must lie in (0, 1), got {self.eps_tol}")
         if self.mode not in ("hybrid", "fixed"):
             raise ValueError(f"mode must be 'hybrid' or 'fixed', got {self.mode!r}")
-        if self.mode == "fixed" and not (np.isfinite(self.lam) and self.lam >= 0.0):
+        if self.mode == "fixed" and (isinstance(self.lam, bool) or not (np.isfinite(self.lam) and self.lam >= 0.0)):
             raise ValueError(f"fixed-mode lambda must be finite and nonnegative, got {self.lam}")
         if not 0.0 < self.eps_truncate < 1.0:
             raise ValueError(f"eps_truncate must lie in (0, 1), got {self.eps_truncate}")
@@ -76,7 +76,7 @@ class CompletionTrace:
 
 def make_random_mask(dims, fraction, seed=0):
     """Uniform mask observing ceil(fraction * IJK) entries, seeded."""
-    if not 0.0 < fraction <= 1.0:
+    if isinstance(fraction, bool) or not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     dims = mask_dims(dims)
     total = int(np.prod(dims))

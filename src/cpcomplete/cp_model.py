@@ -9,7 +9,7 @@ import numpy as np
 
 from .tensor_ops import mttkrp, rank_one_sum
 
-__all__ = ["CPModel", "CPScalingOperator", "reconstruct", "build_q", "hadamard_gram", "truncate_rank"]
+__all__ = ["CPModel", "check_rank", "CPScalingOperator", "reconstruct", "build_q", "hadamard_gram", "truncate_rank"]
 
 
 @dataclass
@@ -33,9 +33,7 @@ class CPModel:
         r = self.A.shape[1]
         if self.B.shape[1] != r or self.C.shape[1] != r or self.alpha.size != r:
             raise ValueError("inconsistent component counts across factors")
-        i, j, k = self.dims
-        if r > min(i * j, j * k, i * k):
-            raise ValueError(f"R={r} exceeds the rank upper bound min(IJ, JK, IK) for dims {self.dims}")
+        check_rank(r, self.dims)
 
     @property
     def R(self):
@@ -47,6 +45,13 @@ class CPModel:
 
     def copy(self):
         return CPModel(self.A.copy(), self.B.copy(), self.C.copy(), self.alpha.copy())
+
+
+def check_rank(r, dims):
+    """Raise ValueError unless R <= min(IJ, JK, IK), the CP rank bound for dims (I, J, K)."""
+    i, j, k = dims
+    if r > min(i * j, j * k, i * k):
+        raise ValueError(f"R={r} exceeds the rank upper bound min(IJ, JK, IK) for dims {tuple(dims)}")
 
 
 def reconstruct(m):

@@ -8,9 +8,10 @@ preconditioner is absorbed by a flexible Golub-Kahan process that maintains
     H P_k = U_{k+1} M_k        (M_k upper Hessenberg)
     H^T U_{k+1} = V_{k+1} T_{k+1}   (T upper triangular)
 
-with orthonormal U, V and P_k = [L_1^{-1} v_1, ..., L_k^{-1} v_k].  Each step
-solves the small projected Tikhonov problem, with lambda picked by weighted
-generalized cross validation on the projected problem.
+with orthonormal U, V and P_k = [L_1^{-1} v_1, ..., L_k^{-1} v_k].  The process
+builds M_k, :class:`ProjectedProblem` holds its SVD, and the choice of lambda
+by weighted generalized cross validation, its adaptive weight and the
+projected Tikhonov solve read only that SVD.
 
 A fixed-lambda ISTA step for the CP scaling vector is provided as a baseline,
 together with the closed-form soft-threshold proximal map.
@@ -33,6 +34,7 @@ __all__ = [
     "FGKState",
     "fgk_init",
     "fgk_expand",
+    "ProjectedProblem",
     "projected_tikhonov",
     "wgcv_select",
     "HybridConfig",
@@ -112,7 +114,6 @@ class FGKState:
         self._t[0, 0] = t11
         self._nu = 1
         self._nv = 1
-        self._svd_cache = None
         self.beta1 = beta1
         self.k = 0
         self.breakdown = False
@@ -185,7 +186,6 @@ def fgk_expand(state, h, weights=None):
     """
     if state.breakdown:
         raise ValueError("cannot expand a broken-down state")
-    state._svd_cache = None
     v = state._v[state.k]
     p = v.copy() if weights is None else v / weights
 
@@ -218,13 +218,15 @@ def fgk_expand(state, h, weights=None):
     return state
 
 
-class _Spectrum:
-    # SVD M = W diag(s) V^T of the projected matrix with s^2, c = beta1 W^T e1,
-    # c^2 and rho2 = ||beta1 e1||^2 - ||c||^2, the part of beta1 e1 outside
-    # range(M).
-    __slots__ = ("s", "s2", "c", "c2", "vt", "rho2")
+class ProjectedProblem:
+    """min_q ||M q - beta1 e1||^2 + lambda ||q||^2 for a (k+1) x k matrix M, as
+    the SVD M = W diag(s) V^T with s^2, vt = V^T, c = beta1 W^T e1, c^2 and
+    rho2 = ||beta1 e1||^2 - ||c||^2, the part of beta1 e1 outside range(M)."""
+
+    __slots__ = ("k", "s", "s2", "c", "c2", "vt", "rho2")
 
     def __init__(self, m, beta1):
+        self.k = m.shape[1]
         w, self.s, self.vt = np.linalg.svd(m, full_matrices=False)
         self.c = beta1 * w[0]
         self.s2 = self.s * self.s
@@ -232,30 +234,21 @@ class _Spectrum:
         self.rho2 = max(beta1**2 - float(self.c @ self.c), 0.0)
 
 
-def _projected_svd(state):
-    # Computed at its first use after each expansion and shared by
-    # _omega_estimate, wgcv_select and projected_tikhonov.
-    if state._svd_cache is None:
-        state._svd_cache = _Spectrum(state.M, state.beta1)
-    return state._svd_cache
-
-
-def projected_tikhonov(state, lam):
-    """Minimizer of ||M q - beta1 e1||^2 + lambda ||q||^2 via the small SVD.
+def projected_tikhonov(problem, lam):
+    """Minimizer q of the :class:`ProjectedProblem` at ``lam`` via its SVD.
 
     lambda = 0 falls back to the pseudoinverse solution.  The full-space
     solution is s = P q.
     """
     if lam < 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    spec = _projected_svd(state)
-    s = spec.s
+    s = problem.s
     if lam == 0.0:
         cutoff = (s[0] * 1e-14) if s.size else 0.0
         filt = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     else:
-        filt = s / (spec.s2 + lam)
-    return spec.vt.T @ (filt * spec.c)
+        filt = s / (problem.s2 + lam)
+    return problem.vt.T @ (filt * problem.c)
 
 
 _UNIT_GRID = np.logspace(-10.0, 0.0, 200)
@@ -269,31 +262,30 @@ _REFINE_FIRST = np.concatenate(([1.0], np.logspace(0.0, _GRID_STEP, _UNIT_GRID.s
 _REFINE_LAST = np.concatenate(([1.0], np.logspace(-_GRID_STEP, 0.0, _UNIT_GRID.size)))
 
 
-def _wgcv_terms(state, lams):
+def _wgcv_terms(problem, lams):
     # WGCV numerator k * ||(I - M Phi_lam) beta1 e1||^2 and the filter-factor
     # sum trace(M Phi_lam) at each lambda in ``lams``.  The filter factors
     # s_i^2 / (s_i^2 + lam) form a k x L array with lambda along the
     # contiguous axis, overwritten in place by (1 - filter)^2.  Summation
     # order differs from other layouts by rounding only; wgcv_select returns
     # a point of its grids, so only the position of the minimum matters.
-    spec = _projected_svd(state)
-    s2 = spec.s2[:, None]
+    s2 = problem.s2[:, None]
     filt = s2 + lams
     np.divide(s2, filt, out=filt)
     f_sum = filt.sum(axis=0)
     np.subtract(1.0, filt, out=filt)
     np.square(filt, out=filt)
-    num = spec.c2 @ filt
-    num += spec.rho2
-    num *= state.k
+    num = problem.c2 @ filt
+    num += problem.rho2
+    num *= problem.k
     return num, f_sum
 
 
-def _wgcv_curve(state, omega, lams):
+def _wgcv_curve(problem, omega, lams):
     """WGCV objective at each lambda in ``lams``; non-finite values read as +inf."""
-    vals, den = _wgcv_terms(state, lams)
+    vals, den = _wgcv_terms(problem, lams)
     den *= -omega
-    den += state.k + 1
+    den += problem.k + 1
     np.square(den, out=den)
     vals /= den
     # Numerator and squared denominator are >= 0, so the only non-finite
@@ -301,8 +293,8 @@ def _wgcv_curve(state, omega, lams):
     return np.fmin(vals, np.inf, out=vals)
 
 
-def wgcv_select(state, omega, fallback):
-    """Weighted GCV choice of lambda on the projected problem.
+def wgcv_select(problem, omega, fallback):
+    """Weighted GCV choice of lambda on a :class:`ProjectedProblem`.
 
     Minimizes k * ||(I - M Phi_lam) beta1 e1||^2 / trace(I - omega M Phi_lam)^2
     over a 200-point logarithmic grid spanning [1e-10, 1] * sigma_max(M), then
@@ -316,13 +308,13 @@ def wgcv_select(state, omega, fallback):
     """
     if not 0.0 < omega <= 1.0:
         raise ValueError(f"omega must lie in (0, 1], got {omega}")
-    if state.k < 1:
+    if problem.k < 1:
         raise ValueError("wgcv_select needs at least one expansion step")
-    smax = float(_projected_svd(state).s[0])
+    smax = float(problem.s[0])
     if smax <= 0.0 or not math.isfinite(smax):
         return fallback
     grid = smax * _UNIT_GRID
-    vals = _wgcv_curve(state, omega, grid)
+    vals = _wgcv_curve(problem, omega, grid)
     best = int(vals.argmin())
     if not math.isfinite(vals[best]):
         return fallback
@@ -333,10 +325,10 @@ def wgcv_select(state, omega, fallback):
     else:
         ratios = _REFINE_INTERIOR
     lams = grid[best] * ratios
-    return float(lams[_wgcv_curve(state, omega, lams).argmin()])
+    return float(lams[_wgcv_curve(problem, omega, lams).argmin()])
 
 
-def _omega_estimate(state):
+def _omega_estimate(problem):
     # Weight that makes the WGCV curve stationary at a reference lambda:
     # setting dG/dlambda(lam_ref) = 0 and solving for omega gives
     # omega = (k+1) N' / (N'F - 2NF') with N the numerator and F the sum of
@@ -344,19 +336,18 @@ def _omega_estimate(state):
     # sigma_min(M)^2, the smallest scale the projected problem can resolve,
     # which guards against the over-smoothing plain GCV exhibits on projected
     # problems.  It runs after an expansion, so sigma_max(M) >= M_11 > 0.
-    spec = _projected_svd(state)
-    s2 = spec.s2
-    lam = max(float(spec.s[-1]) ** 2, 1e-300)
-    (n_val,), (f_sum,) = _wgcv_terms(state, np.array([lam]))
+    s2 = problem.s2
+    lam = max(float(problem.s[-1]) ** 2, 1e-300)
+    (n_val,), (f_sum,) = _wgcv_terms(problem, np.array([lam]))
     shifted = s2 + lam
     # -dF_i/dlambda for filter factor F_i, and 1 - F_i = lam / (s_i^2 + lam).
     dfac = s2 / (shifted * shifted)
-    n_prime = state.k * float((2.0 * lam * dfac / shifted) @ spec.c2)
+    n_prime = problem.k * float((2.0 * lam * dfac / shifted) @ problem.c2)
     f_prime = -float(dfac.sum())
     den = n_prime * f_sum - 2.0 * n_val * f_prime
     if not math.isfinite(den) or den <= 0.0:
         return 1.0
-    return float(min(max(n_prime * (state.k + 1) / den, 1e-3), 1.0))
+    return float(min(max(n_prime * (problem.k + 1) / den, 1e-3), 1.0))
 
 
 @dataclass
@@ -375,7 +366,9 @@ class HybridConfig:
     def __post_init__(self):
         if not isinstance(self.k_max, numbers.Integral) or isinstance(self.k_max, bool) or self.k_max < 1:
             raise ValueError(f"k_max must be an integer >= 1, got {self.k_max!r}")
-        if self.omega != "adapt" and not (isinstance(self.omega, numbers.Real) and 0.0 < self.omega <= 1.0):
+        if self.omega != "adapt" and (
+            isinstance(self.omega, bool) or not (isinstance(self.omega, numbers.Real) and 0.0 < self.omega <= 1.0)
+        ):
             raise ValueError(f"omega must be 'adapt' or a number in (0, 1], got {self.omega!r}")
 
 
@@ -383,8 +376,9 @@ def solve_l1_hybrid(h, d, cfg=None):
     """Run the flexible hybrid iteration on a 2-D array H; returns (s, lambda_history).
 
     Per step: refresh L from the current iterate (identity before one
-    exists), expand the flexible Golub-Kahan factorization, pick lambda by
-    WGCV, solve the projected Tikhonov problem and map back through P.
+    exists), expand the flexible Golub-Kahan factorization, take the SVD of
+    the projected problem once, pick lambda by WGCV, solve the projected
+    Tikhonov problem and map back through P.
     Stops after min(k_max, n) steps for an n-column H or on breakdown.
 
     The process only uses inner products among d and the columns of H, so a
@@ -407,12 +401,13 @@ def solve_l1_hybrid(h, d, cfg=None):
     for _ in range(min(cfg.k_max, ncols)):
         weights = None if s_prev is None else irn_weights(s_prev, _TAU1, _TAU2)
         fgk_expand(state, h, weights)
+        problem = ProjectedProblem(state.M, state.beta1)
         if adapt:
             # Running mean of the per-step estimates, one per expansion.
-            omega_sum += _omega_estimate(state)
+            omega_sum += _omega_estimate(problem)
             omega = min(max(omega_sum / state.k, 1e-3), 1.0)
-        lam = wgcv_select(state, omega, fallback=lam_prev)
-        q = projected_tikhonov(state, lam)
+        lam = wgcv_select(problem, omega, fallback=lam_prev)
+        q = projected_tikhonov(problem, lam)
         sol = state.P @ q
         lam_history.append(lam)
         lam_prev = lam

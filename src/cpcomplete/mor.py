@@ -10,6 +10,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 
 from .completion import CompletionConfig, complete
+from .cp_model import check_rank
 from .factor_updates import regularized_als_step
 from .tensor_ops import Mask, as_tensor
 
@@ -235,6 +236,7 @@ def run_mor_demo(nx=40, grid_n=9, r0=50, eps=1e-2, n_tests=10, pod_rank=20, seed
     _basis_config(r0, eps, m_max, seed)
     grid = parameter_grid(grid_n)
     _check_pod_rank(pod_rank, nx * nx, len(grid))
+    check_rank(r0, (nx, nx, len(grid)))
     snaps = assemble_snapshots(grid, nx)
     cp = cp_reduced_basis(snaps, r0=r0, eps=eps, m_max=m_max, seed=seed)
     pod = pod_basis(snaps, pod_rank)

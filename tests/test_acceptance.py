@@ -15,6 +15,7 @@ import cpcomplete as cp
 from cpcomplete.factor_updates import gradient, objective
 from cpcomplete.hybrid_l1 import (
     HybridConfig,
+    ProjectedProblem,
     fgk_expand,
     fgk_init,
     irn_weights,
@@ -130,15 +131,12 @@ def test_04_projected_tikhonov_oracle():
         m_mat = rng.normal(size=(k + 1, k))
         lam = 10.0 ** rng.uniform(-8, 2)
         beta1 = float(rng.uniform(0.5, 3.0))
-        h = rng.normal(size=(k + 1, k))
-        state = fgk_init(h, rng.normal(size=k + 1))
-        state.k = k
-        state._m = m_mat
-        state._svd_cache = None
-        state.beta1 = beta1
+        # Draws the (k+1) x k operator and k+1 data entries of an FGK state the
+        # test does not use, so that the 50 cases stay fixed.
+        rng.normal(size=(k + 1, k + 1))
         b = np.zeros(k + 1)
         b[0] = beta1
-        q = projected_tikhonov(state, lam)
+        q = projected_tikhonov(ProjectedProblem(m_mat, beta1), lam)
         oracle = np.linalg.solve(m_mat.T @ m_mat + lam * np.eye(k), m_mat.T @ b)
         ok = ok and np.linalg.norm(q - oracle) <= 1e-10 * max(np.linalg.norm(oracle), 1.0)
     report(4, "projected Tikhonov solves match normal equations (50 cases)", ok, time.time() - t0, 2)

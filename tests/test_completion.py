@@ -122,6 +122,11 @@ class TestMakeRandomMask:
         with pytest.raises(ValueError):
             make_random_mask((3, 3, 3), 0.0)
 
+    @pytest.mark.parametrize("fraction", [-0.5, 1.5, float("nan"), True])
+    def test_bad_fraction_rejected(self, fraction):
+        with pytest.raises(ValueError, match=f"fraction must lie in .*got {fraction}"):
+            make_random_mask((3, 3, 3), fraction)
+
     @pytest.mark.parametrize("dims", [(2.7, 2, 2), (2, 2.0, 2), (True, 2, 2), (2, 2), (2, 0, 2)])
     def test_bad_dims_rejected(self, dims):
         with pytest.raises(ValueError, match="dims must be three positive integers"):
@@ -285,7 +290,12 @@ class TestComplete:
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {value!r}"):
             CompletionConfig(**{name: value})
 
-    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [2.5, -1, "0", True, None])
+    def test_bad_seed_rejected(self, value):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {value!r}"):
+            CompletionConfig(seed=value)
+
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf"), True])
     def test_bad_fixed_lambda_rejected(self, lam):
         with pytest.raises(ValueError, match=f"got {lam}"):
             CompletionConfig(mode="fixed", lam=lam)

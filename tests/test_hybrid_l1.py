@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from cpcomplete import hybrid_l1
 from cpcomplete.cp_model import CPModel, build_q, reconstruct
 from cpcomplete.hybrid_l1 import (
-    FGKState,
     HybridConfig,
+    ProjectedProblem,
     fgk_expand,
     fgk_init,
     irn_weights,
@@ -166,6 +167,10 @@ def gk_bidiag_oracle(h, d, steps):
     return np.array(alphas), np.array(betas)
 
 
+def projected(state):
+    return ProjectedProblem(state.M, state.beta1)
+
+
 class TestFGK:
     def test_bootstrap_vectors(self):
         rng = np.random.default_rng(6)
@@ -185,7 +190,7 @@ class TestFGK:
         fgk_expand(state, h, None)
         assert state.breakdown
         assert state.k == 1
-        q = projected_tikhonov(state, 0.0)
+        q = projected_tikhonov(projected(state), 0.0)
         assert np.allclose(state.P @ q, d, atol=1e-14)
         with pytest.raises(ValueError, match="broken-down"):
             fgk_expand(state, h, None)
@@ -250,14 +255,14 @@ class TestProjectedTikhonov:
     def test_diagonal_shrinkage(self):
         state = fgk_init(np.eye(3), np.array([2.0, 0.0, 0.0]))
         fgk_expand(state, np.eye(3), None)
-        q = projected_tikhonov(state, 1.0)
+        q = projected_tikhonov(projected(state), 1.0)
         assert np.allclose(q, [1.0])  # 2 / (1 + 1)
 
     def test_negative_lambda_rejected(self):
         state = fgk_init(np.eye(3), np.array([2.0, 0.0, 0.0]))
         fgk_expand(state, np.eye(3), None)
         with pytest.raises(ValueError, match="got -1.0"):
-            projected_tikhonov(state, -1.0)
+            projected_tikhonov(projected(state), -1.0)
 
     def test_lambda_zero_least_squares(self):
         rng = np.random.default_rng(9)
@@ -266,7 +271,7 @@ class TestProjectedTikhonov:
         state = fgk_init(h, d)
         for _ in range(6):
             fgk_expand(state, h, None)
-        q = projected_tikhonov(state, 0.0)
+        q = projected_tikhonov(projected(state), 0.0)
         b = np.zeros(state.M.shape[0])
         b[0] = state.beta1
         lsq, *_ = np.linalg.lstsq(state.M, b, rcond=None)
@@ -279,12 +284,9 @@ class TestProjectedTikhonov:
             m_mat = rng.normal(size=(k + 1, k))
             lam = 10.0 ** rng.uniform(-8, 2)
             beta1 = rng.uniform(0.5, 3.0)
-            state = FGKState(np.zeros(3), np.zeros(2), 1.0, beta1)
-            state.k = k
-            state._m = m_mat
             b = np.zeros(k + 1)
             b[0] = beta1
-            q = projected_tikhonov(state, lam)
+            q = projected_tikhonov(ProjectedProblem(m_mat, beta1), lam)
             oracle = np.linalg.solve(m_mat.T @ m_mat + lam * np.eye(k), m_mat.T @ b)
             assert np.linalg.norm(q - oracle) <= 1e-10 * max(np.linalg.norm(oracle), 1.0)
 
@@ -304,21 +306,14 @@ def wgcv_dense_oracle(m_mat, beta1, omega, grid):
     return best_lam
 
 
-def make_state(m_mat, beta1):
-    state = FGKState(np.zeros(2), np.zeros(2), 1.0, beta1)
-    state.k = m_mat.shape[1]
-    state._m = m_mat
-    return state
-
-
 class TestWGCV:
     def test_matches_dense_grid_oracle(self):
         m_mat = np.zeros((3, 2))
         m_mat[0, 0] = 1.0
         m_mat[1, 1] = 0.1
         beta1 = 1.3
-        state = make_state(m_mat, beta1)
-        lam = wgcv_select(state, 1.0, fallback=1.0)
+        problem = ProjectedProblem(m_mat, beta1)
+        lam = wgcv_select(problem, 1.0, fallback=1.0)
         grid = m_mat[0, 0] * np.logspace(-10, 0, 2000)
         oracle = wgcv_dense_oracle(m_mat, beta1, 1.0, grid)
         assert abs(np.log10(lam) - np.log10(oracle)) <= 0.05
@@ -331,7 +326,7 @@ class TestWGCV:
         state = fgk_init(h, d)
         for _ in range(8):
             fgk_expand(state, h, None)
-        lam = wgcv_select(state, 1.0, fallback=1.0)
+        lam = wgcv_select(projected(state), 1.0, fallback=1.0)
         smax = np.linalg.svd(state.M, compute_uv=False)[0]
         assert lam <= 1e-6 * smax
 
@@ -339,7 +334,7 @@ class TestWGCV:
         # 2x1 operator with known singular value sigma = 5
         m_mat = np.array([[3.0], [4.0]])
         beta1 = 2.0
-        state = make_state(m_mat, beta1)
+        problem = ProjectedProblem(m_mat, beta1)
         lam = 0.7
         omega = 0.9
         # by hand through the SVD: c = U^T b = 3/5 * 2, rho2 = (4/5*2)^2
@@ -348,7 +343,7 @@ class TestWGCV:
         den = (2 - omega * f) ** 2
         from cpcomplete.hybrid_l1 import _wgcv_curve
 
-        val = _wgcv_curve(state, omega, np.array([lam]))[0]
+        val = _wgcv_curve(problem, omega, np.array([lam]))[0]
         assert np.isclose(val, num / den, rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -368,11 +363,11 @@ class TestWGCV:
             k = int(rng.integers(1, 13))
             m_mat = np.triu(rng.normal(size=(k + 1, k)), -1) * 10.0 ** rng.uniform(-3, 3, size=k)
             beta1, omega = rng.uniform(0.5, 3.0), rng.uniform(0.05, 1.0)
-        state = make_state(m_mat, beta1)
-        lam = wgcv_select(state, omega, fallback=None)
+        problem = ProjectedProblem(m_mat, beta1)
+        lam = wgcv_select(problem, omega, fallback=None)
         smax = np.linalg.svd(m_mat, compute_uv=False)[0]
-        dense = _wgcv_curve(state, omega, smax * np.logspace(-10, 0, 20001))
-        val = _wgcv_curve(state, omega, np.array([lam]))[0]
+        dense = _wgcv_curve(problem, omega, smax * np.logspace(-10, 0, 20001))
+        val = _wgcv_curve(problem, omega, np.array([lam]))[0]
         assert val <= dense.min() * (1.0 + 1e-6)
 
     @pytest.mark.parametrize(
@@ -385,20 +380,21 @@ class TestWGCV:
         state = fgk_init(h, np.array([2.0, 1.0, 0.0]))
         for _ in range(steps):
             fgk_expand(state, h, None)
+        problem = projected(state)
         with pytest.raises(ValueError, match=message):
-            wgcv_select(state, omega, fallback=1.0)
+            wgcv_select(problem, omega, fallback=1.0)
 
     def test_non_finite_falls_back(self):
-        state = make_state(np.zeros((3, 2)), 1.0)
-        assert wgcv_select(state, 1.0, fallback=0.25) == 0.25
+        problem = ProjectedProblem(np.zeros((3, 2)), 1.0)
+        assert wgcv_select(problem, 1.0, fallback=0.25) == 0.25
 
     def test_non_finite_curve_falls_back(self):
         # sigma_max(M) is finite and positive, but a NaN beta1 makes the WGCV
         # numerator NaN at every lambda.
         m_mat = np.zeros((3, 2))
         m_mat[0, 0], m_mat[1, 1] = 1.0, 0.5
-        state = make_state(m_mat, np.nan)
-        assert wgcv_select(state, 1.0, fallback=0.25) == 0.25
+        problem = ProjectedProblem(m_mat, np.nan)
+        assert wgcv_select(problem, 1.0, fallback=0.25) == 0.25
 
     def test_omega_estimate_makes_curve_stationary(self):
         # An estimate inside its clamp [1e-3, 1] makes the WGCV curve flat at
@@ -410,13 +406,13 @@ class TestWGCV:
             rng = np.random.default_rng(seed)
             k = int(rng.integers(2, 13))
             m_mat = np.triu(rng.normal(size=(k + 1, k)), -1) * 10.0 ** rng.uniform(-1, 1, size=k)
-            state = make_state(m_mat, rng.uniform(0.5, 3.0))
-            omega = _omega_estimate(state)
+            problem = ProjectedProblem(m_mat, rng.uniform(0.5, 3.0))
+            omega = _omega_estimate(problem)
             assert 1e-3 <= omega <= 1.0
             if 1e-3 < omega < 1.0:
                 unclamped += 1
                 lam = np.linalg.svd(m_mat, compute_uv=False)[-1] ** 2
-                g = _wgcv_curve(state, omega, lam * np.exp([-1e-4, 0.0, 1e-4]))
+                g = _wgcv_curve(problem, omega, lam * np.exp([-1e-4, 0.0, 1e-4]))
                 assert abs(g[2] - g[0]) / 2e-4 <= 1e-8 * g[1]
         assert unclamped >= 3
 
@@ -466,7 +462,7 @@ class TestWGCVExactOracle:
                 assert s[0] >= 1e12 * s[-1], seed
             beta1 = 10.0 ** rng.uniform(-3.0, 3.0)
             omega = 1.0 if seed % 8 == 0 else 1.0 - rng.uniform()
-            lam = wgcv_select(make_state(m_mat, beta1), omega, fallback=None)
+            lam = wgcv_select(ProjectedProblem(m_mat, beta1), omega, fallback=None)
             if lam != wgcv_row_layout_oracle(m_mat, beta1, omega, None):
                 mismatches.append(seed)
         assert mismatches == []
@@ -484,7 +480,7 @@ class TestWGCVExactOracle:
         fallback = object()
         with np.errstate(invalid="ignore"):  # inf * 0 in c = beta1 * u[0]
             assert wgcv_row_layout_oracle(m_mat, beta1, 1.0, fallback) is fallback
-            assert wgcv_select(make_state(m_mat, beta1), 1.0, fallback) is fallback
+            assert wgcv_select(ProjectedProblem(m_mat, beta1), 1.0, fallback) is fallback
 
 
 class TestSolveHybrid:
@@ -523,13 +519,41 @@ class TestSolveHybrid:
             ({"omega": 1.5}, "omega"),
             ({"omega": float("nan")}, "omega"),
             ({"omega": None}, "omega"),
+            ({"omega": True}, "omega"),
         ],
         ids=["k_max-zero", "k_max-negative", "k_max-fraction", "k_max-bool", "omega-typo", "omega-zero", "omega-above-one",
-             "omega-nan", "omega-none"],
+             "omega-nan", "omega-none", "omega-bool"],
     )
     def test_bad_settings_rejected(self, settings, named):
         with pytest.raises(ValueError, match=f"{named} must be .*got {next(iter(settings.values()))!r}"):
             HybridConfig(**settings)
+
+    @pytest.mark.parametrize("omega", ["adapt", 0.5])
+    @pytest.mark.parametrize("k_max, stop", [(20, "breakdown"), (4, "k_max")])
+    def test_one_projected_svd_per_expansion(self, monkeypatch, omega, k_max, stop):
+        # A 12 x 7 H breaks down at its 7th step; k_max=4 stops the run first.
+        rng = np.random.default_rng(16)
+        h = rng.normal(size=(12, 7))
+        d = rng.normal(size=12)
+        expansions, svds = [], []
+        real_expand, real_svd = hybrid_l1.fgk_expand, np.linalg.svd
+
+        def expand(state, h, weights=None):
+            state = real_expand(state, h, weights)
+            expansions.append(state.breakdown)
+            return state
+
+        def svd(*args, **kwargs):
+            svds.append(args[0].shape)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(hybrid_l1, "fgk_expand", expand)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        _, lams = solve_l1_hybrid(h, d, HybridConfig(k_max=k_max, omega=omega))
+        steps = 7 if stop == "breakdown" else k_max
+        assert expansions == [False] * (steps - 1) + [stop == "breakdown"]
+        assert svds == [(k + 1, k) for k in range(1, steps + 1)]
+        assert lams.size == steps
 
     def test_sparse_recovery_with_noise(self):
         rng = np.random.default_rng(13)
@@ -559,7 +583,7 @@ class TestSolveHybrid:
         prev = np.inf
         for _ in range(10):
             fgk_expand(state, h, None)
-            q = projected_tikhonov(state, 0.0)
+            q = projected_tikhonov(projected(state), 0.0)
             resid = np.linalg.norm(h @ (state.P @ q) - d)
             assert resid <= prev * (1 + 1e-12)
             prev = resid

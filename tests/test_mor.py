@@ -263,3 +263,25 @@ class TestCpReducedBasis:
         basis = cp_reduced_basis(snaps, r0=4, eps=1e-2, m_max=60, seed=0)
         gram = basis.phi.T @ basis.phi
         assert np.abs(gram - np.eye(gram.shape[0])).max() <= 1e-10
+
+
+class TestRunMorDemo:
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"r0": 50}, "R=50 exceeds the rank upper bound"),
+            ({"n_tests": 0}, "n_tests must be at least 1"),
+            ({"pod_rank": 26}, "rank 26 out of range"),
+            ({"seed": -1}, "seed must be an integer >= 0"),
+            ({"eps": 1.0}, "eps_truncate must lie in"),
+        ],
+        ids=["r0-above-rank-bound", "n_tests-zero", "pod_rank-too-large", "seed-negative", "eps-one"],
+    )
+    def test_bad_setting_fails_before_any_solve(self, monkeypatch, settings, message):
+        # On the 5 x 5 x 81 snapshot tensor the CP rank bound is min(25, 405, 405) = 25.
+        solves = []
+        monkeypatch.setattr(mor, "solve_diffusion", solves.append)
+        kwargs = {"nx": 5, "grid_n": 9, "r0": 10, "n_tests": 2, "pod_rank": 3, **settings}
+        with pytest.raises(ValueError, match=message):
+            mor.run_mor_demo(**kwargs)
+        assert solves == []

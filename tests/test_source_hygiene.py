@@ -1,8 +1,9 @@
 """Every name a package module imports is used there or re-exported, every
 private name it defines at module level is read there, every name it exports,
 through its __all__ or the package __init__, is defined there, every name in
-its __all__ is read by some caller, and the package __init__ republishes the
-numerical modules' __all__ lists without naming a public name itself."""
+its __all__ is read by some caller, the package __init__ republishes the
+numerical modules' __all__ lists without naming a public name itself, and no
+test writes a private attribute."""
 
 import ast
 import importlib
@@ -27,6 +28,8 @@ CALLERS = [
 # The modules whose __all__ the package republishes; fileio and cli stay
 # submodules, so importing the package reads no file and parses no argument.
 NUMERICAL = ["completion", "cp_model", "exceptions", "factor_updates", "hybrid_l1", "mor", "tensor_ops"]
+# Test sources: they build package objects through public names only.
+TESTS = [*sorted((ROOT / "tests").glob("test_*.py")), *sorted((ROOT / "bench").glob("test_*.py"))]
 # Public names kept with no caller: build_q is the dense oracle that the
 # operator tests check CPScalingOperator against.
 UNCALLED_ALLOWED = {"cp_model.build_q"}
@@ -276,3 +279,57 @@ def test_import_loads_no_file_or_command_line_code():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out.split() == sorted(f"cpcomplete.{module}" for module in NUMERICAL)
+
+
+def private_attribute_writes(source):
+    """``owner._name (line n)`` for each assignment to, or ``setattr`` of, a
+    single-underscore attribute of any object but ``self``.  A test that writes
+    one fakes a package object's internal state instead of building its input
+    through public names, and breaks silently when those internals change."""
+    writes = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            owner, attr = node.value, node.attr
+        elif (
+            isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "setattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            owner, attr = node.args[0], node.args[1].value
+        else:
+            continue
+        private = isinstance(attr, str) and attr.startswith("_") and not attr.startswith("__")
+        if private and not (isinstance(owner, ast.Name) and owner.id == "self"):
+            writes.append(f"{ast.unparse(owner)}.{attr} (line {node.lineno})")
+    return sorted(writes)
+
+
+def test_checker_flags_private_attribute_writes():
+    source = (
+        "state = fgk_init(h, d)\n"
+        "state.k = 3\n"
+        "state._m = m_mat\n"
+        "state._svd_cache = None\n"
+        "model.factors[0]._cache += 1\n"
+        "monkeypatch.setattr(hybrid_l1, '_TAU1', 1e-3)\n"
+        "setattr(state, '_nu', 2)\n"
+        "monkeypatch.setattr(hybrid_l1, 'fgk_expand', expand)\n"
+        "class Fake:\n"
+        "    def __init__(self):\n"
+        "        self._rows = []\n"
+        "obj.__dict__ = {}\n"
+        "rows = state._m\n"
+    )
+    assert private_attribute_writes(source) == [
+        "hybrid_l1._TAU1 (line 6)",
+        "model.factors[0]._cache (line 5)",
+        "state._m (line 3)",
+        "state._nu (line 7)",
+        "state._svd_cache (line 4)",
+    ]
+
+
+@pytest.mark.parametrize("path", TESTS, ids=[p.name for p in TESTS])
+def test_no_private_attribute_writes(path):
+    assert private_attribute_writes(path.read_text()) == []
