@@ -1,0 +1,140 @@
+"""Compare a git revision with this checkout by alternating benchmark pairs.
+
+    python scripts/bench_pairs.py REV --workload W [--pairs N] [--seed S] [--seconds S]
+
+Extracts REV with ``git archive`` into a temporary directory, then runs
+``bench/run.py --trace 0`` N times in each tree, one process at a time. Each
+tree runs its own ``bench/run.py``; a note is printed when the two trees'
+``bench/`` directories differ, since the comparison then mixes benchmark
+code. The first tree to run alternates from pair to pair, so a slow or fast
+spell of the host falls on both sides.
+
+For every end-to-end metric that ``BENCHMARK.json`` lists, it prints each
+pair, each tree's median and quartiles, and how many pairs the checkout won
+(a tie counts for neither). It then says whether the pairs support a gain:
+the checkout wins at least nine tenths of the pairs and the medians differ by
+more than the distance between the revision's own quartiles. The revision's
+side is labelled ``base`` and the checkout's ``this``. Nothing under
+``bench/`` is written except the scratch files that ``bench/run.py`` itself
+keeps under ``.bench_work/`` while it runs.
+"""
+
+import argparse
+import filecmp
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def export_tree(rev, dest):
+    """Write the files of ``rev`` into ``dest`` with ``git archive``."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def run_bench(tree, workload, seed, seconds):
+    """One ``bench/run.py --trace 0`` process in ``tree``; returns its result object."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"bench/run.py in {tree} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def end_to_end_metrics(tree):
+    """[(name, better)] for each end-to-end metric the tree's BENCHMARK.json lists."""
+    spec = json.loads((Path(tree) / "BENCHMARK.json").read_text())
+    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+
+
+def bench_differs(a, b):
+    """True when the ``bench/`` directories of two trees hold different files."""
+    def differ(cmp):
+        return bool(cmp.left_only or cmp.right_only or cmp.diff_files or cmp.funny_files) or any(
+            differ(sub) for sub in cmp.subdirs.values()
+        )
+
+    return differ(filecmp.dircmp(Path(a) / "bench", Path(b) / "bench", ignore=["__pycache__", ".bench_work"]))
+
+
+def quartiles(values):
+    """(lower quartile, median, upper quartile), inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(name, better, base, this):
+    """Lines reporting one metric over the pairs, ending with the gain verdict."""
+    sign = -1.0 if better == "lower" else 1.0
+    wins = sum(1 for b, t in zip(base, this) if sign * (t - b) > 0)
+    b1, b2, b3 = quartiles(base)
+    t1, t2, t3 = quartiles(this)
+    change = f"{(t2 - b2) / b2:+.1%}" if b2 else "n/a"
+    gain = wins * 10 >= 9 * len(base) and sign * (t2 - b2) > b3 - b1
+    return [
+        f"{name}: base median {b2:.6g} (quartiles {b1:.6g}-{b3:.6g}), "
+        f"this median {t2:.6g} (quartiles {t1:.6g}-{t3:.6g}), {change}",
+        f"{name}: this wins {wins}/{len(base)} pairs, medians differ by {abs(t2 - b2):.6g} "
+        f"against a base quartile spread of {b3 - b1:.6g}: gain {'supported' if gain else 'not supported'}",
+    ]
+
+
+def run_pairs(base_tree, this_tree, workload, pairs, seed, seconds):
+    """Run the pairs and print the report."""
+    metrics = end_to_end_metrics(this_tree)
+    results = {"base": [], "this": []}
+    trees = {"base": base_tree, "this": this_tree}
+    for i in range(pairs):
+        order = ("base", "this") if i % 2 == 0 else ("this", "base")
+        for side in order:
+            results[side].append(run_bench(trees[side], workload, seed, seconds))
+        values = "; ".join(
+            f"{name} {results['base'][-1]['metrics'][name]['value']:.6g}/{results['this'][-1]['metrics'][name]['value']:.6g}"
+            for name, _ in metrics
+        )
+        print(f"pair {i + 1} ({order[0]} first), base/this: {values}", flush=True)
+    for side in ("base", "this"):
+        failed = sum(r["failed"] for r in results[side])
+        attempted = sum(r["attempted"] for r in results[side])
+        print(f"{side}: {failed} of {attempted} tasks failed")
+    for name, better in metrics:
+        base = [r["metrics"][name]["value"] for r in results["base"]]
+        this = [r["metrics"][name]["value"] for r in results["this"]]
+        for line in summarize(name, better, base, this):
+            print(line)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision to compare against, for example HEAD~1")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float, default=15.0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        export_tree(args.rev, tmp)
+        print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s per run: base = {args.rev}, this = {ROOT}")
+        if bench_differs(tmp, ROOT):
+            print("note: bench/ differs between the two trees, so each side runs different benchmark code")
+        run_pairs(tmp, ROOT, args.workload, args.pairs, args.seed, args.seconds)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,7 @@
 """Outer tensor-completion driver: impute missing entries from the current
 model, update factors cyclically, solve the scaling vector, repeat."""
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -9,7 +10,7 @@ import numpy as np
 
 from .cp_model import CPModel, CPScalingOperator, reconstruct, truncate_rank
 from .exceptions import DataError
-from .factor_updates import mm_update
+from .factor_updates import Sweep, mm_update
 from .hybrid_l1 import HybridConfig, ista_alpha_step, solve_l1_hybrid
 from .tensor_ops import Mask, as_tensor, mask_dims, masked_copy
 
@@ -20,6 +21,11 @@ __all__ = [
     "make_random_mask",
     "relative_error",
 ]
+
+
+def _is_real(value):
+    # A real number that is not a bool: bool is a numbers.Real, a string is not.
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -46,13 +52,13 @@ class CompletionConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not 0.0 < self.eps_tol < 1.0:
+        if not (_is_real(self.eps_tol) and 0.0 < self.eps_tol < 1.0):
             raise ValueError(f"eps_tol must lie in (0, 1), got {self.eps_tol}")
         if self.mode not in ("hybrid", "fixed"):
             raise ValueError(f"mode must be 'hybrid' or 'fixed', got {self.mode!r}")
-        if self.mode == "fixed" and (isinstance(self.lam, bool) or not (np.isfinite(self.lam) and self.lam >= 0.0)):
+        if self.mode == "fixed" and not (_is_real(self.lam) and 0.0 <= self.lam < math.inf):
             raise ValueError(f"fixed-mode lambda must be finite and nonnegative, got {self.lam}")
-        if not 0.0 < self.eps_truncate < 1.0:
+        if not (_is_real(self.eps_truncate) and 0.0 < self.eps_truncate < 1.0):
             raise ValueError(f"eps_truncate must lie in (0, 1), got {self.eps_truncate}")
 
 
@@ -146,22 +152,24 @@ def complete(t, mask, cfg):
     start = time.perf_counter()
     s_hat = reconstruct(model)
     t_work = masked_copy(t, s_hat, mask)
+    sweep = Sweep(model, t_work)
     zero_alpha_run = 0
     for _ in range(cfg.m_max):
         for mode in ("A", "B", "C"):
-            model = mm_update(mode, model, t_work)
-        op = CPScalingOperator(model)
+            model = mm_update(mode, sweep)
+        op = CPScalingOperator(model, sweep.grams)
         if cfg.mode == "hybrid":
             alpha, lam_hist = solve_l1_hybrid(*op.coordinates(t_work.ravel()), cfg.hybrid)
             lam = float(lam_hist[-1]) if lam_hist.size else float("nan")
         else:
-            alpha = ista_alpha_step(model, t_work, cfg.lam)
+            alpha = ista_alpha_step(model, t_work, cfg.lam, op)
             lam = cfg.lam
         model.alpha = alpha
         s_hat = op.reconstruct(alpha)
         # The next imputation differs from s_hat only on the observed entries,
         # where it holds t, so their difference is the observed residual.
         t_work = masked_copy(t, s_hat, mask)
+        sweep.set_tensor(t_work)
         residual = float(np.linalg.norm((s_hat - t_work).ravel())) / obs_norm
         trace.append(residual, lam, (time.perf_counter() - start) * 1e3)
         if residual <= cfg.eps_tol:

@@ -1,6 +1,6 @@
 """CP representation [alpha; A, B, C]: reconstruction, the vectorized rank-one
 dictionary Q, the operator that applies Q, Q^T and Q Q^T without forming Q,
-Hadamard Grams, and rank truncation."""
+factor Grams, and rank truncation."""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -9,7 +9,7 @@ import numpy as np
 
 from .tensor_ops import mttkrp, rank_one_sum
 
-__all__ = ["CPModel", "check_rank", "CPScalingOperator", "reconstruct", "build_q", "hadamard_gram", "truncate_rank"]
+__all__ = ["CPModel", "check_rank", "CPScalingOperator", "reconstruct", "build_q", "factor_gram", "truncate_rank"]
 
 
 @dataclass
@@ -68,16 +68,15 @@ def build_q(m):
     return np.einsum("ir,jr,kr->rijk", m.A, m.B, m.C).reshape(m.R, i * j * k)
 
 
-def hadamard_gram(*factors):
-    """(X^T X) * (Y^T Y) * ..., multiplied left to right.
+def factor_gram(x):
+    """X^T X of one factor, one R x R GEMM.
 
-    The Gram of the Khatri-Rao product of the factors, without forming that
-    product; for (A, B, C) it is Q Q^T.
+    The Gram of a Khatri-Rao product is the Hadamard product of its factors'
+    Grams, (X kr Y)^T (X kr Y) = X^T X * Y^T Y (Kolda & Bader, SIAM Review
+    2009, section 3), so each factor's Gram is formed once and every Gram of
+    a Khatri-Rao product is read off these.
     """
-    gram = factors[0].T @ factors[0]
-    for f in factors[1:]:
-        gram = gram * (f.T @ f)
-    return gram
+    return x.T @ x
 
 
 class CPScalingOperator:
@@ -90,16 +89,22 @@ class CPScalingOperator:
     (:func:`~cpcomplete.tensor_ops.rank_one_sum`, and the mode-0
     :func:`~cpcomplete.tensor_ops.mttkrp` summed against A), so nothing
     IJK-sized is formed except the tensor reconstruct returns.
+
+    ``factor_grams`` is (A^T A, B^T B, C^T C) when the caller already holds
+    them (see :func:`factor_gram`); the operator keeps its own tuple of them,
+    and otherwise ``gram`` forms them.
     """
 
-    def __init__(self, m):
+    def __init__(self, m, factor_grams=None):
         self.A, self.B, self.C = m.A, m.B, m.C
         self.dims = m.dims
+        self._factor_grams = None if factor_grams is None else tuple(factor_grams)
 
     @cached_property
     def gram(self):
-        """Q Q^T, the Hadamard product of the three factor Grams, formed on first use."""
-        return hadamard_gram(self.A, self.B, self.C)
+        """Q Q^T = A^T A * B^T B * C^T C, multiplied left to right, formed on first use."""
+        ga, gb, gc = self._factor_grams or [factor_gram(x) for x in (self.A, self.B, self.C)]
+        return ga * gb * gc
 
     def coordinates(self, d):
         """(H, c) with [c H] an (R+1) x (R+1) factor of the joint Gram [d Q^T]^T [d Q^T].

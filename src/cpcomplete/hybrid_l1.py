@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cp_model import CPScalingOperator, reconstruct
+from .cp_model import reconstruct
 from .factor_updates import STEP_SAFETY
 from .tensor_ops import as_tensor
 
@@ -58,16 +58,16 @@ def soft_threshold(v, lam):
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 
 
-def ista_alpha_step(m, t, lam):
+def ista_alpha_step(m, t, lam, op):
     """One thresholded-Landweber step on the scaling vector at fixed lambda.
 
     alpha <- prox(alpha - (alpha Q - t) Q^T / (s eta), lambda / (s eta)) with
     eta the largest eigenvalue of Q Q^T and s = STEP_SAFETY, the same safety
-    factor the MM factor updates use; Q Q^T and the products with Q come
-    from :class:`CPScalingOperator`, so Q is never materialized.
+    factor the MM factor updates use.  ``op`` is the
+    :class:`~cpcomplete.cp_model.CPScalingOperator` of m's factors, which
+    supplies Q Q^T and the products with Q, so Q is never materialized.
     """
     t = as_tensor(t)
-    op = CPScalingOperator(m)
     eta = max(float(np.linalg.eigvalsh(op.gram)[-1]), 1e-12)
     step = 1.0 / (STEP_SAFETY * eta)
     grad = op.rmatvec(reconstruct(m) - t)

@@ -11,7 +11,7 @@ import scipy.sparse as sparse
 
 from .completion import CompletionConfig, complete
 from .cp_model import check_rank
-from .factor_updates import regularized_als_step
+from .factor_updates import Sweep, regularized_als_step
 from .tensor_ops import Mask, as_tensor
 
 __all__ = [
@@ -166,9 +166,10 @@ def cp_reduced_basis(a, r0, eps, m_max, seed, rho=None):
     model, _, _ = complete(a, Mask.full(a.shape), _basis_config(r0, eps, m_max, seed))
     if rho is None:
         rho = default_rho(a, model.R)
+    sweep = Sweep(model, a)
     for _ in range(_ALS_SWEEPS):
-        prev = model.A.copy()
-        model = regularized_als_step(model, a, rho)
+        prev = model.A
+        model = regularized_als_step(sweep, rho)
         delta = np.linalg.norm(model.A - prev) / max(np.linalg.norm(prev), 1e-300)
         if delta <= _ALS_TOL:
             break

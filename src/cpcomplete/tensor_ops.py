@@ -13,6 +13,14 @@ by (k slow, j fast), and analogously for the other modes.  The unfoldings
 are for reading; the kernels that run on every completion iteration use only
 the two free reshapes ``t.reshape(I, J*K)`` and ``t.reshape(I*J, K)``.  An
 observation mask is a boolean tensor of the same shape.
+
+Each IJK-sized kernel is one GEMM: :func:`mttkrp` in its Khatri-Rao mode
+(:func:`gemm_mode`), :func:`mttkrp_partial`, which the other two modes
+share, and :func:`rank_one_sum`.  One outer completion iteration runs four
+of them in hybrid mode and five in fixed mode (the MM sweep's Khatri-Rao
+MTTKRP and shared partial, the reconstruction, and Q t, or the ISTA step's
+reconstruction and Q times the residual), and forms two to four Khatri-Rao
+products, depending on the mode and on whether K <= I.
 """
 
 import numbers
@@ -24,6 +32,8 @@ __all__ = [
     "frobenius_norm",
     "matricize",
     "khatri_rao",
+    "gemm_mode",
+    "mttkrp_partial",
     "mttkrp",
     "rank_one_sum",
     "mask_dims",
@@ -77,7 +87,31 @@ def khatri_rao(x, y):
     return np.einsum("ir,jr->ijr", x, y).reshape(x.shape[0] * y.shape[0], x.shape[1])
 
 
-def mttkrp(t, factors, mode):
+def gemm_mode(shape):
+    """The mode whose MTTKRP multiplies by a Khatri-Rao product: 0 when K <= I, else 2.
+
+    The other two modes read :func:`mttkrp_partial`, which contracts this
+    mode's factor against the tensor.
+    """
+    i, _, k = shape
+    return 0 if k <= i else 2
+
+
+def mttkrp_partial(t, factors):
+    """The IJK-sized contraction that the MTTKRPs of the two modes other than
+    :func:`gemm_mode` share.
+
+    When K <= I it is A^T t.reshape(I, J*K) as an R x J x K array; otherwise
+    it is C^T t.reshape(I*J, K)^T as an R x I x J array.  Only the factor of
+    :func:`gemm_mode` is read.
+    """
+    i, j, k = t.shape
+    if k <= i:
+        return (factors[0].T @ t.reshape(i, j * k)).reshape(-1, j, k)
+    return (factors[2].T @ t.reshape(i * j, k).T).reshape(-1, i, j)
+
+
+def mttkrp(t, factors, mode, partial=None):
     """Mode-``mode`` unfolding of ``t`` times the Khatri-Rao product of the other two factors.
 
     ``factors`` is (A, B, C) and ``mode`` is 0, 1 or 2; for mode 0 the result
@@ -90,21 +124,22 @@ def mttkrp(t, factors, mode):
     reduced against C or B.  Otherwise it is ``t.reshape(I*J, K)``: mode 2
     multiplies by A kr B, and modes 0 and 1 contract k against C into an
     R x I x J intermediate reduced against B or A.  Either way the
-    intermediate is the smaller of the two.
+    intermediate is the smaller of the two.  That intermediate is
+    :func:`mttkrp_partial`: a caller that needs both modes that read it
+    passes it as ``partial``, so its GEMM runs once; otherwise it is formed
+    here.  The Khatri-Rao mode (:func:`gemm_mode`) does not read it.
     """
     a, b, c = factors
     i, j, k = t.shape
-    if k <= i:
-        flat = t.reshape(i, j * k)
+    if mode == gemm_mode(t.shape):
         if mode == 0:
-            return flat @ khatri_rao(b, c)
-        part = (a.T @ flat).reshape(-1, j, k)
-        return np.einsum("rjk,kr->jr", part, c) if mode == 1 else np.einsum("rjk,jr->kr", part, b)
-    flat = t.reshape(i * j, k)
-    if mode == 2:
-        return (khatri_rao(a, b).T @ flat).T
-    part = (c.T @ flat.T).reshape(-1, i, j)
-    return np.einsum("rij,jr->ir", part, b) if mode == 0 else np.einsum("rij,ir->jr", part, a)
+            return t.reshape(i, j * k) @ khatri_rao(b, c)
+        return (khatri_rao(a, b).T @ t.reshape(i * j, k)).T
+    if partial is None:
+        partial = mttkrp_partial(t, factors)
+    if k <= i:
+        return np.einsum("rjk,kr->jr", partial, c) if mode == 1 else np.einsum("rjk,jr->kr", partial, b)
+    return np.einsum("rij,jr->ir", partial, b) if mode == 0 else np.einsum("rij,ir->jr", partial, a)
 
 
 def rank_one_sum(x, factors):

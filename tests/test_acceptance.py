@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 import cpcomplete as cp
-from cpcomplete.factor_updates import gradient, objective
+from cpcomplete.factor_updates import Sweep, gradient, objective
 from cpcomplete.hybrid_l1 import (
     HybridConfig,
     ProjectedProblem,
@@ -71,7 +71,7 @@ def test_02_gradient_finite_differences():
         m = random_cp(rng, dims, int(rng.integers(2, 5)))
         t = rng.normal(size=dims)
         for mode in "ABC":
-            g = gradient(mode, m, t)
+            g = gradient(mode, Sweep(m, t))
             mat = {"A": m.A, "B": m.B, "C": m.C}[mode]
             fd = np.zeros_like(mat)
             for idx in np.ndindex(mat.shape):

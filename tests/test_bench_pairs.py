@@ -1,0 +1,103 @@
+"""scripts/bench_pairs.py with the benchmark runner and the git export stubbed:
+run order, the per-pair lines, medians, quartiles and the gain verdict."""
+
+import importlib.util
+import shutil
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture
+def pairs_module():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result(iter_cost, setup_s=0.02, peak_rss_mb=80.0, failed=0):
+    values = {"iter_cost": iter_cost, "setup_s": setup_s, "peak_rss_mb": peak_rss_mb}
+    return {"correct": not failed, "attempted": 5, "failed": failed,
+            "metrics": {name: {"value": v, "unit": "x"} for name, v in values.items()}}
+
+
+def stub_runner(module, monkeypatch, costs):
+    """Serve ``costs[side]`` in order, recording which side ran when."""
+    calls = []
+    sides = {}
+
+    def fake_run(tree, workload, seed, seconds):
+        side = sides[Path(tree)]
+        calls.append((side, workload, seed, seconds))
+        return costs[side].pop(0)
+
+    def fake_export(rev, dest):
+        assert rev == "HEAD~1"
+        sides[Path(dest)] = "base"
+        shutil.copy(ROOT / "BENCHMARK.json", Path(dest) / "BENCHMARK.json")
+        shutil.copytree(ROOT / "bench", Path(dest) / "bench", ignore=shutil.ignore_patterns("__pycache__"))
+
+    sides[module.ROOT] = "this"
+    monkeypatch.setattr(module, "run_bench", fake_run)
+    monkeypatch.setattr(module, "export_tree", fake_export)
+    return calls
+
+
+def test_alternates_order_and_reports_a_supported_gain(pairs_module, monkeypatch, capsys):
+    base = [1.10, 1.08, 1.09, 1.12, 1.07, 1.11, 1.09, 1.10, 1.08, 1.09]
+    this = [0.96, 0.95, 0.97, 0.94, 0.98, 0.96, 1.20, 0.95, 0.97, 0.96]
+    calls = stub_runner(pairs_module, monkeypatch, {
+        "base": [result(c) for c in base], "this": [result(c) for c in this],
+    })
+    assert pairs_module.main(["HEAD~1", "--workload", "image_fixed", "--pairs", "10", "--seed", "2718"]) == 0
+    out = capsys.readouterr().out
+
+    assert [side for side, *_ in calls[:4]] == ["base", "this", "this", "base"]
+    assert {c[1:] for c in calls} == {("image_fixed", 2718, 15.0)}
+    assert "pair 1 (base first), base/this: iter_cost 1.1/0.96" in out
+    assert "pair 2 (this first), base/this: iter_cost 1.08/0.95" in out
+    assert "note: bench/" not in out
+    assert "base: 0 of 50 tasks failed" in out
+    # inclusive quartiles of the sorted base: 1.08 + 0.25 * 0.01 and 1.10
+    assert "iter_cost: base median 1.09 (quartiles 1.0825-1.1), this median 0.96" in out
+    assert "iter_cost: this wins 9/10 pairs, medians differ by 0.13 against a base quartile spread of 0.0175: gain supported" in out
+    # identical values: no pair won, no gain
+    assert "setup_s: this wins 0/10 pairs" in out
+    assert out.count("gain not supported") == 2
+
+
+def test_eight_wins_or_a_narrow_gap_is_no_gain(pairs_module):
+    lines = pairs_module.summarize("iter_cost", "lower", [1.0] * 8 + [0.5, 0.5], [0.9] * 10)
+    assert lines[1].startswith("iter_cost: this wins 8/10 pairs") and lines[1].endswith("gain not supported")
+    # 10/10 wins, but the medians differ by less than the base quartile spread
+    base = [1.0, 1.2, 1.0, 1.2, 1.0, 1.2, 1.0, 1.2, 1.0, 1.2]
+    lines = pairs_module.summarize("iter_cost", "lower", base, [b - 0.01 for b in base])
+    assert "wins 10/10" in lines[1] and lines[1].endswith("gain not supported")
+    # "higher is better" flips the sign
+    lines = pairs_module.summarize("ops", "higher", [1.0] * 10, [2.0] * 10)
+    assert "wins 10/10" in lines[1] and lines[1].endswith("gain supported")
+
+
+def test_single_pair_and_changed_bench_noted(pairs_module, monkeypatch, capsys):
+    stub_runner(pairs_module, monkeypatch, {"base": [result(1.0, failed=1)], "this": [result(0.9)]})
+    real_export = pairs_module.export_tree
+
+    def export_and_edit(rev, dest):
+        real_export(rev, dest)
+        (Path(dest) / "bench" / "extra.py").write_text("")
+
+    monkeypatch.setattr(pairs_module, "export_tree", export_and_edit)
+    assert pairs_module.main(["HEAD~1", "--workload", "mor_demo", "--pairs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "note: bench/ differs between the two trees" in out
+    assert "base: 1 of 5 tasks failed" in out
+    assert "iter_cost: base median 1 (quartiles 1-1)" in out
+
+
+def test_pairs_must_be_positive(pairs_module):
+    with pytest.raises(SystemExit):
+        pairs_module.main(["HEAD~1", "--workload", "mor_demo", "--pairs", "0"])

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from cpcomplete import completion, cp_model, factor_updates, hybrid_l1, tensor_ops
 from cpcomplete.completion import (
     CompletionConfig,
     CPScalingOperator,
@@ -295,16 +298,101 @@ class TestComplete:
         with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {value!r}"):
             CompletionConfig(seed=value)
 
-    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf"), True])
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf"), True, "3"])
     def test_bad_fixed_lambda_rejected(self, lam):
         with pytest.raises(ValueError, match=f"got {lam}"):
             CompletionConfig(mode="fixed", lam=lam)
         CompletionConfig(mode="hybrid", lam=lam)  # lam is not read in hybrid mode
 
-    @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0, float("nan")])
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0, float("nan"), None, "0.1"])
     def test_bad_eps_truncate_rejected(self, eps):
-        with pytest.raises(ValueError, match=f"got {eps}"):
+        with pytest.raises(ValueError, match=f"eps_truncate must lie in \\(0, 1\\), got {eps}"):
             CompletionConfig(eps_truncate=eps)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0, float("nan"), None, "0.1", True])
+    def test_bad_eps_tol_rejected(self, eps):
+        with pytest.raises(ValueError, match=f"eps_tol must lie in \\(0, 1\\), got {eps}"):
+            CompletionConfig(eps_tol=eps)
+
+
+# Modules that call the counted kernels, each through its own binding.
+KERNEL_CALLERS = (tensor_ops, cp_model, factor_updates, completion, hybrid_l1)
+
+
+def count_kernel_calls(monkeypatch):
+    """Wrap the Gram and IJK-sized kernels wherever they are bound; return the counter.
+
+    ``factor_gram`` is one R x R GEMM; ``mttkrp_partial`` and
+    ``rank_one_sum`` are one IJK-sized GEMM each, and so is ``mttkrp`` in
+    its Khatri-Rao mode (counted as ``mttkrp_gemm``); ``khatri_rao`` counts
+    the Khatri-Rao products formed.
+    """
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if name != "mttkrp":
+                calls[name] += 1
+            elif args[2] == tensor_ops.gemm_mode(args[0].shape):
+                calls["mttkrp_gemm"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    kernels = {
+        "factor_gram": cp_model.factor_gram,
+        "mttkrp_partial": tensor_ops.mttkrp_partial,
+        "mttkrp": tensor_ops.mttkrp,
+        "rank_one_sum": tensor_ops.rank_one_sum,
+        "khatri_rao": tensor_ops.khatri_rao,
+    }
+    for name, fn in kernels.items():
+        wrapper = counted(name, fn)
+        for module in KERNEL_CALLERS:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+class TestKernelBudget:
+    """Kernel calls per outer iteration of ``complete``, so a duplicate Gram or
+    contraction cannot come back unnoticed.
+
+    Per iteration the MM sweep forms 3 factor Grams, one Khatri-Rao GEMM and
+    one shared partial; Q Q^T is read off the same Grams, and the new
+    reconstruction is one more.  Hybrid mode adds Q t (``rmatvec``); fixed
+    mode adds the ISTA step's reconstruction and Q times the residual.  When K > I, ``rmatvec``'s
+    mode-0 MTTKRP is a partial contraction, and ``rank_one_sum`` scales A
+    before its Khatri-Rao product, so no Khatri-Rao product is shared.
+    """
+
+    BUDGET = {
+        # (K <= I, mode): (factor_gram, mttkrp_partial, mttkrp_gemm, rank_one_sum, khatri_rao)
+        (True, "hybrid"): (3, 1, 2, 1, 3),
+        (True, "fixed"): (3, 1, 2, 2, 4),
+        (False, "hybrid"): (3, 2, 1, 1, 2),
+        (False, "fixed"): (3, 2, 1, 2, 3),
+    }
+
+    @pytest.mark.parametrize("mode", ["hybrid", "fixed"])
+    @pytest.mark.parametrize("dims", [(9, 6, 4), (4, 6, 9)], ids=["K<=I", "K>I"])
+    def test_calls_per_outer_iteration(self, dims, mode, monkeypatch):
+        t = synthetic_rank(11, dims, 2)
+        mask = make_random_mask(dims, 0.7, seed=11)
+        calls = count_kernel_calls(monkeypatch)
+        runs = []
+        for iters in (2, 3):
+            calls.clear()
+            cfg = CompletionConfig(R0=3, m_max=iters, eps_tol=1e-12, mode=mode, lam=0.05, seed=11)
+            _, _, trace = complete(t, mask, cfg)
+            assert len(trace) == iters
+            runs.append(dict(calls))
+        names = ("factor_gram", "mttkrp_partial", "mttkrp_gemm", "rank_one_sum", "khatri_rao")
+        per_iteration = tuple(runs[1].get(n, 0) - runs[0].get(n, 0) for n in names)
+        assert per_iteration == self.BUDGET[dims[2] <= dims[0], mode]
+        # IJK-sized contractions: 4 in hybrid mode, 5 in fixed mode, on either side
+        assert sum(per_iteration[1:4]) == (4 if mode == "hybrid" else 5)
 
 
 class TestModeComparison:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpcomplete.cp_model import CPModel, build_q, hadamard_gram, reconstruct, truncate_rank
+from cpcomplete.cp_model import CPModel, CPScalingOperator, build_q, factor_gram, reconstruct, truncate_rank
 from cpcomplete.tensor_ops import frobenius_norm
 
 
@@ -75,14 +75,19 @@ class TestHadamardGram:
     def test_matches_dictionary_gram(self):
         m = random_model(8)
         q = build_q(m)
-        gram = hadamard_gram(m.A, m.B, m.C)
+        gram = CPScalingOperator(m).gram
         assert np.abs(gram - q @ q.T).max() <= 1e-12 * np.abs(gram).max()
 
     def test_left_to_right_product(self):
         m = random_model(9)
         expected = (m.A.T @ m.A) * (m.B.T @ m.B) * (m.C.T @ m.C)
-        assert np.array_equal(hadamard_gram(m.A, m.B, m.C), expected)
-        assert np.array_equal(hadamard_gram(m.C, m.B), (m.C.T @ m.C) * (m.B.T @ m.B))
+        assert np.array_equal(CPScalingOperator(m).gram, expected)
+        assert np.array_equal(factor_gram(m.C), m.C.T @ m.C)
+        # Grams handed in are read as they are, and held as the operator's own tuple
+        grams = [factor_gram(x) for x in (m.A, m.B, m.C)]
+        op = CPScalingOperator(m, grams)
+        grams[0] = np.zeros_like(grams[0])
+        assert np.array_equal(op.gram, expected)
 
 
 class TestTruncateRank:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cpcomplete.cp_model import CPModel, reconstruct
+from cpcomplete.cp_model import CPModel, CPScalingOperator, reconstruct
 from cpcomplete.exceptions import NumericalRankError
 from cpcomplete.factor_updates import (
-    _mode_mttkrp,
+    Sweep,
     _set_unit_columns,
     gradient,
     lipschitz_estimate,
@@ -12,7 +12,7 @@ from cpcomplete.factor_updates import (
     objective,
     regularized_als_step,
 )
-from cpcomplete.tensor_ops import frobenius_norm, khatri_rao, matricize
+from cpcomplete.tensor_ops import frobenius_norm, khatri_rao, matricize, mttkrp
 
 
 def random_model(seed, dims=(4, 5, 6), r=3, alpha_scale=1.0):
@@ -58,7 +58,7 @@ class TestGradient:
         m = random_model(0)
         t = reconstruct(m)
         for mode in "ABC":
-            g = gradient(mode, m, t)
+            g = gradient(mode, Sweep(m, t))
             assert np.abs(g).max() <= 1e-11 * frobenius_norm(t)
 
     @pytest.mark.parametrize("mode", ["A", "B", "C"])
@@ -66,7 +66,7 @@ class TestGradient:
         rng = np.random.default_rng(1)
         m = random_model(2)
         t = rng.normal(size=(4, 5, 6))
-        g = gradient(mode, m, t)
+        g = gradient(mode, Sweep(m, t))
         fd = fd_gradient(mode, m, t)
         assert np.linalg.norm(g - fd) <= 1e-5 * np.linalg.norm(fd)
 
@@ -75,7 +75,7 @@ class TestGradient:
         m.alpha = np.zeros(m.R)
         t = np.random.default_rng(4).normal(size=(4, 5, 6))
         for mode in "ABC":
-            assert not gradient(mode, m, t).any()
+            assert not gradient(mode, Sweep(m, t)).any()
 
     def test_matches_khatri_rao_form(self):
         # the Gram shortcut equals the explicit (X D W^T - T(m)) W D formula
@@ -85,7 +85,7 @@ class TestGradient:
         d = np.diag(m.alpha)
         w = khatri_rao(m.C, m.B)
         explicit = (m.A @ d @ w.T - matricize(t, 1)) @ w @ d
-        assert np.allclose(gradient("A", m, t), explicit, atol=1e-12)
+        assert np.allclose(gradient("A", Sweep(m, t)), explicit, atol=1e-12)
 
 
 @pytest.mark.parametrize("dims", [(5, 4, 3), (3, 4, 5), (4, 6, 4)], ids=["K<I", "K>I", "K=I"])
@@ -99,17 +99,18 @@ def test_mode_mttkrp_matches_unfolding_oracle(dims, r):
         "B": matricize(t, 2) @ khatri_rao(m.C, m.A),
         "C": matricize(t, 3) @ khatri_rao(m.B, m.A),
     }
+    sweep = Sweep(m, t)  # the two modes that share the partial contraction read it in turn
     for mode, oracle in oracles.items():
-        assert np.allclose(_mode_mttkrp(mode, t, m), oracle, rtol=1e-12, atol=1e-12)
+        assert np.allclose(sweep.mttkrp(mode), oracle, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["D", "alpha"])
 @pytest.mark.parametrize(
     "kernel",
     [
-        lambda mode, m, t: gradient(mode, m, t),
-        lambda mode, m, t: lipschitz_estimate(mode, m),
-        lambda mode, m, t: mm_update(mode, m, t),
+        lambda mode, m, t: gradient(mode, Sweep(m, t)),
+        lambda mode, m, t: lipschitz_estimate(mode, Sweep(m, t)),
+        lambda mode, m, t: mm_update(mode, Sweep(m, t)),
     ],
     ids=["gradient", "lipschitz_estimate", "mm_update"],
 )
@@ -123,34 +124,35 @@ class TestLipschitz:
     def test_rank_one_unit(self):
         e = np.eye(3)[:, :1]
         m = CPModel(e, e.copy(), e.copy(), np.array([2.0]))
-        assert np.isclose(lipschitz_estimate("A", m), 4.0)
+        assert np.isclose(lipschitz_estimate("A", Sweep(m, np.zeros(m.dims))), 4.0)
 
     def test_against_power_iteration(self):
         m = random_model(7)
         for mode, (y, z) in [("A", (m.C, m.B)), ("B", (m.C, m.A)), ("C", (m.B, m.A))]:
             w = khatri_rao(y, z) * m.alpha
             oracle = power_iteration(w.T @ w)
-            assert lipschitz_estimate(mode, m) >= oracle * (1 - 1e-8)
+            assert lipschitz_estimate(mode, Sweep(m, np.zeros(m.dims))) >= oracle * (1 - 1e-8)
 
     def test_zero_alpha_floor(self):
         m = random_model(8)
         m.alpha = np.zeros(m.R)
-        assert lipschitz_estimate("B", m) == 1e-12
+        assert lipschitz_estimate("B", Sweep(m, np.zeros(m.dims))) == 1e-12
 
 
 class TestMMUpdate:
     def test_fixed_point_at_exact_fit(self):
         m = random_model(9)
         t = reconstruct(m)
-        out = mm_update("A", m, t)
+        out = mm_update("A", Sweep(m, t))
         assert np.allclose(out.A, m.A, atol=1e-9)
 
     def test_column_normalization(self):
         rng = np.random.default_rng(10)
         m = random_model(11)
         t = rng.normal(size=(4, 5, 6))
+        sweep = Sweep(m, t)
         for mode in "ABC":
-            m = mm_update(mode, m, t)
+            m = mm_update(mode, sweep)
         for mat in (m.A, m.B, m.C):
             assert np.allclose(np.linalg.norm(mat, axis=0), 1.0, atol=1e-10)
 
@@ -179,9 +181,10 @@ class TestMMUpdate:
         t += 0.1 * rng.normal(size=t.shape)
         m = random_model(14, r=4)
         f = objective(m, t)
+        sweep = Sweep(m, t)
         for _ in range(30):
             for mode in "ABC":
-                m = mm_update(mode, m, t)
+                m = mm_update(mode, sweep)
                 f_new = objective(m, t)
                 assert f_new <= f * (1 + 1e-10)
                 f = f_new
@@ -190,9 +193,10 @@ class TestMMUpdate:
         t = reconstruct(random_model(15, r=1, alpha_scale=2.0))
         m = random_model(16, r=1)
         m.alpha = np.array([frobenius_norm(t)])
+        sweep = Sweep(m, t)
         for _ in range(200):
             for mode in "ABC":
-                m = mm_update(mode, m, t)
+                m = mm_update(mode, sweep)
             # scaling refit keeps the iteration honest for a pure factor test
             q = reconstruct(CPModel(m.A, m.B, m.C, np.ones(1)))
             m.alpha = np.array([float((q * t).sum() / max((q * q).sum(), 1e-300))])
@@ -206,7 +210,7 @@ class TestRegularizedALS:
         rng = np.random.default_rng(17)
         m = random_model(18)
         t = rng.normal(size=(4, 5, 6))
-        out = regularized_als_step(m, t, 0.0)
+        out = regularized_als_step(Sweep(m, t), 0.0)
         g, *_ = np.linalg.lstsq(khatri_rao(m.C, m.B), matricize(t, 1).T, rcond=None)
         g = g.T
         assert np.allclose(out.A, g / np.linalg.norm(g, axis=0), atol=1e-8)
@@ -223,19 +227,20 @@ class TestRegularizedALS:
         t = rng.normal(size=(4, 5, 6))
         norms = []
         for rho in (0.0, 1e2, 1e4):
-            out = regularized_als_step(m, t, rho)
+            out = regularized_als_step(Sweep(m, t), rho)
             norms.append(np.linalg.norm(out.A * out.alpha))
         assert norms[0] > norms[1] > norms[2]
 
     def test_negative_rho_rejected(self):
         with pytest.raises(ValueError, match="got -1.0"):
-            regularized_als_step(random_model(25), np.zeros((4, 5, 6)), -1.0)
+            regularized_als_step(Sweep(random_model(25), np.zeros((4, 5, 6))), -1.0)
 
     def test_exact_rank_convergence(self):
         t = reconstruct(random_model(21, dims=(8, 8, 8), r=3, alpha_scale=3.0))
         m = random_model(22, dims=(8, 8, 8), r=3)
+        sweep = Sweep(m, t)
         for _ in range(100):
-            m = regularized_als_step(m, t, 1e-6)
+            m = regularized_als_step(sweep, 1e-6)
         assert frobenius_norm(t - reconstruct(m)) <= 1e-5 * frobenius_norm(t)
 
     def test_singular_system_raises(self):
@@ -244,4 +249,134 @@ class TestRegularizedALS:
         m.C[:, 1] = m.C[:, 0]  # duplicate component makes W rank deficient
         t = np.random.default_rng(24).normal(size=(4, 5, 6))
         with pytest.raises(NumericalRankError):
-            regularized_als_step(m, t, 0.0)
+            regularized_als_step(Sweep(m, t), 0.0)
+
+
+class TestSweepExactOracle:
+    """One sweep through :class:`Sweep` against the per-call code it replaced.
+
+    The oracle below is the three-call ``mm_update`` sweep and the ALS sweep
+    as they were before the factor Grams and the shared MTTKRP partial were
+    formed once per sweep: each call formed its mode's two factor Grams,
+    its own MTTKRP and a copy of the whole model.  Same arithmetic in the
+    same order, so the results must be equal to the last bit.
+    """
+
+    @staticmethod
+    def old_hadamard_gram(*factors):
+        gram = factors[0].T @ factors[0]
+        for f in factors[1:]:
+            gram = gram * (f.T @ f)
+        return gram
+
+    @staticmethod
+    def old_mttkrp(t, factors, mode):
+        a, b, c = factors
+        i, j, k = t.shape
+        if k <= i:
+            flat = t.reshape(i, j * k)
+            if mode == 0:
+                return flat @ khatri_rao(b, c)
+            part = (a.T @ flat).reshape(-1, j, k)
+            return np.einsum("rjk,kr->jr", part, c) if mode == 1 else np.einsum("rjk,jr->kr", part, b)
+        flat = t.reshape(i * j, k)
+        if mode == 2:
+            return (khatri_rao(a, b).T @ flat).T
+        part = (c.T @ flat.T).reshape(-1, i, j)
+        return np.einsum("rij,jr->ir", part, b) if mode == 0 else np.einsum("rij,ir->jr", part, a)
+
+    OLD_MODES = {"A": (0, "B", "C"), "B": (1, "A", "C"), "C": (2, "A", "B")}
+
+    def old_mode_gram(self, mode, m):
+        _, x, y = self.OLD_MODES[mode]
+        return self.old_hadamard_gram(getattr(m, x), getattr(m, y))
+
+    def old_mm_update(self, mode, m, t):
+        d = m.alpha
+        h = self.old_mode_gram(mode, m) * np.outer(d, d)
+        step = 1.0 / (1.05 * max(float(np.linalg.eigvalsh(h)[-1]), 1e-12))
+        mtt = self.old_mttkrp(t, (m.A, m.B, m.C), self.OLD_MODES[mode][0])
+        grad = ((getattr(m, mode) * d) @ self.old_mode_gram(mode, m) - mtt) * d
+        out = m.copy()
+        _set_unit_columns(getattr(out, mode), getattr(m, mode) - step * grad)
+        return out
+
+    def old_als_step(self, m, t, rho):
+        work = m.copy()
+        eye = np.eye(m.R)
+        for mode in "ABC":
+            lhs = self.old_mode_gram(mode, work) + rho * eye
+            mtt = self.old_mttkrp(t, (work.A, work.B, work.C), self.OLD_MODES[mode][0])
+            g = np.linalg.solve(lhs, mtt.T).T
+            work.alpha = _set_unit_columns(getattr(work, mode), g)
+        return work
+
+    @staticmethod
+    def case(dims, alpha_case):
+        m = random_model(30, dims, r=4)
+        if alpha_case == "zero":
+            m.alpha = np.zeros(m.R)
+        elif alpha_case == "collapsed":
+            # alpha_1 = 0 and b_1 = 0: the mode-B step leaves column 1 at
+            # zero, so it keeps its previous value
+            m.alpha[1] = 0.0
+            m.B[:, 1] = 0.0
+        rng = np.random.default_rng(31)
+        return m, rng.normal(size=dims), rng.normal(size=dims)
+
+    @staticmethod
+    def assert_same(new, old):
+        for name in ("A", "B", "C", "alpha"):
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
+
+    @pytest.mark.parametrize("dims", [(7, 5, 3), (3, 5, 7)], ids=["K<=I", "K>I"])
+    @pytest.mark.parametrize("alpha_case", ["generic", "zero", "collapsed"])
+    def test_mm_sweeps_match_per_call_code(self, dims, alpha_case):
+        m, t1, t2 = self.case(dims, alpha_case)
+        start = m.copy()
+        # two outer iterations: the Grams carry over, the tensor changes
+        sweep = Sweep(m, t1)
+        old = m
+        for t in (t1, t2):
+            sweep.set_tensor(t)
+            for mode in "ABC":
+                new = mm_update(mode, sweep)
+                old = self.old_mm_update(mode, old, t)
+                self.assert_same(new, old)
+            assert np.array_equal(CPScalingOperator(new, sweep.grams).gram, self.old_hadamard_gram(old.A, old.B, old.C))
+            new.alpha = old.alpha = old.alpha * 0.5  # a scaling refit between sweeps
+        if alpha_case == "collapsed":
+            assert not new.B[:, 1].any()
+        self.assert_same(m, start)  # the input model is not written
+
+    @pytest.mark.parametrize("dims", [(7, 5, 3), (3, 5, 7)], ids=["K<=I", "K>I"])
+    def test_als_sweeps_match_per_call_code(self, dims):
+        m, t, _ = self.case(dims, "generic")
+        sweep = Sweep(m, t)
+        old = m
+        for _ in range(3):
+            new = regularized_als_step(sweep, 1e-3)
+            old = self.old_als_step(old, t, 1e-3)
+            self.assert_same(new, old)
+
+
+@pytest.mark.parametrize("dims", [(7, 5, 3), (3, 5, 7)], ids=["K<=I", "K>I"])
+def test_sweep_products_stay_current_in_any_order(dims):
+    # updates, reads and tensor changes in random order: every MTTKRP and Gram
+    # the sweep hands out equals one formed afresh from its current state
+    rng = np.random.default_rng(40)
+    sweep = Sweep(random_model(41, dims, r=3), rng.normal(size=dims))
+    for _ in range(80):
+        mode = "ABC"[rng.integers(3)]
+        action = rng.integers(3)
+        if action == 0:
+            m = sweep.model
+            fresh = mttkrp(sweep.t, (m.A, m.B, m.C), "ABC".index(mode))
+            assert np.array_equal(sweep.mttkrp(mode), fresh)
+        elif action == 1:
+            mm_update(mode, sweep)
+        else:
+            sweep.set_tensor(rng.normal(size=dims))
+        m = sweep.model
+        for gram, x in zip(sweep.grams, (m.A, m.B, m.C)):
+            assert np.array_equal(gram, x.T @ x)

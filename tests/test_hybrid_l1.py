@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cpcomplete import hybrid_l1
-from cpcomplete.cp_model import CPModel, build_q, reconstruct
+from cpcomplete.cp_model import CPModel, CPScalingOperator, build_q, reconstruct
 from cpcomplete.hybrid_l1 import (
     HybridConfig,
     ProjectedProblem,
@@ -76,7 +76,7 @@ class TestIstaAlphaStep:
         c = np.linalg.qr(rng.normal(size=(8, 3)))[0]
         m = CPModel(a, b, c, rng.uniform(1, 2, 3))
         t = reconstruct(m)
-        out = ista_alpha_step(m, t, 0.0)
+        out = ista_alpha_step(m, t, 0.0, CPScalingOperator(m))
         assert np.allclose(out, m.alpha, atol=1e-12)
 
     def test_full_shrinkage_far_above_correlations(self):
@@ -86,7 +86,7 @@ class TestIstaAlphaStep:
             np.zeros(2),
         )
         t = rng.normal(size=(5, 5, 5))
-        out = ista_alpha_step(m, t, 1e9)
+        out = ista_alpha_step(m, t, 1e9, CPScalingOperator(m))
         assert not out.any()
 
     def test_matches_coordinate_descent_objective(self):
@@ -97,8 +97,9 @@ class TestIstaAlphaStep:
         t_tensor = rng.normal(size=(5, 5, 5))
         lam = 0.5
         work = m.copy()
+        op = CPScalingOperator(work)
         for _ in range(500):
-            work.alpha = ista_alpha_step(work, t_tensor, lam)
+            work.alpha = ista_alpha_step(work, t_tensor, lam, op)
         q = build_q(work)
         t = t_tensor.ravel()
         oracle_alpha = cd_lasso(q, t, lam)
