@@ -13,10 +13,12 @@ For every end-to-end metric that ``BENCHMARK.json`` lists, it prints each
 pair, each tree's median and quartiles, and how many pairs the checkout won
 (a tie counts for neither). It then says whether the pairs support a gain:
 the checkout wins at least nine tenths of the pairs and the medians differ by
-more than the distance between the revision's own quartiles. The revision's
-side is labelled ``base`` and the checkout's ``this``. Nothing under
-``bench/`` is written except the scratch files that ``bench/run.py`` itself
-keeps under ``.bench_work/`` while it runs.
+more than the distance between the revision's own quartiles. The mirror rule
+says whether the checkout is worse: the revision wins at least nine tenths of
+the pairs and the medians differ, the other way, by more than that distance.
+The revision's side is labelled ``base`` and the checkout's ``this``.
+Nothing under ``bench/`` is written except the scratch files that
+``bench/run.py`` itself keeps under ``.bench_work/`` while it runs.
 """
 
 import argparse
@@ -76,18 +78,21 @@ def quartiles(values):
 
 
 def summarize(name, better, base, this):
-    """Lines reporting one metric over the pairs, ending with the gain verdict."""
+    """Lines reporting one metric over the pairs, ending with the gain and the worse verdicts."""
     sign = -1.0 if better == "lower" else 1.0
     wins = sum(1 for b, t in zip(base, this) if sign * (t - b) > 0)
+    losses = sum(1 for b, t in zip(base, this) if sign * (t - b) < 0)
     b1, b2, b3 = quartiles(base)
     t1, t2, t3 = quartiles(this)
     change = f"{(t2 - b2) / b2:+.1%}" if b2 else "n/a"
     gain = wins * 10 >= 9 * len(base) and sign * (t2 - b2) > b3 - b1
+    worse = losses * 10 >= 9 * len(base) and sign * (b2 - t2) > b3 - b1
     return [
         f"{name}: base median {b2:.6g} (quartiles {b1:.6g}-{b3:.6g}), "
         f"this median {t2:.6g} (quartiles {t1:.6g}-{t3:.6g}), {change}",
         f"{name}: this wins {wins}/{len(base)} pairs, medians differ by {abs(t2 - b2):.6g} "
         f"against a base quartile spread of {b3 - b1:.6g}: gain {'supported' if gain else 'not supported'}",
+        f"{name}: base wins {losses}/{len(base)} pairs: this is {'worse' if worse else 'not worse'}",
     ]
 
 

@@ -2,7 +2,6 @@
 model, update factors cyclically, solve the scaling vector, repeat."""
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -12,7 +11,7 @@ from .cp_model import CPModel, CPScalingOperator, reconstruct, truncate_rank
 from .exceptions import DataError
 from .factor_updates import Sweep, mm_update
 from .hybrid_l1 import HybridConfig, ista_alpha_step, solve_l1_hybrid
-from .tensor_ops import Mask, as_tensor, mask_dims, masked_copy
+from .tensor_ops import Mask, as_tensor, is_integer, is_real, mask_dims, masked_copy
 
 __all__ = [
     "CompletionConfig",
@@ -21,11 +20,6 @@ __all__ = [
     "make_random_mask",
     "relative_error",
 ]
-
-
-def _is_real(value):
-    # A real number that is not a bool: bool is a numbers.Real, a string is not.
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -50,15 +44,15 @@ class CompletionConfig:
     def __post_init__(self):
         for name, least in (("R0", 1), ("m_max", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+            if not (is_integer(value) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not (_is_real(self.eps_tol) and 0.0 < self.eps_tol < 1.0):
+        if not (is_real(self.eps_tol) and 0.0 < self.eps_tol < 1.0):
             raise ValueError(f"eps_tol must lie in (0, 1), got {self.eps_tol}")
         if self.mode not in ("hybrid", "fixed"):
             raise ValueError(f"mode must be 'hybrid' or 'fixed', got {self.mode!r}")
-        if self.mode == "fixed" and not (_is_real(self.lam) and 0.0 <= self.lam < math.inf):
+        if self.mode == "fixed" and not (is_real(self.lam) and 0.0 <= self.lam < math.inf):
             raise ValueError(f"fixed-mode lambda must be finite and nonnegative, got {self.lam}")
-        if not (_is_real(self.eps_truncate) and 0.0 < self.eps_truncate < 1.0):
+        if not (is_real(self.eps_truncate) and 0.0 < self.eps_truncate < 1.0):
             raise ValueError(f"eps_truncate must lie in (0, 1), got {self.eps_truncate}")
 
 
@@ -82,7 +76,7 @@ class CompletionTrace:
 
 def make_random_mask(dims, fraction, seed=0):
     """Uniform mask observing ceil(fraction * IJK) entries, seeded."""
-    if isinstance(fraction, bool) or not 0.0 < fraction <= 1.0:
+    if not (is_real(fraction) and 0.0 < fraction <= 1.0):
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     dims = mask_dims(dims)
     total = int(np.prod(dims))
@@ -105,19 +99,22 @@ def relative_error(s, a):
     return float(np.linalg.norm((s - a).ravel())) / denom
 
 
-def _init_model(t_zero_filled, dims, r0, rng):
+def _init_sweep(t, t_zero_filled, r0, rng):
+    # Random unit columns, and the least-squares alpha read off the sweep's
+    # Grams.  The sweep starts on t, which no update reads before the first
+    # imputation replaces it, so the zero-filled copy can be dropped first.
     def unit_columns(n):
         x = rng.standard_normal((n, r0))
         return x / np.linalg.norm(x, axis=0)
 
-    model = CPModel(*(unit_columns(d) for d in dims), np.zeros(r0))
-    op = CPScalingOperator(model)
+    sweep = Sweep(CPModel(*(unit_columns(d) for d in t.shape), np.zeros(r0)), t)
+    op = CPScalingOperator(sweep.model, sweep.grams)
     alpha, *_ = np.linalg.lstsq(op.gram, op.rmatvec(t_zero_filled), rcond=None)
     # Exact zeros would freeze components (D = 0 annihilates the gradients).
     small = np.abs(alpha) < 1e-8
     alpha[small] = np.where(alpha[small] < 0.0, -1e-8, 1e-8)
-    model.alpha = alpha
-    return model
+    sweep.model.alpha = alpha
+    return sweep
 
 
 def complete(t, mask, cfg):
@@ -144,7 +141,8 @@ def complete(t, mask, cfg):
 
     rng = np.random.default_rng(cfg.seed)
     t_zero_filled = masked_copy(t, np.zeros(t.shape), mask)
-    model = _init_model(t_zero_filled, t.shape, cfg.R0, rng)
+    sweep = _init_sweep(t, t_zero_filled, cfg.R0, rng)
+    model = sweep.model
     obs_norm = max(float(np.linalg.norm(t_zero_filled.ravel())), 1e-300)
     del t_zero_filled
 
@@ -152,7 +150,7 @@ def complete(t, mask, cfg):
     start = time.perf_counter()
     s_hat = reconstruct(model)
     t_work = masked_copy(t, s_hat, mask)
-    sweep = Sweep(model, t_work)
+    sweep.set_tensor(t_work)
     zero_alpha_run = 0
     for _ in range(cfg.m_max):
         for mode in ("A", "B", "C"):

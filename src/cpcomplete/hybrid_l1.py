@@ -18,14 +18,13 @@ together with the closed-form soft-threshold proximal map.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cp_model import reconstruct
 from .factor_updates import STEP_SAFETY
-from .tensor_ops import as_tensor
+from .tensor_ops import as_tensor, is_integer, is_real
 
 __all__ = [
     "soft_threshold",
@@ -364,11 +363,9 @@ class HybridConfig:
     omega: object = "adapt"
 
     def __post_init__(self):
-        if not isinstance(self.k_max, numbers.Integral) or isinstance(self.k_max, bool) or self.k_max < 1:
+        if not (is_integer(self.k_max) and self.k_max >= 1):
             raise ValueError(f"k_max must be an integer >= 1, got {self.k_max!r}")
-        if self.omega != "adapt" and (
-            isinstance(self.omega, bool) or not (isinstance(self.omega, numbers.Real) and 0.0 < self.omega <= 1.0)
-        ):
+        if self.omega != "adapt" and not (is_real(self.omega) and 0.0 < self.omega <= 1.0):
             raise ValueError(f"omega must be 'adapt' or a number in (0, 1], got {self.omega!r}")
 
 

@@ -1,18 +1,17 @@
 """Model-order-reduction pipeline: spectral solver for a parametrized
 diffusion problem, snapshot tensor assembly, CP-derived and POD reduced
-bases, projection errors, and compression ratios."""
+bases, projection errors, and compression ratios.  scipy is imported only
+inside the three functions that call it, so that importing the package and
+running a completion load no scipy module."""
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sparse
 
 from .completion import CompletionConfig, complete
 from .cp_model import check_rank
 from .factor_updates import Sweep, regularized_als_step
-from .tensor_ops import Mask, as_tensor
+from .tensor_ops import Mask, as_tensor, is_integer
 
 __all__ = [
     "cheb_diff",
@@ -65,7 +64,7 @@ class DiffusionProblem:
     mu2: float
 
     def __post_init__(self):
-        if not isinstance(self.nx, numbers.Integral):
+        if not is_integer(self.nx):
             raise ValueError(f"nx must be an integer, got {self.nx!r}")
         if self.nx < 3:
             raise ValueError(f"nx must be at least 3 for a nonempty interior, got {self.nx}")
@@ -79,6 +78,7 @@ def _diffusion_system(p):
     # the Kronecker assembly since the boundary values vanish. Only
     # diffusion_residual uses it, so the residual check shares no code path
     # with the Sylvester solver.
+    import scipy.sparse as sparse
     x, d = cheb_diff(p.nx - 1)
     d2 = d @ d
     xi = x[1:-1]
@@ -98,6 +98,7 @@ def solve_diffusion(p):
     ``A U + U B^T = F`` with A = diag(1 + mu1 x) D2 and B = diag(1 + mu2 x) D2
     on the interior points, solved by Bartels-Stewart in O(nx^3).
     """
+    import scipy.linalg
     x, d = cheb_diff(p.nx - 1)
     d2 = (d @ d)[1:-1, 1:-1]
     xi = x[1:-1]
@@ -162,6 +163,7 @@ def cp_reduced_basis(a, r0, eps, m_max, seed, rho=None):
     products x_r o y_r, and orthonormalizes them by pivoted QR, dropping
     columns whose pivot falls below 1e-10 times the largest.
     """
+    import scipy.linalg
     a = as_tensor(a)
     model, _, _ = complete(a, Mask.full(a.shape), _basis_config(r0, eps, m_max, seed))
     if rho is None:

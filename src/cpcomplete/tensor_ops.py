@@ -36,6 +36,8 @@ __all__ = [
     "mttkrp_partial",
     "mttkrp",
     "rank_one_sum",
+    "is_integer",
+    "is_real",
     "mask_dims",
     "Mask",
     "masked_copy",
@@ -156,6 +158,16 @@ def rank_one_sum(x, factors):
     return (khatri_rao(a * x, b) @ c.T).reshape(i, j, k)
 
 
+def is_integer(value):
+    """Whether ``value`` is an integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value):
+    """Whether ``value`` is a real number; a bool is not one, nor is a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def mask_dims(dims):
     """``dims`` as a tuple of three Python ints >= 1.
 
@@ -163,9 +175,7 @@ def mask_dims(dims):
     numbers included, so that no dimension is silently rounded.
     """
     dims = tuple(dims)
-    if len(dims) != 3 or not all(
-        isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1 for d in dims
-    ):
+    if len(dims) != 3 or not all(is_integer(d) and d >= 1 for d in dims):
         raise ValueError(f"dims must be three positive integers, got {dims}")
     return tuple(int(d) for d in dims)
 

@@ -1,5 +1,5 @@
 """scripts/bench_pairs.py with the benchmark runner and the git export stubbed:
-run order, the per-pair lines, medians, quartiles and the gain verdict."""
+run order, the per-pair lines, medians, quartiles and the gain and worse verdicts."""
 
 import importlib.util
 import shutil
@@ -68,6 +68,8 @@ def test_alternates_order_and_reports_a_supported_gain(pairs_module, monkeypatch
     # identical values: no pair won, no gain
     assert "setup_s: this wins 0/10 pairs" in out
     assert out.count("gain not supported") == 2
+    assert "iter_cost: base wins 1/10 pairs: this is not worse" in out
+    assert out.count("this is not worse") == 3
 
 
 def test_eight_wins_or_a_narrow_gap_is_no_gain(pairs_module):
@@ -80,6 +82,25 @@ def test_eight_wins_or_a_narrow_gap_is_no_gain(pairs_module):
     # "higher is better" flips the sign
     lines = pairs_module.summarize("ops", "higher", [1.0] * 10, [2.0] * 10)
     assert "wins 10/10" in lines[1] and lines[1].endswith("gain supported")
+
+
+def test_worse_mirrors_the_gain_rule(pairs_module):
+    # base wins 10/10 by a margin wider than its quartile spread: worse
+    lines = pairs_module.summarize("iter_cost", "lower", [0.9] * 10, [1.0] * 10)
+    assert lines[2] == "iter_cost: base wins 10/10 pairs: this is worse"
+    assert lines[1].endswith("gain not supported")
+    # 8 of 10 is not enough
+    lines = pairs_module.summarize("iter_cost", "lower", [0.9] * 8 + [1.5, 1.5], [1.0] * 10)
+    assert lines[2] == "iter_cost: base wins 8/10 pairs: this is not worse"
+    # base wins 10/10, but by less than its own quartile spread
+    base = [1.0, 1.2, 1.0, 1.2, 1.0, 1.2, 1.0, 1.2, 1.0, 1.2]
+    lines = pairs_module.summarize("iter_cost", "lower", base, [b + 0.01 for b in base])
+    assert lines[2] == "iter_cost: base wins 10/10 pairs: this is not worse"
+    # "higher is better" flips the sign; a tie is no loss
+    lines = pairs_module.summarize("ops", "higher", [2.0] * 10, [1.0] * 10)
+    assert lines[2] == "ops: base wins 10/10 pairs: this is worse"
+    lines = pairs_module.summarize("ops", "higher", [2.0] * 10, [2.0] * 10)
+    assert lines[2] == "ops: base wins 0/10 pairs: this is not worse"
 
 
 def test_single_pair_and_changed_bench_noted(pairs_module, monkeypatch, capsys):

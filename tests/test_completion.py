@@ -125,7 +125,7 @@ class TestMakeRandomMask:
         with pytest.raises(ValueError):
             make_random_mask((3, 3, 3), 0.0)
 
-    @pytest.mark.parametrize("fraction", [-0.5, 1.5, float("nan"), True])
+    @pytest.mark.parametrize("fraction", [-0.5, 1.5, float("nan"), True, "0.5", None])
     def test_bad_fraction_rejected(self, fraction):
         with pytest.raises(ValueError, match=f"fraction must lie in .*got {fraction}"):
             make_random_mask((3, 3, 3), fraction)
@@ -393,6 +393,16 @@ class TestKernelBudget:
         assert per_iteration == self.BUDGET[dims[2] <= dims[0], mode]
         # IJK-sized contractions: 4 in hybrid mode, 5 in fixed mode, on either side
         assert sum(per_iteration[1:4]) == (4 if mode == "hybrid" else 5)
+
+    @pytest.mark.parametrize("mode", ["hybrid", "fixed"])
+    def test_initial_grams_formed_once(self, mode, monkeypatch):
+        # The least-squares start reads the sweep's three Grams, so one outer
+        # iteration forms 3 + 3 of them, not 3 + 3 + 3.
+        dims = (9, 6, 4)
+        calls = count_kernel_calls(monkeypatch)
+        cfg = CompletionConfig(R0=3, m_max=1, mode=mode, lam=0.05, seed=11)
+        complete(synthetic_rank(11, dims, 2), make_random_mask(dims, 0.7, seed=11), cfg)
+        assert calls["factor_gram"] == 6
 
 
 class TestModeComparison:

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.interpolate
@@ -18,6 +22,8 @@ from cpcomplete.mor import (
     project_error,
     solve_diffusion,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestChebDiff:
@@ -89,6 +95,10 @@ class TestSolveDiffusion:
     def test_non_integer_nx_rejected(self):
         with pytest.raises(ValueError, match="12.5"):
             DiffusionProblem(12.5, 0.0, 0.0)
+
+    def test_bool_nx_rejected(self):
+        with pytest.raises(ValueError, match="nx must be an integer, got True"):
+            DiffusionProblem(True, 0.0, 0.0)
 
     @pytest.mark.parametrize("nx", [2, 0, -4])
     def test_too_few_points_rejected(self, nx):
@@ -285,3 +295,51 @@ class TestRunMorDemo:
         with pytest.raises(ValueError, match=message):
             mor.run_mor_demo(**kwargs)
         assert solves == []
+
+
+# Run in a fresh interpreter, because this module loads scipy into the test
+# process.  Completion, through the library and the CLI, must load no scipy
+# module; the MOR functions that need scipy must still work afterwards.
+SCIPY_PROBE = """
+import sys
+sys.path.insert(0, SRC)
+import numpy as np
+import cpcomplete, cpcomplete.cli
+from cpcomplete import fileio
+
+def loaded():
+    return " ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+
+rng = np.random.default_rng(0)
+t = cpcomplete.reconstruct(cpcomplete.CPModel(*(rng.normal(size=(n, 2)) for n in (6, 5, 4)), [2.0, 1.0]))
+mask = cpcomplete.make_random_mask(t.shape, 0.7, seed=0)
+for mode in ("hybrid", "fixed"):
+    cpcomplete.complete(t, mask, cpcomplete.CompletionConfig(R0=3, m_max=3, mode=mode, lam=0.05))
+fileio.save_tensor(t, OUT + "/t.tns3")
+codes = [
+    cpcomplete.cli.main(["mask", "--dims", "6,5,4", "--out", OUT + "/m.msk3"]),
+    cpcomplete.cli.main(["complete", "--input", OUT + "/t.tns3", "--mask", OUT + "/m.msk3",
+                         "--rank", "3", "--max-iter", "3", "--out", OUT + "/m.cpm1"]),
+]
+print("exit codes:", codes)
+print("scipy after completion:", loaded())
+p = cpcomplete.DiffusionProblem(10, 0.3, -0.2)
+print("residual:", cpcomplete.diffusion_residual(p, cpcomplete.solve_diffusion(p)))
+snaps = cpcomplete.assemble_snapshots(cpcomplete.parameter_grid(3), 6)
+phi = cpcomplete.cp_reduced_basis(snaps, r0=3, eps=1e-2, m_max=20, seed=0).phi
+print("basis:", phi.shape[1], np.abs(phi.T @ phi - np.eye(phi.shape[1])).max())
+print("scipy.linalg, scipy.sparse loaded:", "scipy.linalg" in sys.modules, "scipy.sparse" in sys.modules)
+"""
+
+
+def test_only_the_mor_functions_load_scipy(tmp_path):
+    code = f"SRC = {str(SRC)!r}\nOUT = {str(tmp_path)!r}\n{SCIPY_PROBE}"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    lines = dict(line.split(": ", 1) for line in proc.stdout.splitlines() if ": " in line)
+    assert lines["exit codes"] == "[0, 0]"
+    assert lines["scipy after completion"] == ""
+    assert float(lines["residual"]) <= 1e-10
+    count, err = lines["basis"].split()
+    assert int(count) >= 1 and float(err) <= 1e-10
+    assert lines["scipy.linalg, scipy.sparse loaded"] == "True True"

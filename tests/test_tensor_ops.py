@@ -5,6 +5,8 @@ from cpcomplete.tensor_ops import (
     Mask,
     as_tensor,
     frobenius_norm,
+    is_integer,
+    is_real,
     khatri_rao,
     masked_copy,
     matricize,
@@ -146,6 +148,24 @@ class TestMttkrp:
         out = mttkrp(t, factors, mode)
         assert out.shape == (dims[mode], r)
         assert np.allclose(out, oracle, rtol=1e-12, atol=1e-12)
+
+
+class TestSettingChecks:
+    @pytest.mark.parametrize("value", [0, -3, 7, np.int64(4), np.uint8(2)])
+    def test_integers(self, value):
+        assert is_integer(value) and is_real(value)
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 2.0, np.float64(3.0), "3", None, 1j])
+    def test_not_integers(self, value):
+        assert not is_integer(value)
+
+    @pytest.mark.parametrize("value", [0.5, float("nan"), float("inf"), np.float32(0.2), 3])
+    def test_reals(self, value):
+        assert is_real(value)
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, 1j, [0.5]])
+    def test_not_reals(self, value):
+        assert not is_real(value)
 
 
 class TestMask:
