@@ -7,8 +7,8 @@ tensor), ``report`` (render CSV traces for gnuplot).  Exit codes: 0 success,
 2 argument errors, 3 data errors.
 
 Option precedence is flags > config file (key=value lines) > defaults.  Each
-default lives in the library parameter its setting feeds, or in a constant
-below where the library declares none; --help reads it from there.
+default lives in the library parameter its setting feeds; --help reads it
+from there.
 """
 
 import argparse
@@ -25,11 +25,6 @@ from .mor import pod_basis, run_mor_demo
 from .tensor_ops import Mask
 
 __all__ = ["main"]
-
-
-# Defaults of the two settings whose library functions declare none.
-MASK_FRACTION = 0.3
-POD_RANK = 20
 
 
 def _config_flags(path, keys):
@@ -117,7 +112,7 @@ def _cmd_mask(args):
         where[y0 : y1 + 1, x0 : x1 + 1, :] = False
         mask = Mask.from_bool(where)
     else:
-        mask = make_random_mask(dims, getattr(args, "fraction", MASK_FRACTION), **_given(args, "seed"))
+        mask = make_random_mask(dims, **_given(args, "fraction", "seed"))
     fileio.save_mask(mask, args.out)
     print(f"mask with {mask.count} of {int(np.prod(dims))} entries written to {args.out}")
     return 0
@@ -149,10 +144,9 @@ def _cmd_mor_demo(args):
 
 def _cmd_pod(args):
     t = fileio.load_tensor(args.input)
-    r = getattr(args, "r", POD_RANK)
-    basis = pod_basis(t, r)
+    basis = pod_basis(t, **_given(args, "r"))
     fileio.save_matrix(basis.phi, args.out)
-    print(f"pod basis with {r} columns written to {args.out}")
+    print(f"pod basis with {basis.phi.shape[1]} columns written to {args.out}")
     return 0
 
 
@@ -171,12 +165,11 @@ def _command(sub, name, func, text):
     return p
 
 
-def _setting(p, flag, text, owner, name, default=None, **kw):
+def _setting(p, flag, text, owner, name, **kw):
     """Add ``flag``, which a config file may also set, feeding parameter ``name`` of
-    ``owner``; --help shows the default declared there, or ``default`` where none
-    is.  An unset flag stays out of the namespace either way."""
-    if default is None:
-        default = inspect.signature(owner).parameters[name].default
+    ``owner``; --help shows the default declared there.  An unset flag stays out
+    of the namespace."""
+    default = inspect.signature(owner).parameters[name].default
     p.get_default("settings").append(flag[2:])
     p.add_argument(flag, dest=name, help=f"{text} (default {default})", **kw)
 
@@ -206,8 +199,7 @@ def build_parser():
     shape = p.add_mutually_exclusive_group(required=True)
     shape.add_argument("--dims", help="I,J,K dimensions")
     shape.add_argument("--like", help="take dimensions from this tensor/pixmap file")
-    _setting(p, "--fraction", "observed fraction for random masks", make_random_mask, "fraction",
-             type=float, default=MASK_FRACTION)
+    _setting(p, "--fraction", "observed fraction for random masks", make_random_mask, "fraction", type=float)
     _setting(p, "--seed", "sampling seed", make_random_mask, "seed", type=int)
     p.add_argument("--rect", help="x0,y0,x1,y1 rectangle to hide (inclusive, all channels)")
     p.add_argument("--out", required=True, help="output MSK3 path")
@@ -225,7 +217,7 @@ def build_parser():
 
     p = _command(sub, "pod", _cmd_pod, "POD basis of a stored snapshot tensor")
     p.add_argument("--input", required=True, help="TNS3 tensor")
-    _setting(p, "--rank", "basis size", pod_basis, "r", type=int, default=POD_RANK)
+    _setting(p, "--rank", "basis size", pod_basis, "r", type=int)
     p.add_argument("--out", required=True, help="output MAT1 path")
 
     p = sub.add_parser("report", help="render a CSV trace as a gnuplot data file")

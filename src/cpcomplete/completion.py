@@ -74,7 +74,7 @@ class CompletionTrace:
         return len(self.residual)
 
 
-def make_random_mask(dims, fraction, seed=0):
+def make_random_mask(dims, fraction=0.3, seed=0):
     """Uniform mask observing ceil(fraction * IJK) entries, seeded."""
     if not (is_real(fraction) and 0.0 < fraction <= 1.0):
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")

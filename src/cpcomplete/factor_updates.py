@@ -160,10 +160,13 @@ def regularized_als_step(sweep, rho):
     Each mode solves (W^T W + rho I) G^T = W^T T(mode)^T for G = X D, then
     splits G into unit columns and the scaling vector, which it installs in
     the sweep.  With rho = 0 and a full-column-rank W this is the exact ALS
-    subproblem solution.  Returns the sweep's new model.
+    subproblem solution.  Returns the sweep's new model; a rank-0 model has
+    nothing to solve for and comes back unchanged.
     """
     if rho < 0.0:
         raise ValueError(f"rho must be nonnegative, got {rho}")
+    if sweep.model.R == 0:
+        return sweep.model
     eye = np.eye(sweep.model.R)
     for mode in _MODES:
         lhs = sweep.mode_gram(mode) + rho * eye

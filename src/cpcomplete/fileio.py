@@ -166,6 +166,10 @@ def load_ppm(path):
             )
         samples = np.frombuffer(payload, dtype=np.uint8)
     else:
+        # Each sample takes at least one byte, so a header asking for more
+        # samples than bytes remain is rejected before anything is allocated.
+        if count > len(buf) - pos:
+            raise PixmapParseError(f"truncated payload: {count} samples, {len(buf) - pos} bytes follow", pos)
         samples = np.empty(count, dtype=np.uint8)
         for idx in range(count):
             tok, pos = _next_token(buf, pos)

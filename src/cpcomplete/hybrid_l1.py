@@ -388,27 +388,22 @@ def solve_l1_hybrid(h, d, cfg=None):
     if state is None:
         return np.zeros(ncols), np.empty(0)
 
-    s_prev = None
-    lam_prev = _LAMBDA_FALLBACK
     adapt = cfg.omega == "adapt"
     omega = None if adapt else float(cfg.omega)
     omega_sum = 0.0
     lam_history = []
-    sol = np.zeros(ncols)
+    # k_max >= 1, and ncols >= 1 once fgk_init gives a state, so sol gets set.
     for _ in range(min(cfg.k_max, ncols)):
-        weights = None if s_prev is None else irn_weights(s_prev, _TAU1, _TAU2)
+        weights = irn_weights(sol, _TAU1, _TAU2) if lam_history else None
         fgk_expand(state, h, weights)
         problem = ProjectedProblem(state.M, state.beta1)
         if adapt:
             # Running mean of the per-step estimates, one per expansion.
             omega_sum += _omega_estimate(problem)
             omega = min(max(omega_sum / state.k, 1e-3), 1.0)
-        lam = wgcv_select(problem, omega, fallback=lam_prev)
-        q = projected_tikhonov(problem, lam)
-        sol = state.P @ q
+        lam = wgcv_select(problem, omega, fallback=lam_history[-1] if lam_history else _LAMBDA_FALLBACK)
+        sol = state.P @ projected_tikhonov(problem, lam)
         lam_history.append(lam)
-        lam_prev = lam
         if state.breakdown:
             break
-        s_prev = sol
     return sol, np.asarray(lam_history)

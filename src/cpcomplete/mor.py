@@ -33,6 +33,9 @@ __all__ = [
 # on [-1, 1]; the training grid and the test draws span [-MU_MAX, MU_MAX].
 MU_MAX = 0.99
 
+# Default POD basis size, for pod_basis and run_mor_demo alike.
+POD_RANK = 20
+
 
 def cheb_diff(n):
     """Chebyshev-Gauss-Lobatto points cos(j pi / n) and the differentiation matrix.
@@ -161,11 +164,14 @@ def cp_reduced_basis(a, r0, eps, m_max, seed, rho=None):
     at that rank (``rho`` defaults to :func:`default_rho`), stopping once a
     sweep moves A by at most 1e-8 relative, vectorizes the spatial outer
     products x_r o y_r, and orthonormalizes them by pivoted QR, dropping
-    columns whose pivot falls below 1e-10 times the largest.
+    columns whose pivot falls below 1e-10 times the largest.  A fit that keeps
+    no component (an all-zero tensor) gives a basis with no columns.
     """
     import scipy.linalg
     a = as_tensor(a)
     model, _, _ = complete(a, Mask.full(a.shape), _basis_config(r0, eps, m_max, seed))
+    if model.R == 0:
+        return ReducedBasis(np.zeros((a.shape[0] * a.shape[1], 0)))
     if rho is None:
         rho = default_rho(a, model.R)
     sweep = Sweep(model, a)
@@ -187,16 +193,18 @@ def cp_reduced_basis(a, r0, eps, m_max, seed, rho=None):
     return ReducedBasis(np.ascontiguousarray(q[:, :kept]))
 
 
-def _check_pod_rank(r, rows, cols):
+def _check_pod_rank(name, r, rows, cols):
+    if not is_integer(r):
+        raise ValueError(f"{name} must be an integer, got {r!r}")
     if r < 1 or r > min(rows, cols):
         raise ValueError(f"rank {r} out of range for a {rows} x {cols} snapshot matrix")
 
 
-def pod_basis(a, r):
+def pod_basis(a, r=POD_RANK):
     """Leading left singular vectors of the snapshot matrix (slices as columns)."""
     a = as_tensor(a)
     i, j, k = a.shape
-    _check_pod_rank(r, i * j, k)
+    _check_pod_rank("r", r, i * j, k)
     y = a.reshape(i * j, k)
     u, _, _ = np.linalg.svd(y, full_matrices=False)
     return ReducedBasis(np.ascontiguousarray(u[:, :r]))
@@ -229,16 +237,20 @@ def compression_ratio(dims, r, scheme):
     raise ValueError(f"scheme must be 'pod' or 'cp', got {scheme!r}")
 
 
-def run_mor_demo(nx=40, grid_n=9, r0=50, eps=1e-2, n_tests=10, pod_rank=20, seed=0, m_max=200):
+def run_mor_demo(nx=40, grid_n=9, r0=50, eps=1e-2, n_tests=10, pod_rank=POD_RANK, seed=0, m_max=200):
     """Full pipeline on one parameter grid; returns bases, per-test errors and ratios.
 
     Every setting is checked before the first collocation solve.
     """
-    if n_tests < 1:
-        raise ValueError(f"n_tests must be at least 1, got {n_tests}")
+    for name, value in (("nx", nx), ("grid_n", grid_n), ("n_tests", n_tests)):
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name, value in (("grid_n", grid_n), ("n_tests", n_tests)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     _basis_config(r0, eps, m_max, seed)
     grid = parameter_grid(grid_n)
-    _check_pod_rank(pod_rank, nx * nx, len(grid))
+    _check_pod_rank("pod_rank", pod_rank, nx * nx, len(grid))
     check_rank(r0, (nx, nx, len(grid)))
     snaps = assemble_snapshots(grid, nx)
     cp = cp_reduced_basis(snaps, r0=r0, eps=eps, m_max=m_max, seed=seed)

@@ -11,7 +11,7 @@ import pytest
 
 from cpcomplete import cli, mor
 from cpcomplete.cli import main
-from cpcomplete.completion import CompletionConfig
+from cpcomplete.completion import CompletionConfig, make_random_mask
 from cpcomplete.cp_model import CPModel, reconstruct
 from cpcomplete.fileio import load_mask, load_matrix, load_model, load_tensor, save_ppm, save_tensor
 
@@ -40,6 +40,29 @@ class Captured(Exception):
 
 def no_solve(*args, **kwargs):
     raise AssertionError("the solve ran before the arguments were checked")
+
+
+def bare_call(monkeypatch, name, argv):
+    """The arguments, defaults applied, with which ``main(argv)`` calls the
+    library function the CLI imports as ``name``."""
+    func = getattr(cli, name)
+    calls = []
+
+    @functools.wraps(func)  # the parser reads its defaults through the stand-in
+    def capture(*args, **kwargs):
+        calls.append(inspect.signature(func).bind(*args, **kwargs))
+        raise Captured
+
+    monkeypatch.setattr(cli, name, capture)
+    with pytest.raises(Captured):
+        main(argv)
+    (bound,) = calls
+    bound.apply_defaults()
+    return bound.arguments
+
+
+def signature_defaults(func):
+    return {name: p.default for name, p in inspect.signature(func).parameters.items()}
 
 
 @pytest.fixture
@@ -122,6 +145,18 @@ class TestMaskCommand:
         explicit = ["--fraction", "0.3", "--seed", "0", "--out", str(tmp_path / "explicit.msk3")]
         assert main(["mask", "--dims", "10,10,10", *explicit]) == 0
         assert (tmp_path / "bare.msk3").read_bytes() == (tmp_path / "explicit.msk3").read_bytes()
+
+    def test_bare_command_uses_the_signature_defaults(self, tmp_path, monkeypatch):
+        argv = ["mask", "--dims", "4,5,3", "--out", str(tmp_path / "m.msk3")]
+        arguments = bare_call(monkeypatch, "make_random_mask", argv)
+        assert arguments == {**signature_defaults(make_random_mask), "dims": (4, 5, 3)}
+
+    def test_huge_p3_header_is_data_error(self, tmp_path):
+        huge = tmp_path / "huge.ppm"
+        huge.write_bytes(b"P3 100000000000 100000000000 255\n1 2 3\n")
+        res = run_cli("mask", "--like", huge, "--out", tmp_path / "m.msk3")
+        assert res.returncode == 3, res.stderr
+        assert "truncated payload" in res.stderr
 
 
 class TestCompleteCommand:
@@ -340,6 +375,8 @@ class TestCompleteCommand:
     [
         ("complete", CompletionConfig, ["R0", "mode", "m_max", "eps_tol", "seed"]),
         ("mor-demo", mor.run_mor_demo, list(inspect.signature(mor.run_mor_demo).parameters)),
+        ("mask", make_random_mask, ["fraction", "seed"]),
+        ("pod", mor.pod_basis, ["r"]),
     ],
 )
 def test_help_shows_the_library_defaults(capsys, command, owner, names):
@@ -355,20 +392,8 @@ def test_help_shows_the_library_defaults(capsys, command, owner, names):
 
 class TestMorDemoCommand:
     def test_bare_command_uses_the_signature_defaults(self, tmp_path, monkeypatch):
-        calls = []
-
-        @functools.wraps(mor.run_mor_demo)
-        def capture(*args, **kwargs):
-            calls.append(inspect.signature(mor.run_mor_demo).bind(*args, **kwargs))
-            raise Captured
-
-        monkeypatch.setattr(cli, "run_mor_demo", capture)
-        with pytest.raises(Captured):
-            main(["mor-demo", "--outdir", str(tmp_path)])
-        (bound,) = calls
-        bound.apply_defaults()
-        defaults = {name: p.default for name, p in inspect.signature(mor.run_mor_demo).parameters.items()}
-        assert bound.arguments == defaults
+        arguments = bare_call(monkeypatch, "run_mor_demo", ["mor-demo", "--outdir", str(tmp_path)])
+        assert arguments == signature_defaults(mor.run_mor_demo)
 
     def test_tiny_pipeline_writes_reports(self, tmp_path):
         res = run_cli(
@@ -423,6 +448,15 @@ class TestPodCommand:
         phi = load_matrix(tmp_path / "b.mat1")
         assert phi.shape == (36, 3)
         assert np.abs(phi.T @ phi - np.eye(3)).max() <= 1e-10
+
+    def test_bare_command_uses_the_signature_defaults(self, tmp_path, monkeypatch):
+        t = small_tensor()
+        save_tensor(t, tmp_path / "s.tns3")
+        argv = ["pod", "--input", str(tmp_path / "s.tns3"), "--out", str(tmp_path / "b.mat1")]
+        arguments = bare_call(monkeypatch, "pod_basis", argv)
+        defaults = signature_defaults(mor.pod_basis)
+        assert np.array_equal(arguments.pop("a"), t) and defaults.pop("a") is inspect.Parameter.empty
+        assert arguments == defaults
 
     def test_overflowing_header_is_data_error(self, tmp_path):
         bogus = tmp_path / "huge.tns3"

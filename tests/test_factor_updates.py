@@ -243,6 +243,12 @@ class TestRegularizedALS:
             m = regularized_als_step(sweep, 1e-6)
         assert frobenius_norm(t - reconstruct(m)) <= 1e-5 * frobenius_norm(t)
 
+    def test_rank_zero_model_comes_back_unchanged(self):
+        m = CPModel(np.zeros((4, 0)), np.zeros((5, 0)), np.zeros((6, 0)), np.zeros(0))
+        sweep = Sweep(m, np.zeros((4, 5, 6)))
+        for rho in (0.0, 1.0):
+            assert regularized_als_step(sweep, rho) is m
+
     def test_singular_system_raises(self):
         m = random_model(23)
         m.B[:, 1] = m.B[:, 0]

@@ -246,10 +246,12 @@ class TestPixmaps:
             (b"P3\n1 1\n255\n1 2 256\n", "out of range"),
             (b"P3\n1 1\n255\n-1 2 3\n", "out of range"),
             (b"P3\n1 1\n255\n1 2\n", "unexpected end of header"),
+            (b"P3 3000 3000 255\n1 2 3\n", "truncated payload: 27000000 samples, 7 bytes follow"),
         ],
         ids=[
             "no-maxval", "comment-to-eof", "width", "height", "maxval", "zero-width", "zero-height",
             "p6-eof-after-maxval", "p6-comment-after-maxval", "p3-word", "p3-256", "p3-negative", "p3-short",
+            "p3-more-samples-than-bytes",
         ],
     )
     def test_malformed_header_or_samples(self, tmp_path, raw, message):

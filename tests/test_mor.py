@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,11 @@ class TestPodBasis:
         with pytest.raises(ValueError):
             pod_basis(np.zeros((4, 4, 3)), 10)
 
+    @pytest.mark.parametrize("r", [2.5, True, "2"])
+    def test_non_integer_rank_rejected(self, r):
+        with pytest.raises(ValueError, match="r must be an integer"):
+            pod_basis(np.ones((4, 4, 3)), r)
+
     def test_orthonormal(self):
         rng = np.random.default_rng(3)
         basis = pod_basis(rng.normal(size=(8, 8, 6)), 4)
@@ -274,6 +280,12 @@ class TestCpReducedBasis:
         gram = basis.phi.T @ basis.phi
         assert np.abs(gram - np.eye(gram.shape[0])).max() <= 1e-10
 
+    def test_fit_keeping_no_component_gives_no_columns(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = cp_reduced_basis(np.zeros((6, 6, 5)), r0=3, eps=1e-2, m_max=20, seed=0)
+        assert basis.phi.shape == (36, 0)
+
 
 class TestRunMorDemo:
     @pytest.mark.parametrize(
@@ -284,8 +296,20 @@ class TestRunMorDemo:
             ({"pod_rank": 26}, "rank 26 out of range"),
             ({"seed": -1}, "seed must be an integer >= 0"),
             ({"eps": 1.0}, "eps_truncate must lie in"),
+            ({"nx": 5.0}, "nx must be an integer, got 5.0"),
+            ({"grid_n": 2.5}, "grid_n must be an integer, got 2.5"),
+            ({"grid_n": True}, "grid_n must be an integer, got True"),
+            ({"n_tests": 2.5}, "n_tests must be an integer, got 2.5"),
+            ({"n_tests": True}, "n_tests must be an integer, got True"),
+            ({"pod_rank": 2.5}, "pod_rank must be an integer, got 2.5"),
+            ({"pod_rank": True}, "pod_rank must be an integer, got True"),
+            ({"grid_n": 0}, "grid_n must be at least 1, got 0"),
         ],
-        ids=["r0-above-rank-bound", "n_tests-zero", "pod_rank-too-large", "seed-negative", "eps-one"],
+        ids=[
+            "r0-above-rank-bound", "n_tests-zero", "pod_rank-too-large", "seed-negative", "eps-one",
+            "nx-float", "grid_n-float", "grid_n-bool", "n_tests-float", "n_tests-bool", "pod_rank-float", "pod_rank-bool",
+            "grid_n-zero",
+        ],
     )
     def test_bad_setting_fails_before_any_solve(self, monkeypatch, settings, message):
         # On the 5 x 5 x 81 snapshot tensor the CP rank bound is min(25, 405, 405) = 25.
