@@ -102,7 +102,7 @@ def relative_error(s, a):
 def _init_sweep(t, t_zero_filled, r0, rng):
     # Random unit columns, and the least-squares alpha read off the sweep's
     # Grams.  The sweep starts on t, which no update reads before the first
-    # imputation replaces it, so the zero-filled copy can be dropped first.
+    # imputation replaces it.
     def unit_columns(n):
         x = rng.standard_normal((n, r0))
         return x / np.linalg.norm(x, axis=0)
@@ -127,9 +127,14 @@ def complete(t, mask, cfg):
     or when alpha is all zero on two consecutive iterations, after which no
     later iteration could change anything.
 
+    The driver allocates two IJK-sized tensors and reuses them on every
+    iteration: the imputation, which the factor updates read, and the
+    reconstruction, which then holds the observed residual.
+
     Returns ``(model, s, trace)`` where ``model`` is truncated at
     ``cfg.eps_truncate`` (components sorted by descending |alpha|) and ``s``
-    is the completed tensor with the observed entries copied back verbatim.
+    is the completed tensor with the observed entries copied back verbatim;
+    it is the driver's imputation tensor, the last imputation.
     """
     t = as_tensor(t)
     if not np.all(np.isfinite(t)):
@@ -140,35 +145,34 @@ def complete(t, mask, cfg):
         raise ValueError("mask observes no entries")
 
     rng = np.random.default_rng(cfg.seed)
-    t_zero_filled = masked_copy(t, np.zeros(t.shape), mask)
-    sweep = _init_sweep(t, t_zero_filled, cfg.R0, rng)
+    s, s_hat = np.empty(t.shape), np.zeros(t.shape)
+    masked_copy(t, s_hat, mask, out=s)  # zero-filled
+    sweep = _init_sweep(t, s, cfg.R0, rng)
     model = sweep.model
-    obs_norm = max(float(np.linalg.norm(t_zero_filled.ravel())), 1e-300)
-    del t_zero_filled
+    obs_norm = max(float(np.linalg.norm(s.ravel())), 1e-300)
 
     trace = CompletionTrace()
     start = time.perf_counter()
-    s_hat = reconstruct(model)
-    t_work = masked_copy(t, s_hat, mask)
-    sweep.set_tensor(t_work)
+    masked_copy(t, reconstruct(model, out=s_hat), mask, out=s)
+    sweep.set_tensor(s)
     zero_alpha_run = 0
     for _ in range(cfg.m_max):
         for mode in ("A", "B", "C"):
             model = mm_update(mode, sweep)
         op = CPScalingOperator(model, sweep.grams)
         if cfg.mode == "hybrid":
-            alpha, lam_hist = solve_l1_hybrid(*op.coordinates(t_work.ravel()), cfg.hybrid)
+            alpha, lam_hist = solve_l1_hybrid(*op.coordinates(s.ravel()), cfg.hybrid)
             lam = float(lam_hist[-1]) if lam_hist.size else float("nan")
         else:
-            alpha = ista_alpha_step(model, t_work, cfg.lam, op)
+            alpha = ista_alpha_step(model, s, cfg.lam, op, work=s_hat)
             lam = cfg.lam
         model.alpha = alpha
-        s_hat = op.reconstruct(alpha)
-        # The next imputation differs from s_hat only on the observed entries,
+        op.reconstruct(alpha, out=s_hat)
+        masked_copy(t, s_hat, mask, out=s)
+        sweep.set_tensor(s)
+        # The imputation differs from s_hat only on the observed entries,
         # where it holds t, so their difference is the observed residual.
-        t_work = masked_copy(t, s_hat, mask)
-        sweep.set_tensor(t_work)
-        residual = float(np.linalg.norm((s_hat - t_work).ravel())) / obs_norm
+        residual = float(np.linalg.norm(np.subtract(s_hat, s, out=s_hat).ravel())) / obs_norm
         trace.append(residual, lam, (time.perf_counter() - start) * 1e3)
         if residual <= cfg.eps_tol:
             break
@@ -178,4 +182,4 @@ def complete(t, mask, cfg):
         if zero_alpha_run == 2:
             break
 
-    return truncate_rank(model, cfg.eps_truncate), t_work, trace
+    return truncate_rank(model, cfg.eps_truncate), s, trace

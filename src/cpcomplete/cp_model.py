@@ -54,9 +54,9 @@ def check_rank(r, dims):
         raise ValueError(f"R={r} exceeds the rank upper bound min(IJ, JK, IK) for dims {tuple(dims)}")
 
 
-def reconstruct(m):
-    """Dense tensor sum_r alpha_r * a_r o b_r o c_r."""
-    return rank_one_sum(m.alpha, (m.A, m.B, m.C))
+def reconstruct(m, out=None):
+    """Dense tensor sum_r alpha_r * a_r o b_r o c_r, written into ``out`` when given."""
+    return rank_one_sum(m.alpha, (m.A, m.B, m.C), out=out)
 
 
 def build_q(m):
@@ -88,7 +88,8 @@ class CPScalingOperator:
     products with Q and Q^T are each one GEMM on a free reshape of the tensor
     (:func:`~cpcomplete.tensor_ops.rank_one_sum`, and the mode-0
     :func:`~cpcomplete.tensor_ops.mttkrp` summed against A), so nothing
-    IJK-sized is formed except the tensor reconstruct returns.
+    IJK-sized is formed except the tensor reconstruct returns, and not that
+    either when it is given ``out``.
 
     ``factor_grams`` is (A^T A, B^T B, C^T C) when the caller already holds
     them (see :func:`factor_gram`); the operator keeps its own tuple of them,
@@ -136,8 +137,8 @@ class CPScalingOperator:
         factors = (self.A, self.B, self.C)
         return np.einsum("ir,ir->r", self.A, mttkrp(np.reshape(y, self.dims), factors, 0))
 
-    def reconstruct(self, x):
-        return rank_one_sum(x, (self.A, self.B, self.C))
+    def reconstruct(self, x, out=None):
+        return rank_one_sum(x, (self.A, self.B, self.C), out=out)
 
 
 def truncate_rank(m, eps):

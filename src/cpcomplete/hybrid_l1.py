@@ -57,19 +57,24 @@ def soft_threshold(v, lam):
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 
 
-def ista_alpha_step(m, t, lam, op):
+def ista_alpha_step(m, t, lam, op, work=None):
     """One thresholded-Landweber step on the scaling vector at fixed lambda.
 
     alpha <- prox(alpha - (alpha Q - t) Q^T / (s eta), lambda / (s eta)) with
     eta the largest eigenvalue of Q Q^T and s = STEP_SAFETY, the same safety
     factor the MM factor updates use.  ``op`` is the
     :class:`~cpcomplete.cp_model.CPScalingOperator` of m's factors, which
-    supplies Q Q^T and the products with Q, so Q is never materialized.
+    supplies Q Q^T and the products with Q, so Q is never materialized.  The
+    residual alpha Q - t is formed in ``work``, a tensor of t's shape that
+    must not share memory with t, or in a new one when it is None.
     """
     t = as_tensor(t)
+    if work is not None and np.shares_memory(work, t):
+        raise ValueError("work must not share memory with t")
     eta = max(float(np.linalg.eigvalsh(op.gram)[-1]), 1e-12)
     step = 1.0 / (STEP_SAFETY * eta)
-    grad = op.rmatvec(reconstruct(m) - t)
+    residual = reconstruct(m, out=work)
+    grad = op.rmatvec(np.subtract(residual, t, out=residual))
     return soft_threshold(m.alpha - step * grad, lam * step)
 
 

@@ -21,6 +21,10 @@ of them in hybrid mode and five in fixed mode (the MM sweep's Khatri-Rao
 MTTKRP and shared partial, the reconstruction, and Q t, or the ISTA step's
 reconstruction and Q times the residual), and forms two to four Khatri-Rao
 products, depending on the mode and on whether K <= I.
+
+In the completion loop :func:`rank_one_sum` and :func:`masked_copy` write
+into an ``out`` tensor, so the driver allocates no tensor per iteration: it
+keeps two, its imputation and its reconstruction, for the whole run.
 """
 
 import numbers
@@ -144,18 +148,37 @@ def mttkrp(t, factors, mode, partial=None):
     return np.einsum("rij,jr->ir", partial, b) if mode == 0 else np.einsum("rij,ir->jr", partial, a)
 
 
-def rank_one_sum(x, factors):
+def _out_tensor(out, shape):
+    # A reshape of anything but a C-contiguous array is a copy, so a kernel
+    # writing into it would leave ``out`` untouched.
+    if out is None:
+        return np.empty(shape)
+    if not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.float64
+        and out.shape == shape
+        and out.flags.c_contiguous
+    ):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    return out
+
+
+def rank_one_sum(x, factors, out=None):
     """Tensor sum_r x_r a_r o b_r o c_r for ``factors`` (A, B, C).
 
     One GEMM against the smaller Khatri-Rao product, on the same side as
-    :func:`mttkrp`, written straight into a free reshape: (A diag(x)) (B kr C)^T
-    is I x JK when K <= I, otherwise (A diag(x) kr B) C^T is IJ x K.
+    :func:`mttkrp`, written straight into a free reshape of ``out`` (a new
+    tensor when it is None), which is returned: (A diag(x)) (B kr C)^T is
+    I x JK when K <= I, otherwise (A diag(x) kr B) C^T is IJ x K.
     """
     a, b, c = factors
     i, j, k = a.shape[0], b.shape[0], c.shape[0]
+    out = _out_tensor(out, (i, j, k))
     if k <= i:
-        return ((a * x) @ khatri_rao(b, c).T).reshape(i, j, k)
-    return (khatri_rao(a * x, b) @ c.T).reshape(i, j, k)
+        np.matmul(a * x, khatri_rao(b, c).T, out=out.reshape(i, j * k))
+    else:
+        np.matmul(khatri_rao(a * x, b), c.T, out=out.reshape(i * j, k))
+    return out
 
 
 def is_integer(value):
@@ -203,22 +226,48 @@ class Mask:
 
     @classmethod
     def full(cls, dims):
-        return cls.from_bool(np.ones(dims, dtype=bool))
+        return cls.from_bool(np.ones(mask_dims(dims), dtype=bool))
 
     @classmethod
     def from_bool(cls, where):
+        """The mask observing the True entries of ``where``.
+
+        A boolean array is kept as the mask's ``where``, not copied, so the
+        caller must not change it afterwards.
+        """
         where = np.asarray(where, dtype=bool)
-        return cls(where.shape, np.argwhere(where))
+        mask = cls.__new__(cls)
+        mask.dims = mask_dims(where.shape)
+        mask.where = where
+        mask.count = int(np.count_nonzero(where))
+        return mask
 
     @property
     def observed(self):
         return np.argwhere(self.where)
 
 
-def masked_copy(t, s, mask):
-    """Tensor equal to ``t`` on the observed entries and ``s`` everywhere else."""
+def masked_copy(t, s, mask, out=None):
+    """Tensor equal to ``t`` on the observed entries and ``s`` everywhere else.
+
+    It is written into ``out`` (a new tensor when it is None), which is
+    returned; ``out`` may be ``t`` but must not share memory with ``s``.
+    The select works on the bits, ((t ^ s) * observed) ^ s, so every value,
+    -0.0 and NaN payloads included, is copied exactly, as by ``np.where``,
+    in three passes that allocate no tensor.  A full mask copies ``t``.
+    """
     t = as_tensor(t)
     s = as_tensor(s)
     if t.shape != s.shape or t.shape != mask.dims:
         raise ValueError(f"shape mismatch: {t.shape}, {s.shape}, mask {mask.dims}")
-    return np.where(mask.where, t, s)
+    out = _out_tensor(out, t.shape)
+    if np.shares_memory(out, s):
+        raise ValueError("out must not share memory with s")
+    if mask.count == t.size:
+        np.copyto(out, t)
+        return out
+    tv, sv, ov = (x.view(np.uint64) for x in (t, s, out))
+    np.bitwise_xor(tv, sv, out=ov)
+    np.multiply(ov, mask.where.view(np.uint8), out=ov)
+    np.bitwise_xor(ov, sv, out=ov)
+    return out

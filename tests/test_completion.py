@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -208,9 +209,11 @@ class TestComplete:
         recons = []
         original = CPScalingOperator.reconstruct
 
-        def recording(op, x):
-            recons.append(original(op, x))
-            return recons[-1]
+        def recording(op, x, out=None):
+            # The driver reuses its reconstruction tensor, so keep a copy.
+            result = original(op, x, out=out)
+            recons.append(result.copy())
+            return result
 
         monkeypatch.setattr(CPScalingOperator, "reconstruct", recording)
         cfg = CompletionConfig(R0=5, m_max=12, eps_tol=1e-8, mode=mode, lam=0.1, seed=13)
@@ -403,6 +406,30 @@ class TestKernelBudget:
         cfg = CompletionConfig(R0=3, m_max=1, mode=mode, lam=0.05, seed=11)
         complete(synthetic_rank(11, dims, 2), make_random_mask(dims, 0.7, seed=11), cfg)
         assert calls["factor_gram"] == 6
+
+
+class TestMemory:
+    """The driver keeps two IJK-sized tensors, its imputation and its
+    reconstruction, for the whole run and allocates no other one per
+    iteration.  On a 40^3 input at R0=6 the rest of the peak is about
+    0.2 IJK (the Khatri-Rao products and the shared partial), so a third
+    tensor would take it above the pin."""
+
+    @pytest.mark.parametrize("m_max", [2, 10])
+    @pytest.mark.parametrize("mode", ["hybrid", "fixed"])
+    def test_traced_peak_stays_under_two_and_a_half_tensors(self, mode, m_max):
+        t = synthetic_rank(3, (40, 40, 40), 3)
+        mask = make_random_mask(t.shape, 0.5, seed=3)
+        cfg = CompletionConfig(R0=6, m_max=m_max, eps_tol=1e-12, mode=mode, lam=0.05, seed=3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, _, trace = complete(t, mask, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == m_max
+        assert (peak - base) / t.nbytes <= 2.5
 
 
 class TestModeComparison:

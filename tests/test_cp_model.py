@@ -48,6 +48,17 @@ class TestReconstruct:
         oracle = reconstruct_oracle(m)
         assert np.linalg.norm(t - oracle) <= 1e-13 * frobenius_norm(oracle)
 
+    @pytest.mark.parametrize("dims", [(6, 4, 3), (3, 4, 6)], ids=["K<=I", "K>I"])
+    def test_out_is_returned_with_the_allocating_bytes(self, dims):
+        m = random_model(4, dims)
+        op = CPScalingOperator(m)
+        x = np.random.default_rng(4).normal(size=m.R)
+        for call, expected in ((lambda out: reconstruct(m, out=out), reconstruct(m)),
+                               (lambda out: op.reconstruct(x, out=out), op.reconstruct(x))):
+            out = np.full(dims, np.nan)
+            assert call(out) is out
+            assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
 
 class TestBuildQ:
     def test_unit_spike_row(self):

@@ -89,6 +89,19 @@ class TestIstaAlphaStep:
         out = ista_alpha_step(m, t, 1e9, CPScalingOperator(m))
         assert not out.any()
 
+    def test_work_tensor_gives_the_same_bytes(self):
+        rng = np.random.default_rng(4)
+        mats = [x / np.linalg.norm(x, axis=0) for x in rng.normal(size=(3, 5, 4))]
+        m = CPModel(*mats, rng.normal(size=4))
+        t = rng.normal(size=(5, 5, 5))
+        op = CPScalingOperator(m)
+        t_before = t.copy()
+        expected = ista_alpha_step(m, t, 0.3, op)
+        assert np.array_equal(ista_alpha_step(m, t, 0.3, op, work=np.empty_like(t)), expected)
+        assert np.array_equal(t, t_before)
+        with pytest.raises(ValueError, match="work must not share memory with t"):
+            ista_alpha_step(m, t, 0.3, op, work=t)
+
     def test_matches_coordinate_descent_objective(self):
         rng = np.random.default_rng(3)
         mats = [rng.normal(size=(5, 4)) for _ in range(3)]

@@ -11,6 +11,7 @@ from cpcomplete.tensor_ops import (
     masked_copy,
     matricize,
     mttkrp,
+    rank_one_sum,
 )
 
 
@@ -189,6 +190,33 @@ class TestMask:
         with pytest.raises(ValueError):
             Mask((2, 2, 2), [(0, 0, 2)])
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.4, 1.0])
+    def test_from_bool_matches_the_triples_path(self, fraction):
+        where = np.random.default_rng(3).random((4, 3, 5)) < fraction
+        mask, oracle = Mask.from_bool(where), Mask(where.shape, np.argwhere(where))
+        assert mask.dims == oracle.dims == (4, 3, 5)
+        assert mask.where.dtype == bool and np.array_equal(mask.where, oracle.where)
+        assert mask.count == oracle.count and type(mask.count) is int
+        assert np.array_equal(mask.observed, oracle.observed)
+        assert mask.where is where
+
+    def test_full_matches_the_triples_path(self):
+        dims = (3, 4, 2)
+        mask, oracle = Mask.full(dims), Mask(dims, np.argwhere(np.ones(dims, dtype=bool)))
+        assert mask.dims == oracle.dims and mask.count == oracle.count == 24
+        assert np.array_equal(mask.where, oracle.where)
+        assert np.array_equal(mask.observed, oracle.observed)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 0, 2), (2.7, 2, 2), (True, 2, 2)])
+    def test_full_checks_dims_first(self, dims):
+        with pytest.raises(ValueError, match="dims must be three positive integers"):
+            Mask.full(dims)
+
+    def test_from_bool_rejects_bad_shapes(self):
+        for where in (np.ones((2, 2), dtype=bool), np.ones((2, 0, 2), dtype=bool)):
+            with pytest.raises(ValueError, match="dims must be three positive integers"):
+                Mask.from_bool(where)
+
     def test_observed_in_c_order(self):
         # MSK3 files list the triples in this order, whatever order they came in.
         mask = Mask((2, 3, 2), [(1, 0, 1), (0, 2, 0), (0, 0, 1)])
@@ -223,6 +251,80 @@ class TestMaskedCopy:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             masked_copy(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)), Mask.full((2, 2, 2)))
+
+    @staticmethod
+    def special_values():
+        # -0.0, +-inf, NaNs with distinct payloads and signs, subnormals.
+        nans = np.array([0x7FF8000000000001, 0xFFF0000000000BAD, 0x7FF4000000000000], dtype=np.uint64)
+        values = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, -1.5], nans.view(np.float64)])
+        rng = np.random.default_rng(14)
+        t = rng.choice(values, size=(4, 5, 6))
+        s = rng.choice(values, size=(4, 5, 6))
+        return t, s
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0], ids=["empty", "half", "full"])
+    @pytest.mark.parametrize("given_out", [False, True])
+    def test_bit_exact_against_where(self, fraction, given_out):
+        t, s = self.special_values()
+        where = np.random.default_rng(15).random(t.shape) < fraction
+        mask = Mask.from_bool(where)
+        out = np.full(t.shape, 7.0) if given_out else None
+        result = masked_copy(t, s, mask, out=out)
+        assert out is None or result is out
+        assert np.array_equal(result.view(np.uint64), np.where(where, t, s).view(np.uint64))
+
+    def test_out_may_be_t(self):
+        t, s = self.special_values()
+        where = np.random.default_rng(16).random(t.shape) < 0.5
+        expected = np.where(where, t, s)
+        assert masked_copy(t, s, Mask.from_bool(where), out=t) is t
+        assert np.array_equal(t.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "bad_out",
+        [
+            np.zeros((2, 3, 4), dtype=np.float32),
+            np.zeros((2, 3, 5)),
+            np.zeros((4, 3, 2)).transpose(2, 1, 0),
+            np.zeros((2, 3, 8))[:, :, ::2],
+            [[[0.0] * 4] * 3] * 2,
+        ],
+        ids=["float32", "shape", "fortran", "strided", "list"],
+    )
+    def test_bad_out_rejected(self, bad_out):
+        t, s = np.ones((2, 3, 4)), np.zeros((2, 3, 4))
+        with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
+            masked_copy(t, s, Mask.full(t.shape), out=bad_out)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_out_sharing_memory_with_s_rejected(self, full):
+        # The select would zero the unobserved entries of an out that is s.
+        t = np.ones((2, 3, 4))
+        buffer = np.zeros(25)
+        s = buffer[:24].reshape(t.shape)
+        mask = Mask.full(t.shape) if full else Mask(t.shape, [(0, 0, 0)])
+        for out in (s, buffer[1:].reshape(t.shape)):
+            with pytest.raises(ValueError, match="out must not share memory with s"):
+                masked_copy(t, s, mask, out=out)
+
+
+class TestRankOneSumOut:
+    @pytest.mark.parametrize("dims", [(6, 4, 3), (3, 4, 6)], ids=["K<=I", "K>I"])
+    def test_out_is_returned_with_the_allocating_bytes(self, dims):
+        rng = np.random.default_rng(17)
+        factors = tuple(rng.standard_normal((d, 3)) for d in dims)
+        x = rng.standard_normal(3)
+        out = np.full(dims, np.nan)
+        assert rank_one_sum(x, factors, out=out) is out
+        assert np.array_equal(out.view(np.uint64), rank_one_sum(x, factors).view(np.uint64))
+
+    @pytest.mark.parametrize("dims", [(6, 4, 3), (3, 4, 6)], ids=["K<=I", "K>I"])
+    def test_non_contiguous_out_rejected(self, dims):
+        # A reshape of a non-contiguous array is a copy, which the GEMM would fill instead.
+        factors = tuple(np.ones((d, 2)) for d in dims)
+        out = np.zeros(dims[::-1]).transpose(2, 1, 0)
+        with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
+            rank_one_sum(np.ones(2), factors, out=out)
 
 
 def test_as_tensor_validates():
