@@ -426,14 +426,15 @@ class TestMorDemoCommand:
             (["--grid", "3", "--pod-rank", "20"], "rank 20"),
             (["--tests", "0"], "got 0"),
             (["--outdir", "{tmp}/missing"], "missing"),
+            (["--nx", "2"], "nx must be at least 3 for a nonempty interior, got 2"),
         ],
-        ids=["eps", "pod-rank", "tests", "outdir"],
+        ids=["eps", "pod-rank", "tests", "outdir", "nx"],
     )
     def test_bad_value_fails_before_any_solve(self, tmp_path, monkeypatch, capsys, args, shown):
-        def no_solve(p):
-            raise AssertionError("solve_diffusion ran before the arguments were checked")
+        def no_solve(*args):
+            raise AssertionError("assemble_snapshots ran before the arguments were checked")
 
-        monkeypatch.setattr(mor, "solve_diffusion", no_solve)
+        monkeypatch.setattr(mor, "assemble_snapshots", no_solve)
         base = ["mor-demo", "--nx", "12", "--grid", "2", "--tests", "2", "--pod-rank", "3", "--outdir", str(tmp_path)]
         assert main(base + [a.format(tmp=tmp_path) for a in args]) == 2
         assert shown in capsys.readouterr().err

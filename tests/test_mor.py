@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.interpolate
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 from cpcomplete import mor
+from cpcomplete.cp_model import CPModel
 from cpcomplete.mor import (
     DiffusionProblem,
     ReducedBasis,
@@ -106,22 +108,63 @@ class TestSolveDiffusion:
         with pytest.raises(ValueError, match=f"nx must be at least 3 .*got {nx}"):
             DiffusionProblem(nx, 0.0, 0.0)
 
-    @pytest.mark.parametrize("nx", [3, 12, 40])
+    @pytest.mark.parametrize("nx", [3, 12, 40, 80])
     @pytest.mark.parametrize("mu", [(0.0, 0.0), (0.4, -0.6), (0.99, -0.99), (-0.99, 0.99)])
     def test_matches_sparse_kronecker_solve(self, nx, mu):
         # independent oracle: the interior collocation operator assembled here
         # as kron(Ax D2, I) + kron(I, Ay D2) and factored by sparse LU
-        x, d = cheb_diff(nx - 1)
-        xi = x[1:-1]
-        d2 = scipy.sparse.csr_matrix((d @ d)[1:-1, 1:-1])
-        eye = scipy.sparse.identity(nx - 2, format="csr")
-        ax = scipy.sparse.diags(1.0 + mu[0] * xi) @ d2
-        ay = scipy.sparse.diags(1.0 + mu[1] * xi) @ d2
-        op = scipy.sparse.kron(ax, eye) + scipy.sparse.kron(eye, ay)
-        rhs = np.exp(4.0 * np.outer(xi, xi)).ravel()
+        op, rhs = kronecker_system(nx, mu)
         ref = np.atleast_1d(scipy.sparse.linalg.spsolve(op.tocsc(), rhs)).reshape(nx - 2, nx - 2)
         u = solve_diffusion(DiffusionProblem(nx, *mu))
         assert np.linalg.norm(u[1:-1, 1:-1] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("nx", [3, 12, 40])
+    @pytest.mark.parametrize("mu", [(0.0, 0.0), (0.4, -0.6), (0.99, -0.99)])
+    def test_residual_matches_sparse_kronecker_residual(self, nx, mu):
+        # diffusion_residual differentiates the full grid; the oracle applies
+        # the assembled interior operator to the interior values
+        rng = np.random.default_rng(nx)
+        u = np.zeros((nx, nx))
+        u[1:-1, 1:-1] = rng.normal(size=(nx - 2, nx - 2))
+        op, rhs = kronecker_system(nx, mu)
+        ref = np.linalg.norm(op @ u[1:-1, 1:-1].ravel() - rhs) / np.linalg.norm(rhs)
+        assert abs(diffusion_residual(DiffusionProblem(nx, *mu), u) - ref) <= 1e-12 * ref
+
+
+def kronecker_system(nx, mu):
+    """The interior collocation operator kron(Ax D2, I) + kron(I, Ay D2) and its right-hand side."""
+    x, d = cheb_diff(nx - 1)
+    xi = x[1:-1]
+    d2 = scipy.sparse.csr_matrix((d @ d)[1:-1, 1:-1])
+    eye = scipy.sparse.identity(nx - 2, format="csr")
+    ax = scipy.sparse.diags(1.0 + mu[0] * xi) @ d2
+    ay = scipy.sparse.diags(1.0 + mu[1] * xi) @ d2
+    return scipy.sparse.kron(ax, eye) + scipy.sparse.kron(eye, ay), np.exp(4.0 * np.outer(xi, xi)).ravel()
+
+
+def interior_operator(nx, mu):
+    """diag(1 + mu x) D2 on the interior points, the operator solve_diffusion diagonalizes."""
+    x, d = cheb_diff(nx - 1)
+    return (1.0 + mu * x[1:-1])[:, None] * (d @ d)[1:-1, 1:-1]
+
+
+# Fast diagonalization is accurate only if these operators have real
+# eigenvalues, so that lambda_i + nu_j never vanishes, and well-conditioned
+# eigenvector matrices.  The condition bound was fixed at 10 before the runs.
+OPERATOR_CASES = [(nx, mu) for nx in (3, 12, 40, 80, 120) for mu in (-0.99, 0.0, 0.99)]
+EIGENVECTOR_CONDITION_MAX = 10.0
+
+
+@pytest.mark.parametrize("nx, mu", OPERATOR_CASES)
+def test_operator_eigenvalues_are_real_and_negative(nx, mu):
+    lam = np.linalg.eigvals(interior_operator(nx, mu))
+    assert np.isrealobj(lam) and lam.max() < 0.0
+
+
+@pytest.mark.parametrize("nx, mu", OPERATOR_CASES)
+def test_operator_eigenvectors_are_well_conditioned(nx, mu):
+    _, p = np.linalg.eig(interior_operator(nx, mu))
+    assert np.linalg.cond(p) < EIGENVECTOR_CONDITION_MAX
 
 
 class TestSnapshots:
@@ -135,26 +178,25 @@ class TestSnapshots:
         assert snaps.shape == (20, 20, 4)
 
     def test_slice_matches_independent_solve(self):
-        grid = parameter_grid(2)
-        snaps = assemble_snapshots(grid, 16)
-        k = 3
-        direct = solve_diffusion(DiffusionProblem(16, *grid[k]))
-        assert np.array_equal(snaps[:, :, k], direct)
+        # every slice, on the training grid and on draws that share values
+        for grid in (parameter_grid(3), [(0.31, -0.44), (-0.62, 0.31), (0.0, -0.0), (0.99, 0.99)]):
+            snaps = assemble_snapshots(grid, 16)
+            for k, mu in enumerate(grid):
+                assert np.array_equal(snaps[:, :, k], solve_diffusion(DiffusionProblem(16, *mu))), (grid, k)
 
-    def test_one_solve_per_grid_point(self, monkeypatch):
-        # callers that wrap mor.solve_diffusion must see every snapshot solve
+    def test_each_distinct_mu_is_diagonalized_once(self, monkeypatch):
+        # the 3 x 3 grid shares its 3 values between mu1 and mu2
         seen = []
-        real = mor.solve_diffusion
+        real = np.linalg.eig
 
-        def counting(p):
-            seen.append((p.nx, p.mu1, p.mu2))
-            return real(p)
+        def counting(a):
+            seen.append(a.shape)
+            return real(a)
 
-        monkeypatch.setattr(mor, "solve_diffusion", counting)
-        grid = parameter_grid(3)
-        snaps = assemble_snapshots(grid, 12)
-        assert seen == [(12, m1, m2) for m1, m2 in grid]
-        assert snaps.shape == (12, 12, len(grid))
+        monkeypatch.setattr(np.linalg, "eig", counting)
+        snaps = assemble_snapshots(parameter_grid(3), 12)
+        assert seen == [(10, 10)] * 3
+        assert snaps.shape == (12, 12, 9)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -287,6 +329,52 @@ class TestCpReducedBasis:
         assert basis.phi.shape == (36, 0)
 
 
+def qr_basis(phi_hat):
+    """The pivoted-QR basis: columns whose pivot is at least 1e-10 times the largest."""
+    q, r, _ = scipy.linalg.qr(phi_hat, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    return q[:, : int(np.sum(diag >= 1e-10 * diag.max()))]
+
+
+def spatial_products(model):
+    return np.stack([np.outer(model.A[:, r], model.B[:, r]).ravel() for r in range(model.R)], axis=1)
+
+
+class TestCpBasisMatchesPivotedQr:
+    """The SVD basis spans what the pivoted-QR basis it replaced spans."""
+
+    def assert_same_span(self, phi, phi_hat):
+        q = qr_basis(phi_hat)
+        assert phi.shape == q.shape
+        assert np.abs(phi @ phi.T - q @ q.T).max() <= 1e-10
+
+    def test_small_demo(self, monkeypatch):
+        fits = []
+        real = mor.regularized_als_step
+
+        def keeping(sweep, rho):
+            fits.append(real(sweep, rho))
+            return fits[-1]
+
+        monkeypatch.setattr(mor, "regularized_als_step", keeping)
+        snaps = assemble_snapshots(parameter_grid(5), 12)
+        basis = cp_reduced_basis(snaps, r0=20, eps=1e-2, m_max=15, seed=0)
+        self.assert_same_span(basis.phi, spatial_products(fits[-1]))
+
+    def test_repeated_component_is_dropped(self, monkeypatch):
+        # a fit with two identical spatial components has a rank-deficient
+        # product matrix; both bases keep one copy
+        rng = np.random.default_rng(7)
+        a, b, c = rng.normal(size=(6, 4)), rng.normal(size=(5, 4)), rng.normal(size=(3, 4))
+        a[:, 3], b[:, 3] = a[:, 1], b[:, 1]
+        model = CPModel(a, b, c, np.ones(4))
+        monkeypatch.setattr(mor, "complete", lambda *args: (model, None, None))
+        monkeypatch.setattr(mor, "regularized_als_step", lambda sweep, rho: sweep.model)
+        basis = cp_reduced_basis(np.ones((6, 5, 3)), r0=4, eps=1e-2, m_max=5, seed=0)
+        assert basis.phi.shape[1] == 3
+        self.assert_same_span(basis.phi, spatial_products(model))
+
+
 class TestRunMorDemo:
     @pytest.mark.parametrize(
         "settings, message",
@@ -304,17 +392,20 @@ class TestRunMorDemo:
             ({"pod_rank": 2.5}, "pod_rank must be an integer, got 2.5"),
             ({"pod_rank": True}, "pod_rank must be an integer, got True"),
             ({"grid_n": 0}, "grid_n must be at least 1, got 0"),
+            ({"nx": 2}, "nx must be at least 3 for a nonempty interior, got 2"),
+            ({"nx": -3}, "nx must be at least 3 for a nonempty interior, got -3"),
         ],
         ids=[
             "r0-above-rank-bound", "n_tests-zero", "pod_rank-too-large", "seed-negative", "eps-one",
             "nx-float", "grid_n-float", "grid_n-bool", "n_tests-float", "n_tests-bool", "pod_rank-float", "pod_rank-bool",
-            "grid_n-zero",
+            "grid_n-zero", "nx-two", "nx-negative",
         ],
     )
     def test_bad_setting_fails_before_any_solve(self, monkeypatch, settings, message):
         # On the 5 x 5 x 81 snapshot tensor the CP rank bound is min(25, 405, 405) = 25.
+        # Every collocation solve goes through assemble_snapshots.
         solves = []
-        monkeypatch.setattr(mor, "solve_diffusion", solves.append)
+        monkeypatch.setattr(mor, "assemble_snapshots", lambda *args: solves.append(args))
         kwargs = {"nx": 5, "grid_n": 9, "r0": 10, "n_tests": 2, "pod_rank": 3, **settings}
         with pytest.raises(ValueError, match=message):
             mor.run_mor_demo(**kwargs)
@@ -322,17 +413,13 @@ class TestRunMorDemo:
 
 
 # Run in a fresh interpreter, because this module loads scipy into the test
-# process.  Completion, through the library and the CLI, must load no scipy
-# module; the MOR functions that need scipy must still work afterwards.
+# process.  No code path of the package, library or CLI, loads a scipy module.
 SCIPY_PROBE = """
 import sys
 sys.path.insert(0, SRC)
 import numpy as np
 import cpcomplete, cpcomplete.cli
 from cpcomplete import fileio
-
-def loaded():
-    return " ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 rng = np.random.default_rng(0)
 t = cpcomplete.reconstruct(cpcomplete.CPModel(*(rng.normal(size=(n, 2)) for n in (6, 5, 4)), [2.0, 1.0]))
@@ -344,26 +431,29 @@ codes = [
     cpcomplete.cli.main(["mask", "--dims", "6,5,4", "--out", OUT + "/m.msk3"]),
     cpcomplete.cli.main(["complete", "--input", OUT + "/t.tns3", "--mask", OUT + "/m.msk3",
                          "--rank", "3", "--max-iter", "3", "--out", OUT + "/m.cpm1"]),
+    cpcomplete.cli.main(["complete", "--input", OUT + "/t.tns3", "--mask", OUT + "/m.msk3", "--mode", "fixed:0.05",
+                         "--rank", "3", "--max-iter", "3", "--out", OUT + "/f.cpm1"]),
+    cpcomplete.cli.main(["pod", "--input", OUT + "/t.tns3", "--rank", "2", "--out", OUT + "/b.mat1"]),
+    cpcomplete.cli.main(["mor-demo", "--nx", "8", "--grid", "2", "--rank0", "3", "--tests", "2",
+                         "--pod-rank", "2", "--max-iter", "5", "--outdir", OUT]),
 ]
 print("exit codes:", codes)
-print("scipy after completion:", loaded())
 p = cpcomplete.DiffusionProblem(10, 0.3, -0.2)
 print("residual:", cpcomplete.diffusion_residual(p, cpcomplete.solve_diffusion(p)))
 snaps = cpcomplete.assemble_snapshots(cpcomplete.parameter_grid(3), 6)
 phi = cpcomplete.cp_reduced_basis(snaps, r0=3, eps=1e-2, m_max=20, seed=0).phi
 print("basis:", phi.shape[1], np.abs(phi.T @ phi - np.eye(phi.shape[1])).max())
-print("scipy.linalg, scipy.sparse loaded:", "scipy.linalg" in sys.modules, "scipy.sparse" in sys.modules)
+print("scipy modules:", " ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
 
-def test_only_the_mor_functions_load_scipy(tmp_path):
+def test_no_code_path_loads_scipy(tmp_path):
     code = f"SRC = {str(SRC)!r}\nOUT = {str(tmp_path)!r}\n{SCIPY_PROBE}"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     lines = dict(line.split(": ", 1) for line in proc.stdout.splitlines() if ": " in line)
-    assert lines["exit codes"] == "[0, 0]"
-    assert lines["scipy after completion"] == ""
+    assert lines["exit codes"] == "[0, 0, 0, 0, 0]"
     assert float(lines["residual"]) <= 1e-10
     count, err = lines["basis"].split()
     assert int(count) >= 1 and float(err) <= 1e-10
-    assert lines["scipy.linalg, scipy.sparse loaded"] == "True True"
+    assert lines["scipy modules"] == ""

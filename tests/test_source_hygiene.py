@@ -2,8 +2,8 @@
 private name it defines at module level is read there, every name it exports,
 through its __all__ or the package __init__, is defined there, every name in
 its __all__ is read by some caller, the package __init__ republishes the
-numerical modules' __all__ lists without naming a public name itself, and no
-test writes a private attribute."""
+numerical modules' __all__ lists without naming a public name itself, no
+package module imports scipy, and no test writes a private attribute."""
 
 import ast
 import importlib
@@ -279,6 +279,40 @@ def test_import_loads_no_file_or_command_line_code():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out.split() == sorted(f"cpcomplete.{module}" for module in NUMERICAL)
+
+
+def scipy_imports(source):
+    """``module (line n)`` for each import statement, at any depth, that loads
+    scipy or one of its submodules.  The package runs on numpy alone; scipy is
+    a test dependency."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names if name.split(".")[0] == "scipy"]
+    return sorted(found)
+
+
+def test_checker_flags_scipy_imports():
+    source = (
+        "import numpy as np, scipy\n"
+        "from .scipy_free import f\n"
+        "import scipyx\n"
+        "def g():\n"
+        "    import scipy.linalg as sl\n"
+        "    from scipy.sparse import kron\n"
+        "    return sl, kron\n"
+    )
+    assert scipy_imports(source) == ["scipy (line 1)", "scipy.linalg (line 5)", "scipy.sparse (line 6)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    assert scipy_imports(path.read_text()) == []
 
 
 def private_attribute_writes(source):
