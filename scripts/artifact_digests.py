@@ -13,6 +13,9 @@ snapshot tensor), then runs ``python -m cpcomplete`` from this checkout's
   ``complete`` on the small tensor with that mask, taking rank, mode and
   tolerance from the defaults and the iteration cap from a ``--config``
   file, so the defaults the CLI hands the library are covered byte for byte;
+- ``complete`` on the small tensor with that mask at rank 60, 10 iterations:
+  the only run whose rank exceeds ``HybridConfig.k_max`` (50), so the cap on
+  the inner steps binds;
 - ``report`` on the hybrid trace;
 - ``mask --like`` on the pixmap with a hidden rectangle;
 - ``mask --like`` on a small plain-text (P3) pixmap and a short ``complete``
@@ -187,6 +190,8 @@ def main():
         run(["complete", "--input", out / "snaps.tns3", "--mask", out / "defaults.msk3",
              "--config", out / "defaults.cfg", "--out", out / "defaults.cpm1",
              "--trace", out / "defaults.csv", "--recon", out / "defaults.tns3"], env)
+        run(["complete", "--input", out / "snaps.tns3", "--mask", out / "defaults.msk3", "--rank", "60",
+             "--max-iter", "10", "--out", out / "kmax.cpm1", "--trace", out / "kmax.csv"], env)
         run(["report", "--input", out / "hybrid.csv", "--out", out / "hybrid.dat"], env)
         run(["mask", "--like", out / "image.ppm", "--rect", "60,40,140,120", "--out", out / "rect.msk3"], env)
         write_p3(out / "small.ppm")

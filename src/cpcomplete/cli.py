@@ -82,6 +82,8 @@ def _cmd_complete(args):
         _check_dir(f"--{name}", os.path.dirname(path) or ".")
 
     t = fileio.load_input(args.input)
+    if "recon" in outputs and args.recon.endswith(".ppm") and t.shape[2] != 3:
+        raise ValueError(f"--recon {args.recon!r}: a pixmap needs 3 channels, the input has {t.shape[2]}")
     mask = fileio.load_mask(args.mask)
     model, s, trace = complete(t, mask, cfg)
     if "out" in outputs:
@@ -243,7 +245,3 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -99,17 +99,17 @@ def relative_error(s, a):
     return float(np.linalg.norm((s - a).ravel())) / denom
 
 
-def _init_sweep(t, t_zero_filled, r0, rng):
+def _init_sweep(s, r0, rng):
     # Random unit columns, and the least-squares alpha read off the sweep's
-    # Grams.  The sweep starts on t, which no update reads before the first
-    # imputation replaces it.
+    # Grams.  The sweep starts on s, the zero-filled observations, which the
+    # driver then imputes into in place.
     def unit_columns(n):
         x = rng.standard_normal((n, r0))
         return x / np.linalg.norm(x, axis=0)
 
-    sweep = Sweep(CPModel(*(unit_columns(d) for d in t.shape), np.zeros(r0)), t)
+    sweep = Sweep(CPModel(*(unit_columns(d) for d in s.shape), np.zeros(r0)), s)
     op = CPScalingOperator(sweep.model, sweep.grams)
-    alpha, *_ = np.linalg.lstsq(op.gram, op.rmatvec(t_zero_filled), rcond=None)
+    alpha, *_ = np.linalg.lstsq(op.gram, op.rmatvec(s), rcond=None)
     # Exact zeros would freeze components (D = 0 annihilates the gradients).
     small = np.abs(alpha) < 1e-8
     alpha[small] = np.where(alpha[small] < 0.0, -1e-8, 1e-8)
@@ -147,14 +147,13 @@ def complete(t, mask, cfg):
     rng = np.random.default_rng(cfg.seed)
     s, s_hat = np.empty(t.shape), np.zeros(t.shape)
     masked_copy(t, s_hat, mask, out=s)  # zero-filled
-    sweep = _init_sweep(t, s, cfg.R0, rng)
+    sweep = _init_sweep(s, cfg.R0, rng)
     model = sweep.model
     obs_norm = max(float(np.linalg.norm(s.ravel())), 1e-300)
 
     trace = CompletionTrace()
     start = time.perf_counter()
     masked_copy(t, reconstruct(model, out=s_hat), mask, out=s)
-    sweep.set_tensor(s)
     zero_alpha_run = 0
     for _ in range(cfg.m_max):
         for mode in ("A", "B", "C"):

@@ -3,7 +3,6 @@ dictionary Q, the operator that applies Q, Q^T and Q Q^T without forming Q,
 factor Grams, and rank truncation."""
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -42,9 +41,6 @@ class CPModel:
     @property
     def dims(self):
         return (self.A.shape[0], self.B.shape[0], self.C.shape[0])
-
-    def copy(self):
-        return CPModel(self.A.copy(), self.B.copy(), self.C.copy(), self.alpha.copy())
 
 
 def check_rank(r, dims):
@@ -91,21 +87,16 @@ class CPScalingOperator:
     IJK-sized is formed except the tensor reconstruct returns, and not that
     either when it is given ``out``.
 
-    ``factor_grams`` is (A^T A, B^T B, C^T C) when the caller already holds
-    them (see :func:`factor_gram`); the operator keeps its own tuple of them,
-    and otherwise ``gram`` forms them.
+    ``factor_grams`` is (A^T A, B^T B, C^T C), which the caller already
+    holds (see :func:`factor_gram`); ``gram`` = Q Q^T is their Hadamard
+    product, multiplied left to right.
     """
 
-    def __init__(self, m, factor_grams=None):
+    def __init__(self, m, factor_grams):
         self.A, self.B, self.C = m.A, m.B, m.C
         self.dims = m.dims
-        self._factor_grams = None if factor_grams is None else tuple(factor_grams)
-
-    @cached_property
-    def gram(self):
-        """Q Q^T = A^T A * B^T B * C^T C, multiplied left to right, formed on first use."""
-        ga, gb, gc = self._factor_grams or [factor_gram(x) for x in (self.A, self.B, self.C)]
-        return ga * gb * gc
+        ga, gb, gc = factor_grams
+        self.gram = ga * gb * gc
 
     def coordinates(self, d):
         """(H, c) with [c H] an (R+1) x (R+1) factor of the joint Gram [d Q^T]^T [d Q^T].

@@ -73,6 +73,15 @@ def _load(path, magic, n_header, counts, dtype="<f8"):
     return header, payloads
 
 
+def _contents(path, make, *args):
+    # make(*args) on a container's decoded payload; the ValueError of
+    # malformed contents becomes a DataError naming the file.
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def save_tensor(t, path):
     t = as_tensor(t)
     _save(path, _TENSOR, t.shape, t.astype("<f8"))
@@ -80,7 +89,7 @@ def save_tensor(t, path):
 
 def load_tensor(path):
     dims, (data,) = _load(path, _TENSOR, 3, lambda i, j, k: [i * j * k])
-    return as_tensor(data.reshape(dims))
+    return _contents(path, as_tensor, data.reshape(dims))
 
 
 def save_mask(mask, path):
@@ -90,10 +99,7 @@ def save_mask(mask, path):
 def load_mask(path):
     (*dims, count), (raw,) = _load(path, _MASK, 4, lambda i, j, k, count: [3 * count], "<u8")
     triples = raw.reshape(count, 3).astype(np.int64) - 1
-    try:
-        return Mask(dims, triples)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return _contents(path, Mask, dims, triples)
 
 
 def save_model(m, path):
@@ -105,7 +111,7 @@ def save_model(m, path):
 def load_model(path):
     (*dims, r), payloads = _load(path, _MODEL, 4, lambda i, j, k, r: [i * r, j * r, k * r, r])
     factors = (raw.reshape((dim, r), order="F") for dim, raw in zip(dims, payloads))
-    return CPModel(*factors, payloads[3])
+    return _contents(path, CPModel, *factors, payloads[3])
 
 
 def save_matrix(mat, path):

@@ -78,16 +78,14 @@ def ista_alpha_step(m, t, lam, op, work=None):
     return soft_threshold(m.alpha - step * grad, lam * step)
 
 
-def irn_weights(s, tau1, tau2):
+def irn_weights(s):
     """Diagonal of L(s) = diag(1/sqrt(f_tau(|s_i|))), the l2 surrogate of the l1 norm.
 
-    f_tau(|s_i|) is |s_i| where |s_i| >= tau1 and tau2 below, so entries that
-    have effectively vanished get a huge weight and are pinned near zero.
+    f_tau(|s_i|) is |s_i| where |s_i| >= 1e-10 and 1e-14 below, so entries
+    that have effectively vanished get a huge weight and are pinned near zero.
     """
-    if not 0.0 < tau2 < tau1:
-        raise ValueError(f"need 0 < tau2 < tau1, got tau1={tau1}, tau2={tau2}")
     mag = np.abs(np.asarray(s, dtype=np.float64))
-    f = np.where(mag >= tau1, mag, tau2)
+    f = np.where(mag >= _TAU1, mag, _TAU2)
     return 1.0 / np.sqrt(f)
 
 
@@ -178,6 +176,20 @@ def _orthogonalize(rows, w):
     return h + h2, w
 
 
+def _extend_basis(rows, n, w):
+    # Orthogonalize w against the basis rows[:n] and store it, normalized, as
+    # rows[n]; returns (coeffs, norm).  Breakdown, when orthogonalization
+    # leaves at most _BREAKDOWN_RTOL of w's norm, stores nothing and gives
+    # norm 0.0.
+    scale = math.sqrt(w @ w)
+    coeffs, w = _orthogonalize(rows[:n], w)
+    norm = math.sqrt(w @ w)
+    if norm <= _BREAKDOWN_RTOL * scale:
+        return coeffs, 0.0
+    rows[n] = w / norm
+    return coeffs, norm
+
+
 def fgk_expand(state, h, weights=None):
     """Grow the flexible Golub-Kahan factorization by one step.
 
@@ -192,32 +204,22 @@ def fgk_expand(state, h, weights=None):
         raise ValueError("cannot expand a broken-down state")
     v = state._v[state.k]
     p = v.copy() if weights is None else v / weights
-
-    w = h @ p
-    scale = math.sqrt(w @ w)
-    mcol, w = _orthogonalize(state._u[: state._nu], w)
-    beta = math.sqrt(w @ w)
-
+    mcol, beta = _extend_basis(state._u, state._nu, h @ p)
     state._p[state.k] = p
     k = state.k = state.k + 1
     state._m[: mcol.size, k - 1] = mcol
-    if beta <= _BREAKDOWN_RTOL * scale:
+    if beta == 0.0:
         state.breakdown = True
         return state
     state._m[k, k - 1] = beta
-    state._u[state._nu] = w / beta
     state._nu += 1
 
-    z = h.T @ state._u[state._nu - 1]
-    zscale = math.sqrt(z @ z)
-    tcol, z = _orthogonalize(state._v[: state._nv], z)
-    gamma = math.sqrt(z @ z)
+    tcol, gamma = _extend_basis(state._v, state._nv, h.T @ state._u[state._nu - 1])
     state._t[: tcol.size, state._nu - 1] = tcol
-    if gamma <= _BREAKDOWN_RTOL * zscale:
+    if gamma == 0.0:
         state.breakdown = True
         return state
     state._t[state._nv, state._nu - 1] = gamma
-    state._v[state._nv] = z / gamma
     state._nv += 1
     return state
 
@@ -239,19 +241,13 @@ class ProjectedProblem:
 
 
 def projected_tikhonov(problem, lam):
-    """Minimizer q of the :class:`ProjectedProblem` at ``lam`` via its SVD.
+    """Minimizer q of the :class:`ProjectedProblem` at ``lam`` > 0 via its SVD.
 
-    lambda = 0 falls back to the pseudoinverse solution.  The full-space
-    solution is s = P q.
+    The full-space solution is s = P q.
     """
-    if lam < 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    s = problem.s
-    if lam == 0.0:
-        cutoff = (s[0] * 1e-14) if s.size else 0.0
-        filt = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    else:
-        filt = s / (problem.s2 + lam)
+    if not lam > 0.0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+    filt = problem.s / (problem.s2 + lam)
     return problem.vt.T @ (filt * problem.c)
 
 
@@ -374,8 +370,9 @@ class HybridConfig:
             raise ValueError(f"omega must be 'adapt' or a number in (0, 1], got {self.omega!r}")
 
 
-def solve_l1_hybrid(h, d, cfg=None):
-    """Run the flexible hybrid iteration on a 2-D array H; returns (s, lambda_history).
+def solve_l1_hybrid(h, d, cfg):
+    """Run the flexible hybrid iteration on a 2-D array H with the
+    :class:`HybridConfig` ``cfg``; returns (s, lambda_history).
 
     Per step: refresh L from the current iterate (identity before one
     exists), expand the flexible Golub-Kahan factorization, take the SVD of
@@ -387,7 +384,6 @@ def solve_l1_hybrid(h, d, cfg=None):
     tall problem can be handed over as any (H', d') with the same joint Gram;
     the completion driver passes an (n+1) x n one.
     """
-    cfg = cfg or HybridConfig()
     state = fgk_init(h, d)
     ncols = h.shape[1]
     if state is None:
@@ -399,7 +395,7 @@ def solve_l1_hybrid(h, d, cfg=None):
     lam_history = []
     # k_max >= 1, and ncols >= 1 once fgk_init gives a state, so sol gets set.
     for _ in range(min(cfg.k_max, ncols)):
-        weights = irn_weights(sol, _TAU1, _TAU2) if lam_history else None
+        weights = irn_weights(sol) if lam_history else None
         fgk_expand(state, h, weights)
         problem = ProjectedProblem(state.M, state.beta1)
         if adapt:

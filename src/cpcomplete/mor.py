@@ -173,34 +173,26 @@ _ALS_SWEEPS = 200
 _ALS_TOL = 1e-8
 
 
-def default_rho(t, r):
-    """Damping for the ALS sweeps: 1e-6 * ||t||_F / sqrt(R)."""
-    return 1e-6 * float(np.linalg.norm(np.asarray(t).ravel())) / np.sqrt(r)
-
-
-def _basis_config(r0, eps, m_max, seed):
-    return CompletionConfig(R0=r0, m_max=m_max, seed=seed, eps_truncate=eps)
-
-
-def cp_reduced_basis(a, r0, eps, m_max, seed, rho=None):
+def cp_reduced_basis(a, cfg, rho=None):
     """Reduced basis from a rank-revealing CP fit of the snapshot tensor.
 
-    Runs the completion driver in hybrid mode on the fully observed tensor to
-    find the rank (components surviving truncation at ``eps`` times the
-    largest scaling), polishes the factors with up to 200 damped ALS sweeps
-    at that rank (``rho`` defaults to :func:`default_rho`), stopping once a
-    sweep moves A by at most 1e-8 relative, vectorizes the spatial outer
-    products x_r o y_r, and orthonormalizes them by a thin SVD, keeping the
-    left singular vectors whose singular value is at least 1e-10 times the
-    largest.  A fit that keeps no component (an all-zero tensor) gives a
-    basis with no columns.
+    Runs the completion driver with the :class:`CompletionConfig` ``cfg`` on
+    the fully observed tensor to find the rank (components surviving
+    truncation at ``cfg.eps_truncate`` times the largest scaling), polishes
+    the factors with up to 200 damped ALS sweeps at that rank (``rho``
+    defaults to 1e-6 * ||a||_F / sqrt(R)), stopping once a sweep moves A by
+    at most 1e-8 relative, vectorizes the spatial outer products x_r o y_r,
+    and orthonormalizes them by a thin SVD, keeping the left singular
+    vectors whose singular value is at least 1e-10 times the largest.  A fit
+    that keeps no component (an all-zero tensor) gives a basis with no
+    columns.
     """
     a = as_tensor(a)
-    model, _, _ = complete(a, Mask.full(a.shape), _basis_config(r0, eps, m_max, seed))
+    model, _, _ = complete(a, Mask.full(a.shape), cfg)
     if model.R == 0:
         return ReducedBasis(np.zeros((a.shape[0] * a.shape[1], 0)))
     if rho is None:
-        rho = default_rho(a, model.R)
+        rho = 1e-6 * float(np.linalg.norm(a.ravel())) / np.sqrt(model.R)
     sweep = Sweep(model, a)
     for _ in range(_ALS_SWEEPS):
         prev = model.A
@@ -274,12 +266,12 @@ def run_mor_demo(nx=40, grid_n=9, r0=50, eps=1e-2, n_tests=10, pod_rank=POD_RANK
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    _basis_config(r0, eps, m_max, seed)
+    cfg = CompletionConfig(R0=r0, m_max=m_max, seed=seed, eps_truncate=eps)
     grid = parameter_grid(grid_n)
     _check_pod_rank("pod_rank", pod_rank, nx * nx, len(grid))
     check_rank(r0, (nx, nx, len(grid)))
     snaps = assemble_snapshots(grid, nx)
-    cp = cp_reduced_basis(snaps, r0=r0, eps=eps, m_max=m_max, seed=seed)
+    cp = cp_reduced_basis(snaps, cfg)
     pod = pod_basis(snaps, pod_rank)
     rng = np.random.default_rng(seed)
     tests = [(float(m1), float(m2)) for m1, m2 in rng.uniform(-MU_MAX, MU_MAX, size=(n_tests, 2))]

@@ -13,18 +13,6 @@ by (k slow, j fast), and analogously for the other modes.  The unfoldings
 are for reading; the kernels that run on every completion iteration use only
 the two free reshapes ``t.reshape(I, J*K)`` and ``t.reshape(I*J, K)``.  An
 observation mask is a boolean tensor of the same shape.
-
-Each IJK-sized kernel is one GEMM: :func:`mttkrp` in its Khatri-Rao mode
-(:func:`gemm_mode`), :func:`mttkrp_partial`, which the other two modes
-share, and :func:`rank_one_sum`.  One outer completion iteration runs four
-of them in hybrid mode and five in fixed mode (the MM sweep's Khatri-Rao
-MTTKRP and shared partial, the reconstruction, and Q t, or the ISTA step's
-reconstruction and Q times the residual), and forms two to four Khatri-Rao
-products, depending on the mode and on whether K <= I.
-
-In the completion loop :func:`rank_one_sum` and :func:`masked_copy` write
-into an ``out`` tensor, so the driver allocates no tensor per iteration: it
-keeps two, its imputation and its reconstruction, for the whole run.
 """
 
 import numbers

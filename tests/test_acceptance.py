@@ -98,7 +98,7 @@ def test_03_fgk_invariants():
         hnorm = np.linalg.norm(h)
         state = fgk_init(h, d)
         for _ in range(6):
-            w = irn_weights(rng.uniform(0.2, 3.0, n_cols), 1e-10, 1e-14)
+            w = irn_weights(rng.uniform(0.2, 3.0, n_cols))
             fgk_expand(state, h, w)
             if state.breakdown:
                 break

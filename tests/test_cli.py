@@ -240,6 +240,28 @@ class TestCompleteCommand:
         assert "bytes past the payload" in res.stderr
         assert not (tmp / "m.cpm1").exists()
 
+    def test_zero_dimension_input_is_data_error(self, workspace):
+        tmp, _, mpath = workspace
+        empty = tmp / "empty.tns3"
+        empty.write_bytes(b"TNS3" + struct.pack("<3Q", 0, 4, 5))
+        res = run_cli("complete", "--input", empty, "--mask", mpath, "--out", tmp / "m.cpm1")
+        assert res.returncode == 3
+        assert "all dimensions must be >= 1" in res.stderr
+        assert not (tmp / "m.cpm1").exists()
+
+    def test_pixmap_recon_of_a_non_rgb_tensor_fails_before_the_solve(self, tmp_path):
+        save_tensor(small_tensor(dims=(4, 5, 6)), tmp_path / "t.tns3")
+        res = run_cli("mask", "--dims", "4,5,6", "--out", tmp_path / "m.msk3")
+        assert res.returncode == 0, res.stderr
+        outputs = {"out": tmp_path / "m.cpm1", "trace": tmp_path / "t.csv", "recon": tmp_path / "r.ppm"}
+        res = run_cli(
+            "complete", "--input", tmp_path / "t.tns3", "--mask", tmp_path / "m.msk3", "--rank", "3",
+            "--max-iter", "3", *(arg for name, path in outputs.items() for arg in (f"--{name}", path)),
+        )
+        assert res.returncode == 2
+        assert not any(path.exists() for path in outputs.values())
+        assert "3 channels" in res.stderr and "has 6" in res.stderr
+
     def test_unknown_flag_exits_two(self, workspace):
         tmp, tpath, mpath = workspace
         res = run_cli("complete", "--input", tpath, "--mask", mpath, "--frobnicate")

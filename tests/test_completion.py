@@ -12,11 +12,15 @@ from cpcomplete.completion import (
     make_random_mask,
     relative_error,
 )
-from cpcomplete.cp_model import CPModel, build_q, reconstruct
+from cpcomplete.cp_model import CPModel, build_q, factor_gram, reconstruct
 from cpcomplete.exceptions import DataError
 from cpcomplete.fileio import load_model, save_model
 from cpcomplete.hybrid_l1 import HybridConfig, solve_l1_hybrid
 from cpcomplete.tensor_ops import Mask
+
+
+def grams(m):
+    return [factor_gram(x) for x in (m.A, m.B, m.C)]
 
 
 def synthetic_rank(seed, dims, r, scale=10.0):
@@ -31,7 +35,7 @@ class TestScalingOperator:
         rng = np.random.default_rng(0)
         mats = [rng.normal(size=(d, 4)) for d in (5, 6, 7)]
         m = CPModel(*mats, rng.normal(size=4))
-        op = CPScalingOperator(m)
+        op = CPScalingOperator(m, grams(m))
         q = build_q(m)
         x = rng.normal(size=4)
         assert np.allclose(op.matvec(x), x @ q, atol=1e-12)
@@ -44,7 +48,7 @@ class TestScalingOperator:
         # every contraction order: K < I, K > I and the K == I tie
         rng = np.random.default_rng(sum(dims) + r)
         m = CPModel(*(rng.normal(size=(d, r)) for d in dims), rng.normal(size=r))
-        op = CPScalingOperator(m)
+        op = CPScalingOperator(m, grams(m))
         q = build_q(m)
         y = rng.normal(size=dims)
         x = rng.normal(size=r)
@@ -58,7 +62,7 @@ class TestScalingOperator:
         rng = np.random.default_rng(1)
         mats = [rng.normal(size=(d, 3)) for d in (4, 4, 4)]
         m = CPModel(*mats, rng.normal(size=3))
-        op = CPScalingOperator(m)
+        op = CPScalingOperator(m, grams(m))
         assert np.allclose(op.reconstruct(m.alpha), reconstruct(m), atol=1e-12)
 
 
@@ -79,7 +83,7 @@ class TestCoordinates:
     @pytest.mark.parametrize("zero_column", [False, True], ids=["cholesky", "eigh"])
     def test_reproduces_joint_gram(self, zero_column):
         m, d, joint = coordinate_case(zero_column)
-        h, c = CPScalingOperator(m).coordinates(d)
+        h, c = CPScalingOperator(m, grams(m)).coordinates(d)
         assert h.shape == (6, 5) and c.shape == (6,)
         factor = np.column_stack([c, h])
         assert np.abs(factor.T @ factor - joint).max() <= 1e-12 * np.abs(joint).max()
@@ -93,14 +97,14 @@ class TestCoordinates:
     def test_solve_matches_dense_problem(self, zero_column):
         m, d, _ = coordinate_case(zero_column)
         cfg = HybridConfig(k_max=m.R)
-        sol, lams = solve_l1_hybrid(*CPScalingOperator(m).coordinates(d), cfg)
+        sol, lams = solve_l1_hybrid(*CPScalingOperator(m, grams(m)).coordinates(d), cfg)
         dense_sol, dense_lams = solve_l1_hybrid(build_q(m).T, d, cfg)
         assert np.abs(sol - dense_sol).max() <= 1e-12 * np.abs(dense_sol).max()
         assert np.allclose(lams, dense_lams, rtol=1e-12)
 
     def test_steps_capped_at_column_count(self):
         m, d, _ = coordinate_case(zero_column=False)
-        h, c = CPScalingOperator(m).coordinates(d)
+        h, c = CPScalingOperator(m, grams(m)).coordinates(d)
         sol, lams = solve_l1_hybrid(h, c, HybridConfig(k_max=m.R))
         long_sol, long_lams = solve_l1_hybrid(h, c, HybridConfig(k_max=m.R + 10))
         assert lams.size == long_lams.size == m.R

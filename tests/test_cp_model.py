@@ -5,6 +5,10 @@ from cpcomplete.cp_model import CPModel, CPScalingOperator, build_q, factor_gram
 from cpcomplete.tensor_ops import frobenius_norm
 
 
+def grams(m):
+    return [factor_gram(x) for x in (m.A, m.B, m.C)]
+
+
 def random_model(seed, dims=(4, 5, 6), r=3, unit=False):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dims[0], r))
@@ -51,7 +55,7 @@ class TestReconstruct:
     @pytest.mark.parametrize("dims", [(6, 4, 3), (3, 4, 6)], ids=["K<=I", "K>I"])
     def test_out_is_returned_with_the_allocating_bytes(self, dims):
         m = random_model(4, dims)
-        op = CPScalingOperator(m)
+        op = CPScalingOperator(m, grams(m))
         x = np.random.default_rng(4).normal(size=m.R)
         for call, expected in ((lambda out: reconstruct(m, out=out), reconstruct(m)),
                                (lambda out: op.reconstruct(x, out=out), op.reconstruct(x))):
@@ -86,18 +90,18 @@ class TestHadamardGram:
     def test_matches_dictionary_gram(self):
         m = random_model(8)
         q = build_q(m)
-        gram = CPScalingOperator(m).gram
+        gram = CPScalingOperator(m, grams(m)).gram
         assert np.abs(gram - q @ q.T).max() <= 1e-12 * np.abs(gram).max()
 
     def test_left_to_right_product(self):
         m = random_model(9)
         expected = (m.A.T @ m.A) * (m.B.T @ m.B) * (m.C.T @ m.C)
-        assert np.array_equal(CPScalingOperator(m).gram, expected)
         assert np.array_equal(factor_gram(m.C), m.C.T @ m.C)
-        # Grams handed in are read as they are, and held as the operator's own tuple
-        grams = [factor_gram(x) for x in (m.A, m.B, m.C)]
-        op = CPScalingOperator(m, grams)
-        grams[0] = np.zeros_like(grams[0])
+        # Grams handed in are read as they are, and multiplied when the
+        # operator is built, so a later change to the list does not reach it
+        factor_grams = grams(m)
+        op = CPScalingOperator(m, factor_grams)
+        factor_grams[0] = np.zeros_like(factor_grams[0])
         assert np.array_equal(op.gram, expected)
 
 

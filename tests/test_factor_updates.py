@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -303,12 +305,12 @@ class TestSweepExactOracle:
         step = 1.0 / (1.05 * max(float(np.linalg.eigvalsh(h)[-1]), 1e-12))
         mtt = self.old_mttkrp(t, (m.A, m.B, m.C), self.OLD_MODES[mode][0])
         grad = ((getattr(m, mode) * d) @ self.old_mode_gram(mode, m) - mtt) * d
-        out = m.copy()
+        out = copy.deepcopy(m)
         _set_unit_columns(getattr(out, mode), getattr(m, mode) - step * grad)
         return out
 
     def old_als_step(self, m, t, rho):
-        work = m.copy()
+        work = copy.deepcopy(m)
         eye = np.eye(m.R)
         for mode in "ABC":
             lhs = self.old_mode_gram(mode, work) + rho * eye
@@ -339,7 +341,7 @@ class TestSweepExactOracle:
     @pytest.mark.parametrize("alpha_case", ["generic", "zero", "collapsed"])
     def test_mm_sweeps_match_per_call_code(self, dims, alpha_case):
         m, t1, t2 = self.case(dims, alpha_case)
-        start = m.copy()
+        start = copy.deepcopy(m)
         # two outer iterations: the Grams carry over, the tensor changes
         sweep = Sweep(m, t1)
         old = m

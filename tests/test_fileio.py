@@ -61,6 +61,12 @@ class TestTensorContainer:
             with pytest.raises(DataError, match="truncated"):
                 load_tensor(path)
 
+    def test_zero_dimension_is_data_error(self, tmp_path):
+        path = tmp_path / "empty.tns3"
+        path.write_bytes(b"TNS3" + struct.pack("<3Q", 0, 4, 5))
+        with pytest.raises(DataError, match=r"empty.tns3: all dimensions must be >= 1"):
+            load_tensor(path)
+
 
 @pytest.mark.parametrize("kind", ["tns3-header-shrunk", "tns3-appended", "msk3-appended"])
 def test_bytes_past_the_payload_rejected(tmp_path, kind):
@@ -147,6 +153,13 @@ class TestModelContainer:
         path = tmp_path / "huge.cpm1"
         path.write_bytes(b"CPM1" + struct.pack("<3Q", 2, 2, 2) + struct.pack("<Q", 2**62) + b"\x00" * 64)
         with pytest.raises(DataError):
+            load_model(path)
+
+    def test_rank_above_the_bound_is_data_error(self, tmp_path):
+        # R = 5 > min(IJ, JK, IK) = 4 for a 2 x 2 x 2 model
+        path = tmp_path / "big.cpm1"
+        path.write_bytes(b"CPM1" + struct.pack("<4Q", 2, 2, 2, 5) + b"\x00" * 8 * (3 * 2 * 5 + 5))
+        with pytest.raises(DataError, match=r"big.cpm1: R=5 exceeds the rank upper bound"):
             load_model(path)
 
 

@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from cpcomplete import hybrid_l1
-from cpcomplete.cp_model import CPModel, CPScalingOperator, build_q, reconstruct
+from cpcomplete.cp_model import CPModel, CPScalingOperator, build_q, factor_gram, reconstruct
 from cpcomplete.hybrid_l1 import (
     HybridConfig,
     ProjectedProblem,
@@ -15,6 +17,10 @@ from cpcomplete.hybrid_l1 import (
     solve_l1_hybrid,
     wgcv_select,
 )
+
+
+def grams(m):
+    return [factor_gram(x) for x in (m.A, m.B, m.C)]
 
 
 def prox_grid_oracle(v, lam, zoom=4):
@@ -76,7 +82,7 @@ class TestIstaAlphaStep:
         c = np.linalg.qr(rng.normal(size=(8, 3)))[0]
         m = CPModel(a, b, c, rng.uniform(1, 2, 3))
         t = reconstruct(m)
-        out = ista_alpha_step(m, t, 0.0, CPScalingOperator(m))
+        out = ista_alpha_step(m, t, 0.0, CPScalingOperator(m, grams(m)))
         assert np.allclose(out, m.alpha, atol=1e-12)
 
     def test_full_shrinkage_far_above_correlations(self):
@@ -86,7 +92,7 @@ class TestIstaAlphaStep:
             np.zeros(2),
         )
         t = rng.normal(size=(5, 5, 5))
-        out = ista_alpha_step(m, t, 1e9, CPScalingOperator(m))
+        out = ista_alpha_step(m, t, 1e9, CPScalingOperator(m, grams(m)))
         assert not out.any()
 
     def test_work_tensor_gives_the_same_bytes(self):
@@ -94,7 +100,7 @@ class TestIstaAlphaStep:
         mats = [x / np.linalg.norm(x, axis=0) for x in rng.normal(size=(3, 5, 4))]
         m = CPModel(*mats, rng.normal(size=4))
         t = rng.normal(size=(5, 5, 5))
-        op = CPScalingOperator(m)
+        op = CPScalingOperator(m, grams(m))
         t_before = t.copy()
         expected = ista_alpha_step(m, t, 0.3, op)
         assert np.array_equal(ista_alpha_step(m, t, 0.3, op, work=np.empty_like(t)), expected)
@@ -109,8 +115,8 @@ class TestIstaAlphaStep:
         m = CPModel(*mats, rng.normal(size=4))
         t_tensor = rng.normal(size=(5, 5, 5))
         lam = 0.5
-        work = m.copy()
-        op = CPScalingOperator(work)
+        work = copy.deepcopy(m)
+        op = CPScalingOperator(work, grams(work))
         for _ in range(500):
             work.alpha = ista_alpha_step(work, t_tensor, lam, op)
         q = build_q(work)
@@ -125,28 +131,25 @@ class TestIstaAlphaStep:
 
 class TestIRNWeights:
     def test_case_split(self):
-        w = irn_weights(np.array([4.0, 0.0]), 1e-10, 1e-14)
+        w = irn_weights(np.array([4.0, 0.0]))
         assert np.isclose(w[0], 0.5)
         assert np.isclose(w[1], 1e7)
 
     def test_l1_surrogate_identity(self):
         rng = np.random.default_rng(4)
         s = rng.uniform(0.5, 2.0, 20) * rng.choice([-1.0, 1.0], 20)
-        w = irn_weights(s, 1e-10, 1e-14)
+        w = irn_weights(s)
         assert np.isclose(np.linalg.norm(w * s) ** 2, np.abs(s).sum(), rtol=1e-12)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(5)
         s = rng.normal(size=30)
-        tau1, tau2 = 1e-6, 1e-9
-        w = irn_weights(s, tau1, tau2)
+        s[:3] = [0.0, 5e-11, -1e-12]
+        tau1, tau2 = 1e-10, 1e-14
+        w = irn_weights(s)
         for i, si in enumerate(s):
             f = abs(si) if abs(si) >= tau1 else tau2
             assert np.isclose(w[i], 1.0 / np.sqrt(f), rtol=1e-14)
-
-    def test_threshold_order_enforced(self):
-        with pytest.raises(ValueError):
-            irn_weights(np.ones(3), 1e-14, 1e-10)
 
 
 def gk_bidiag_oracle(h, d, steps):
@@ -204,7 +207,7 @@ class TestFGK:
         fgk_expand(state, h, None)
         assert state.breakdown
         assert state.k == 1
-        q = projected_tikhonov(projected(state), 0.0)
+        q, *_ = np.linalg.lstsq(state.M, state.beta1 * np.eye(state.k + 1)[0], rcond=None)
         assert np.allclose(state.P @ q, d, atol=1e-14)
         with pytest.raises(ValueError, match="broken-down"):
             fgk_expand(state, h, None)
@@ -235,7 +238,7 @@ class TestFGK:
             state = fgk_init(h, d)
             hnorm = np.linalg.norm(h)
             for _ in range(6):
-                w = irn_weights(rng.uniform(0.2, 3.0, n), 1e-10, 1e-14)
+                w = irn_weights(rng.uniform(0.2, 3.0, n))
                 fgk_expand(state, h, w)
                 ucols, vcols = state.U.shape[1], state.V.shape[1]
                 assert np.abs(state.U.T @ state.U - np.eye(ucols)).max() <= 1e-10
@@ -278,18 +281,14 @@ class TestProjectedTikhonov:
         with pytest.raises(ValueError, match="got -1.0"):
             projected_tikhonov(projected(state), -1.0)
 
-    def test_lambda_zero_least_squares(self):
-        rng = np.random.default_rng(9)
-        h = rng.normal(size=(20, 6))
-        d = rng.normal(size=20)
-        state = fgk_init(h, d)
-        for _ in range(6):
-            fgk_expand(state, h, None)
-        q = projected_tikhonov(projected(state), 0.0)
-        b = np.zeros(state.M.shape[0])
-        b[0] = state.beta1
-        lsq, *_ = np.linalg.lstsq(state.M, b, rcond=None)
-        assert np.allclose(q, lsq, atol=1e-10)
+    @pytest.mark.parametrize("lam", [0.0, -0.0, float("nan")])
+    def test_lambda_not_positive_rejected(self, lam):
+        # Every lambda solve_l1_hybrid passes is positive: a WGCV grid point,
+        # the previous lambda, or 1.0.
+        state = fgk_init(np.eye(3), np.array([2.0, 0.0, 0.0]))
+        fgk_expand(state, np.eye(3), None)
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            projected_tikhonov(projected(state), lam)
 
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(10)
@@ -568,6 +567,21 @@ class TestSolveHybrid:
         assert expansions == [False] * (steps - 1) + [stop == "breakdown"]
         assert svds == [(k + 1, k) for k in range(1, steps + 1)]
         assert lams.size == steps
+        assert (lams > 0.0).all()  # through the breakdown too
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_lambda_history_positive_at_any_scale(self, scale):
+        # projected_tikhonov rejects lambda <= 0, so every lambda the solver
+        # picks must stay positive, far from 1 in either direction too.  The
+        # omega estimate squares s^2 + lambda, which leaves the float range
+        # at the extreme scales; it then falls back to omega = 1.
+        rng = np.random.default_rng(17)
+        h = scale * rng.normal(size=(30, 12))
+        d = scale * rng.normal(size=30)
+        with np.errstate(divide="ignore", over="ignore"):
+            _, lams = solve_l1_hybrid(h, d, HybridConfig(k_max=12))
+        assert lams.size == 12
+        assert (lams > 0.0).all()
 
     def test_sparse_recovery_with_noise(self):
         rng = np.random.default_rng(13)
@@ -597,7 +611,7 @@ class TestSolveHybrid:
         prev = np.inf
         for _ in range(10):
             fgk_expand(state, h, None)
-            q = projected_tikhonov(projected(state), 0.0)
+            q, *_ = np.linalg.lstsq(state.M, state.beta1 * np.eye(state.k + 1)[0], rcond=None)
             resid = np.linalg.norm(h @ (state.P @ q) - d)
             assert resid <= prev * (1 + 1e-12)
             prev = resid

@@ -11,6 +11,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from cpcomplete import mor
+from cpcomplete.completion import CompletionConfig
 from cpcomplete.cp_model import CPModel
 from cpcomplete.mor import (
     DiffusionProblem,
@@ -309,7 +310,7 @@ class TestCpReducedBasis:
         snaps = np.stack([c1 * m1 + c2 * m2 for c1, c2 in coeffs], axis=2)
         # rho = 0 so the polish is exact ALS; the damped default would leave
         # an O(rho)-level bias in the fit
-        basis = cp_reduced_basis(snaps, r0=4, eps=1e-2, m_max=300, seed=1, rho=0.0)
+        basis = cp_reduced_basis(snaps, CompletionConfig(R0=4, m_max=300, seed=1), rho=0.0)
         assert basis.phi.shape[1] == 2
         y = snaps.reshape(100, 6)
         proj = basis.phi @ (basis.phi.T @ y)
@@ -318,14 +319,14 @@ class TestCpReducedBasis:
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(5)
         snaps = rng.normal(size=(8, 8, 5))
-        basis = cp_reduced_basis(snaps, r0=4, eps=1e-2, m_max=60, seed=0)
+        basis = cp_reduced_basis(snaps, CompletionConfig(R0=4, m_max=60))
         gram = basis.phi.T @ basis.phi
         assert np.abs(gram - np.eye(gram.shape[0])).max() <= 1e-10
 
     def test_fit_keeping_no_component_gives_no_columns(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            basis = cp_reduced_basis(np.zeros((6, 6, 5)), r0=3, eps=1e-2, m_max=20, seed=0)
+            basis = cp_reduced_basis(np.zeros((6, 6, 5)), CompletionConfig(R0=3, m_max=20))
         assert basis.phi.shape == (36, 0)
 
 
@@ -358,7 +359,7 @@ class TestCpBasisMatchesPivotedQr:
 
         monkeypatch.setattr(mor, "regularized_als_step", keeping)
         snaps = assemble_snapshots(parameter_grid(5), 12)
-        basis = cp_reduced_basis(snaps, r0=20, eps=1e-2, m_max=15, seed=0)
+        basis = cp_reduced_basis(snaps, CompletionConfig(R0=20, m_max=15))
         self.assert_same_span(basis.phi, spatial_products(fits[-1]))
 
     def test_repeated_component_is_dropped(self, monkeypatch):
@@ -370,7 +371,7 @@ class TestCpBasisMatchesPivotedQr:
         model = CPModel(a, b, c, np.ones(4))
         monkeypatch.setattr(mor, "complete", lambda *args: (model, None, None))
         monkeypatch.setattr(mor, "regularized_als_step", lambda sweep, rho: sweep.model)
-        basis = cp_reduced_basis(np.ones((6, 5, 3)), r0=4, eps=1e-2, m_max=5, seed=0)
+        basis = cp_reduced_basis(np.ones((6, 5, 3)), CompletionConfig(R0=4, m_max=5))
         assert basis.phi.shape[1] == 3
         self.assert_same_span(basis.phi, spatial_products(model))
 
@@ -411,6 +412,17 @@ class TestRunMorDemo:
             mor.run_mor_demo(**kwargs)
         assert solves == []
 
+    def test_basis_fit_gets_one_config_with_the_demo_settings(self, monkeypatch):
+        configs = []
+
+        def capture(snaps, cfg):
+            configs.append(cfg)
+            return ReducedBasis(np.eye(snaps.shape[0] * snaps.shape[1], 1))
+
+        monkeypatch.setattr(mor, "cp_reduced_basis", capture)
+        mor.run_mor_demo(nx=5, grid_n=3, r0=4, eps=0.05, n_tests=2, pod_rank=2, seed=7, m_max=9)
+        assert configs == [CompletionConfig(R0=4, m_max=9, seed=7, eps_truncate=0.05)]
+
 
 # Run in a fresh interpreter, because this module loads scipy into the test
 # process.  No code path of the package, library or CLI, loads a scipy module.
@@ -441,7 +453,7 @@ print("exit codes:", codes)
 p = cpcomplete.DiffusionProblem(10, 0.3, -0.2)
 print("residual:", cpcomplete.diffusion_residual(p, cpcomplete.solve_diffusion(p)))
 snaps = cpcomplete.assemble_snapshots(cpcomplete.parameter_grid(3), 6)
-phi = cpcomplete.cp_reduced_basis(snaps, r0=3, eps=1e-2, m_max=20, seed=0).phi
+phi = cpcomplete.cp_reduced_basis(snaps, cpcomplete.CompletionConfig(R0=3, m_max=20)).phi
 print("basis:", phi.shape[1], np.abs(phi.T @ phi - np.eye(phi.shape[1])).max())
 print("scipy modules:", " ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
