@@ -163,7 +163,7 @@ def regularized_als_step(sweep, rho):
     subproblem solution.  Returns the sweep's new model; a rank-0 model has
     nothing to solve for and comes back unchanged.
     """
-    if rho < 0.0:
+    if not rho >= 0.0:
         raise ValueError(f"rho must be nonnegative, got {rho}")
     if sweep.model.R == 0:
         return sweep.model

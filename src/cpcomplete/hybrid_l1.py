@@ -10,8 +10,8 @@ preconditioner is absorbed by a flexible Golub-Kahan process that maintains
 
 with orthonormal U, V and P_k = [L_1^{-1} v_1, ..., L_k^{-1} v_k].  The process
 builds M_k, :class:`ProjectedProblem` holds its SVD, and the choice of lambda
-by weighted generalized cross validation, its adaptive weight and the
-projected Tikhonov solve read only that SVD.
+by weighted generalized cross validation and the projected Tikhonov solve
+read only that SVD.
 
 A fixed-lambda ISTA step for the CP scaling vector is provided as a baseline,
 together with the closed-form soft-threshold proximal map.
@@ -51,7 +51,7 @@ _LAMBDA_FALLBACK = 1.0
 
 def soft_threshold(v, lam):
     """Proximal map of lambda * ||.||_1: zero inside [-lambda, lambda], shrink outside."""
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     v = np.asarray(v, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
@@ -262,28 +262,25 @@ _REFINE_FIRST = np.concatenate(([1.0], np.logspace(0.0, _GRID_STEP, _UNIT_GRID.s
 _REFINE_LAST = np.concatenate(([1.0], np.logspace(-_GRID_STEP, 0.0, _UNIT_GRID.size)))
 
 
-def _wgcv_terms(problem, lams):
-    # WGCV numerator k * ||(I - M Phi_lam) beta1 e1||^2 and the filter-factor
-    # sum trace(M Phi_lam) at each lambda in ``lams``.  The filter factors
-    # s_i^2 / (s_i^2 + lam) form a k x L array with lambda along the
-    # contiguous axis, overwritten in place by (1 - filter)^2.  Summation
-    # order differs from other layouts by rounding only; wgcv_select returns
-    # a point of its grids, so only the position of the minimum matters.
+def _wgcv_curve(problem, omega, lams):
+    """WGCV objective at each lambda in ``lams``; non-finite values read as +inf.
+
+    The filter factors s_i^2 / (s_i^2 + lam) form a k x L array with lambda
+    along the contiguous axis, summed into trace(M Phi_lam) and then
+    overwritten in place by (1 - filter)^2 for the numerator
+    k * ||(I - M Phi_lam) beta1 e1||^2.  Summation order differs from other
+    layouts by rounding only; wgcv_select returns a point of its grids, so
+    only the position of the minimum matters.
+    """
     s2 = problem.s2[:, None]
     filt = s2 + lams
     np.divide(s2, filt, out=filt)
-    f_sum = filt.sum(axis=0)
+    den = filt.sum(axis=0)
     np.subtract(1.0, filt, out=filt)
     np.square(filt, out=filt)
-    num = problem.c2 @ filt
-    num += problem.rho2
-    num *= problem.k
-    return num, f_sum
-
-
-def _wgcv_curve(problem, omega, lams):
-    """WGCV objective at each lambda in ``lams``; non-finite values read as +inf."""
-    vals, den = _wgcv_terms(problem, lams)
+    vals = problem.c2 @ filt
+    vals += problem.rho2
+    vals *= problem.k
     den *= -omega
     den += problem.k + 1
     np.square(den, out=den)
@@ -328,46 +325,23 @@ def wgcv_select(problem, omega, fallback):
     return float(lams[_wgcv_curve(problem, omega, lams).argmin()])
 
 
-def _omega_estimate(problem):
-    # Weight that makes the WGCV curve stationary at a reference lambda:
-    # setting dG/dlambda(lam_ref) = 0 and solving for omega gives
-    # omega = (k+1) N' / (N'F - 2NF') with N the numerator and F the sum of
-    # the filter factors, both from _wgcv_terms.  The reference is
-    # sigma_min(M)^2, the smallest scale the projected problem can resolve,
-    # which guards against the over-smoothing plain GCV exhibits on projected
-    # problems.  It runs after an expansion, so sigma_max(M) >= M_11 > 0.
-    s2 = problem.s2
-    lam = max(float(problem.s[-1]) ** 2, 1e-300)
-    (n_val,), (f_sum,) = _wgcv_terms(problem, np.array([lam]))
-    shifted = s2 + lam
-    # -dF_i/dlambda for filter factor F_i, and 1 - F_i = lam / (s_i^2 + lam).
-    dfac = s2 / (shifted * shifted)
-    n_prime = problem.k * float((2.0 * lam * dfac / shifted) @ problem.c2)
-    f_prime = -float(dfac.sum())
-    den = n_prime * f_sum - 2.0 * n_val * f_prime
-    if not math.isfinite(den) or den <= 0.0:
-        return 1.0
-    return float(min(max(n_prime * (problem.k + 1) / den, 1e-3), 1.0))
-
-
 @dataclass
 class HybridConfig:
     """Settings for :func:`solve_l1_hybrid`; every lambda is selected by WGCV.
 
     ``k_max`` caps the inner steps; the solver also stops after n steps for an
-    n-column H, where the process must break down.  ``omega`` is either a
-    fixed weight in (0, 1] or "adapt", which uses the running mean of one
-    estimate per inner step (clamped to [1e-3, 1]).
+    n-column H, where the process must break down.  ``omega`` is the WGCV
+    weight, a number in (0, 1].
     """
 
     k_max: int = 50
-    omega: object = "adapt"
+    omega: float = 0.2
 
     def __post_init__(self):
         if not (is_integer(self.k_max) and self.k_max >= 1):
             raise ValueError(f"k_max must be an integer >= 1, got {self.k_max!r}")
-        if self.omega != "adapt" and not (is_real(self.omega) and 0.0 < self.omega <= 1.0):
-            raise ValueError(f"omega must be 'adapt' or a number in (0, 1], got {self.omega!r}")
+        if not (is_real(self.omega) and 0.0 < self.omega <= 1.0):
+            raise ValueError(f"omega must be a number in (0, 1], got {self.omega!r}")
 
 
 def solve_l1_hybrid(h, d, cfg):
@@ -389,19 +363,13 @@ def solve_l1_hybrid(h, d, cfg):
     if state is None:
         return np.zeros(ncols), np.empty(0)
 
-    adapt = cfg.omega == "adapt"
-    omega = None if adapt else float(cfg.omega)
-    omega_sum = 0.0
+    omega = float(cfg.omega)
     lam_history = []
     # k_max >= 1, and ncols >= 1 once fgk_init gives a state, so sol gets set.
     for _ in range(min(cfg.k_max, ncols)):
         weights = irn_weights(sol) if lam_history else None
         fgk_expand(state, h, weights)
         problem = ProjectedProblem(state.M, state.beta1)
-        if adapt:
-            # Running mean of the per-step estimates, one per expansion.
-            omega_sum += _omega_estimate(problem)
-            omega = min(max(omega_sum / state.k, 1e-3), 1.0)
         lam = wgcv_select(problem, omega, fallback=lam_history[-1] if lam_history else _LAMBDA_FALLBACK)
         sol = state.P @ projected_tikhonov(problem, lam)
         lam_history.append(lam)

@@ -234,8 +234,9 @@ class TestRegularizedALS:
         assert norms[0] > norms[1] > norms[2]
 
     def test_negative_rho_rejected(self):
-        with pytest.raises(ValueError, match="got -1.0"):
-            regularized_als_step(Sweep(random_model(25), np.zeros((4, 5, 6))), -1.0)
+        for rho in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match=f"got {rho}"):
+                regularized_als_step(Sweep(random_model(25), np.zeros((4, 5, 6))), rho)
 
     def test_exact_rank_convergence(self):
         t = reconstruct(random_model(21, dims=(8, 8, 8), r=3, alpha_scale=3.0))
