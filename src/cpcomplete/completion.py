@@ -175,8 +175,9 @@ def complete(t, mask, cfg):
         trace.append(residual, lam, (time.perf_counter() - start) * 1e3)
         if residual <= cfg.eps_tol:
             break
-        # alpha = 0 twice running is a fixed point: D = 0 annihilates the MM
-        # gradients, so the factors, s_hat = 0 and the imputation repeat.
+        # alpha = 0 twice running is a fixed point: with no nonzero alpha_r
+        # the MM steps leave the factors as they are, so s_hat = 0 and the
+        # imputation repeat.
         zero_alpha_run = 0 if alpha.any() else zero_alpha_run + 1
         if zero_alpha_run == 2:
             break

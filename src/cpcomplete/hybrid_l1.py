@@ -66,12 +66,15 @@ def ista_alpha_step(m, t, lam, op, work=None):
     :class:`~cpcomplete.cp_model.CPScalingOperator` of m's factors, which
     supplies Q Q^T and the products with Q, so Q is never materialized.  The
     residual alpha Q - t is formed in ``work``, a tensor of t's shape that
-    must not share memory with t, or in a new one when it is None.
+    must not share memory with t, or in a new one when it is None.  The
+    reconstruction alpha Q runs over the nonzero alpha_r only, but the
+    gradient Q (alpha Q - t) and eta cover every component, so one with
+    alpha_r = 0 can come back.  A rank-0 model gets an empty alpha.
     """
     t = as_tensor(t)
     if work is not None and np.shares_memory(work, t):
         raise ValueError("work must not share memory with t")
-    eta = max(float(np.linalg.eigvalsh(op.gram)[-1]), 1e-12)
+    eta = max(float(np.linalg.eigvalsh(op.gram).max(initial=0.0)), 1e-12)
     step = 1.0 / (STEP_SAFETY * eta)
     residual = reconstruct(m, out=work)
     grad = op.rmatvec(np.subtract(residual, t, out=residual))

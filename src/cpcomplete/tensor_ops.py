@@ -157,9 +157,17 @@ def rank_one_sum(x, factors, out=None):
     One GEMM against the smaller Khatri-Rao product, on the same side as
     :func:`mttkrp`, written straight into a free reshape of ``out`` (a new
     tensor when it is None), which is returned: (A diag(x)) (B kr C)^T is
-    I x JK when K <= I, otherwise (A diag(x) kr B) C^T is IJ x K.
+    I x JK when K <= I, otherwise (A diag(x) kr B) C^T is IJ x K.  Terms
+    with x_r = 0 (either sign) add nothing and are left out of both
+    products, so the GEMM runs over the nonzero weights only; with none it
+    writes zeros.  The factors are gathered only when some weight is zero.
     """
+    x = np.asarray(x, dtype=np.float64)
+    nonzero = x.nonzero()[0]
     a, b, c = factors
+    if nonzero.size < x.size:
+        x = x[nonzero]
+        a, b, c = (f.take(nonzero, axis=1) for f in factors)
     i, j, k = a.shape[0], b.shape[0], c.shape[0]
     out = _out_tensor(out, (i, j, k))
     if k <= i:

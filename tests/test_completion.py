@@ -326,22 +326,37 @@ class TestComplete:
 KERNEL_CALLERS = (tensor_ops, cp_model, factor_updates, completion, hybrid_l1)
 
 
-def count_kernel_calls(monkeypatch):
+def count_kernel_calls(monkeypatch, log=None):
     """Wrap the Gram and IJK-sized kernels wherever they are bound; return the counter.
 
     ``factor_gram`` is one R x R GEMM; ``mttkrp_partial`` and
     ``rank_one_sum`` are one IJK-sized GEMM each, and so is ``mttkrp`` in
     its Khatri-Rao mode (counted as ``mttkrp_gemm``); ``khatri_rao`` counts
     the Khatri-Rao products formed.
+
+    Given a list ``log``, each ``mttkrp_partial``, ``mttkrp_gemm`` and
+    ``khatri_rao`` call also appends (name, components) to it in call order,
+    with components the column count of the factors it reads.
+    ``rank_one_sum`` multiplies by the Khatri-Rao product it forms, so that
+    product's entry gives its width.
     """
     calls = Counter()
+    log = [] if log is None else log
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            if name != "mttkrp":
-                calls[name] += 1
-            elif args[2] == tensor_ops.gemm_mode(args[0].shape):
-                calls["mttkrp_gemm"] += 1
+            if name == "mttkrp":
+                key = "mttkrp_gemm" if args[2] == tensor_ops.gemm_mode(args[0].shape) else None
+            else:
+                key = name
+            if key is not None:
+                calls[key] += 1
+            if key == "mttkrp_partial":
+                log.append((key, args[1][tensor_ops.gemm_mode(args[0].shape)].shape[1]))
+            elif key == "mttkrp_gemm":  # the mode's own factor is not read
+                log.append((key, args[1][(args[2] + 1) % 3].shape[1]))
+            elif key == "khatri_rao":
+                log.append((key, np.shape(args[0])[1]))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -400,6 +415,38 @@ class TestKernelBudget:
         assert per_iteration == self.BUDGET[dims[2] <= dims[0], mode]
         # IJK-sized contractions: 4 in hybrid mode, 5 in fixed mode, on either side
         assert sum(per_iteration[1:4]) == (4 if mode == "hybrid" else 5)
+
+    @pytest.mark.parametrize("dims", [(9, 6, 4), (4, 6, 9)], ids=["K<=I", "K>I"])
+    def test_fixed_mode_products_run_over_the_nonzero_components(self, dims, monkeypatch):
+        # Between two ISTA steps come the reconstruction from the first
+        # step's alpha, the MM sweep and the second step's reconstruction.
+        # With that alpha's z zeros, all of them take R0 - z components; Q
+        # times the residual takes all R0.
+        r0 = 6
+        log = []
+        count_kernel_calls(monkeypatch, log)
+        ista = completion.ista_alpha_step
+
+        def logged(*args, **kwargs):
+            alpha = ista(*args, **kwargs)
+            log.append(("ista", np.count_nonzero(alpha)))
+            return alpha
+
+        monkeypatch.setattr(completion, "ista_alpha_step", logged)
+        cfg = CompletionConfig(R0=r0, m_max=6, eps_tol=1e-12, mode="fixed", lam=5.0, seed=11)
+        complete(synthetic_rank(11, dims, 2), make_random_mask(dims, 0.7, seed=11), cfg)
+        steps = [i for i, (name, _) in enumerate(log) if name == "ista"]
+        widths = [log[i][1] for i in steps]
+        assert len(steps) == 6 and min(widths) < r0 - 1
+        for start, stop, w in zip(steps, steps[1:], widths):
+            if dims[2] <= dims[0]:
+                sweep = [("mttkrp_gemm", w), ("khatri_rao", w), ("mttkrp_partial", w)]
+                q_residual = [("mttkrp_gemm", r0), ("khatri_rao", r0)]
+            else:
+                sweep = [("mttkrp_partial", w), ("mttkrp_gemm", w), ("khatri_rao", w)]
+                q_residual = [("mttkrp_partial", r0)]
+            reconstruction = [("khatri_rao", w)]
+            assert log[start + 1 : stop] == reconstruction + sweep + reconstruction + q_residual
 
     @pytest.mark.parametrize("mode", ["hybrid", "fixed"])
     def test_initial_grams_formed_once(self, mode, monkeypatch):

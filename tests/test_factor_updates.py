@@ -14,6 +14,7 @@ from cpcomplete.factor_updates import (
     objective,
     regularized_als_step,
 )
+from cpcomplete.hybrid_l1 import ista_alpha_step
 from cpcomplete.tensor_ops import frobenius_norm, khatri_rao, matricize, mttkrp
 
 
@@ -79,6 +80,18 @@ class TestGradient:
         for mode in "ABC":
             assert not gradient(mode, Sweep(m, t)).any()
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_alpha_columns_are_exactly_zero(self, zero):
+        rng = np.random.default_rng(7)
+        m = random_model(8, r=4)
+        m.alpha[[0, 2]] = zero
+        t = rng.normal(size=(4, 5, 6))
+        for mode in "ABC":
+            g = gradient(mode, Sweep(m, t))
+            assert not g[:, [0, 2]].any()
+            assert g[:, [1, 3]].all()
+            assert np.linalg.norm(g - fd_gradient(mode, m, t)) <= 1e-5 * np.linalg.norm(g)
+
     def test_matches_khatri_rao_form(self):
         # the Gram shortcut equals the explicit (X D W^T - T(m)) W D formula
         rng = np.random.default_rng(5)
@@ -134,6 +147,14 @@ class TestLipschitz:
             w = khatri_rao(y, z) * m.alpha
             oracle = power_iteration(w.T @ w)
             assert lipschitz_estimate(mode, Sweep(m, np.zeros(m.dims))) >= oracle * (1 - 1e-8)
+
+    def test_zero_alpha_components_give_the_full_eigenvalue(self):
+        m = random_model(9, r=5)
+        m.alpha[[1, 3]] = [0.0, -0.0]
+        for mode, (y, z) in [("A", (m.C, m.B)), ("B", (m.C, m.A)), ("C", (m.B, m.A))]:
+            w = khatri_rao(y, z) * m.alpha
+            full = np.linalg.eigvalsh(w.T @ w)[-1]
+            assert abs(lipschitz_estimate(mode, Sweep(m, np.zeros(m.dims))) - full) <= 1e-13 * full
 
     def test_zero_alpha_floor(self):
         m = random_model(8)
@@ -252,6 +273,19 @@ class TestRegularizedALS:
         for rho in (0.0, 1.0):
             assert regularized_als_step(sweep, rho) is m
 
+    def test_rank_zero_model_mm_step_is_identity(self):
+        m = CPModel(np.zeros((4, 0)), np.zeros((5, 0)), np.zeros((6, 0)), np.zeros(0))
+        sweep = Sweep(m, np.ones((4, 5, 6)))
+        assert lipschitz_estimate("A", sweep) == 1e-12
+        for mode in "ABC":
+            assert mm_update(mode, sweep) is m
+
+    def test_rank_zero_model_ista_step_gives_empty_alpha(self):
+        m = CPModel(np.zeros((4, 0)), np.zeros((5, 0)), np.zeros((6, 0)), np.zeros(0))
+        sweep = Sweep(m, np.ones((4, 5, 6)))
+        alpha = ista_alpha_step(m, sweep.t, 0.1, CPScalingOperator(m, sweep.grams))
+        assert alpha.shape == (0,)
+
     def test_singular_system_raises(self):
         m = random_model(23)
         m.B[:, 1] = m.B[:, 0]
@@ -310,6 +344,16 @@ class TestSweepExactOracle:
         _set_unit_columns(getattr(out, mode), getattr(m, mode) - step * grad)
         return out
 
+    def active_mm_update(self, mode, m, t):
+        # The per-call step on the components with alpha_r != 0 only; the
+        # other columns stay as they were.
+        active = np.flatnonzero(m.alpha)
+        out = copy.deepcopy(m)
+        if active.size:
+            sub = CPModel(m.A[:, active], m.B[:, active], m.C[:, active], m.alpha[active])
+            getattr(out, mode)[:, active] = getattr(self.old_mm_update(mode, sub, t), mode)
+        return out
+
     def old_als_step(self, m, t, rho):
         work = copy.deepcopy(m)
         eye = np.eye(m.R)
@@ -326,8 +370,8 @@ class TestSweepExactOracle:
         if alpha_case == "zero":
             m.alpha = np.zeros(m.R)
         elif alpha_case == "collapsed":
-            # alpha_1 = 0 and b_1 = 0: the mode-B step leaves column 1 at
-            # zero, so it keeps its previous value
+            # alpha_1 = 0 and b_1 = 0: component 1 is not active, so every
+            # step leaves column 1 of B at zero
             m.alpha[1] = 0.0
             m.B[:, 1] = 0.0
         rng = np.random.default_rng(31)
@@ -346,11 +390,12 @@ class TestSweepExactOracle:
         # two outer iterations: the Grams carry over, the tensor changes
         sweep = Sweep(m, t1)
         old = m
+        oracle = self.old_mm_update if alpha_case == "generic" else self.active_mm_update
         for t in (t1, t2):
             sweep.set_tensor(t)
             for mode in "ABC":
                 new = mm_update(mode, sweep)
-                old = self.old_mm_update(mode, old, t)
+                old = oracle(mode, old, t)
                 self.assert_same(new, old)
             assert np.array_equal(CPScalingOperator(new, sweep.grams).gram, self.old_hadamard_gram(old.A, old.B, old.C))
             new.alpha = old.alpha = old.alpha * 0.5  # a scaling refit between sweeps
@@ -373,8 +418,12 @@ class TestSweepExactOracle:
 def test_sweep_products_stay_current_in_any_order(dims):
     # updates, reads and tensor changes in random order: every MTTKRP and Gram
     # the sweep hands out equals one formed afresh from its current state
+    # alpha_1 = 0, so the MM steps read the MTTKRPs of components 0 and 2
+    # between the full-width reads
     rng = np.random.default_rng(40)
-    sweep = Sweep(random_model(41, dims, r=3), rng.normal(size=dims))
+    m = random_model(41, dims, r=3)
+    m.alpha[1] = 0.0
+    sweep = Sweep(m, rng.normal(size=dims))
     for _ in range(80):
         mode = "ABC"[rng.integers(3)]
         action = rng.integers(3)

@@ -96,6 +96,22 @@ class TestIstaAlphaStep:
         out = ista_alpha_step(m, t, 1e9, CPScalingOperator(m, grams(m)))
         assert not out.any()
 
+    def test_zero_component_with_a_large_gradient_comes_back(self):
+        # alpha_1 = 0 leaves component 1 out of the reconstruction, not out of
+        # the gradient Q (alpha Q - t) or of eta
+        rng = np.random.default_rng(5)
+        mats = [x / np.linalg.norm(x, axis=0) for x in rng.normal(size=(3, 5, 3))]
+        m = CPModel(*mats, np.array([1.0, 0.0, 2.0]))
+        t = reconstruct(CPModel(*mats, np.array([1.0, 3.0, 2.0])))
+        op = CPScalingOperator(m, grams(m))
+        eta = np.linalg.eigvalsh(op.gram)[-1]
+        grad = build_q(m) @ (reconstruct(m) - t).ravel()
+        lam = 0.1
+        assert abs(grad[1]) > lam  # outside the threshold lam / (s eta) of the step
+        alpha = ista_alpha_step(m, t, lam, op)
+        assert alpha[1] != 0.0
+        assert np.isclose(alpha[1], -(grad[1] - lam * np.sign(grad[1])) / (1.05 * eta))
+
     def test_work_tensor_gives_the_same_bytes(self):
         rng = np.random.default_rng(4)
         mats = [x / np.linalg.norm(x, axis=0) for x in rng.normal(size=(3, 5, 4))]

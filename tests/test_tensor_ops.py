@@ -319,6 +319,29 @@ class TestRankOneSumOut:
         assert np.array_equal(out.view(np.uint64), rank_one_sum(x, factors).view(np.uint64))
 
     @pytest.mark.parametrize("dims", [(6, 4, 3), (3, 4, 6)], ids=["K<=I", "K>I"])
+    def test_zero_weights_are_left_out(self, dims):
+        # bit for bit the sum over the nonzero-weight components alone
+        rng = np.random.default_rng(18)
+        factors = tuple(rng.standard_normal((d, 5)) for d in dims)
+        x = rng.standard_normal(5)
+        x[[1, 4]] = [0.0, -0.0]
+        keep = [0, 2, 3]
+        expected = rank_one_sum(x[keep], tuple(f[:, keep] for f in factors))
+        out = np.full(dims, np.nan)
+        assert rank_one_sum(x, factors, out=out) is out
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("dims", [(6, 4, 3), (3, 4, 6)], ids=["K<=I", "K>I"])
+    @pytest.mark.parametrize("r", [0, 3])
+    def test_no_nonzero_weight_gives_zeros(self, dims, r):
+        factors = tuple(np.ones((d, r)) for d in dims)
+        x = np.array([0.0, -0.0, 0.0][:r])
+        assert np.array_equal(rank_one_sum(x, factors), np.zeros(dims))
+        out = np.full(dims, np.nan)
+        assert rank_one_sum(x, factors, out=out) is out
+        assert np.array_equal(out.view(np.uint64), np.zeros(dims).view(np.uint64))
+
+    @pytest.mark.parametrize("dims", [(6, 4, 3), (3, 4, 6)], ids=["K<=I", "K>I"])
     def test_non_contiguous_out_rejected(self, dims):
         # A reshape of a non-contiguous array is a copy, which the GEMM would fill instead.
         factors = tuple(np.ones((d, 2)) for d in dims)
