@@ -82,9 +82,9 @@ def make_random_mask(dims, fraction=0.3, seed=0):
     total = int(np.prod(dims))
     count = int(np.ceil(fraction * total))
     rng = np.random.default_rng(seed)
-    flat = rng.choice(total, size=count, replace=False)
-    triples = np.stack(np.unravel_index(np.sort(flat), dims), axis=1)
-    return Mask(dims, triples)
+    where = np.zeros(total, dtype=bool)
+    where[rng.choice(total, size=count, replace=False)] = True
+    return Mask.from_bool(where.reshape(dims))
 
 
 def relative_error(s, a):

@@ -43,8 +43,7 @@ def cheb_diff(n):
     Standard construction with the negative-sum trick on the diagonal, so the
     derivative of constants is exactly zero.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_count("n", n)
     j = np.arange(n + 1)
     x = np.cos(np.pi * j / n)
     c = np.hstack([2.0, np.ones(n - 1), 2.0]) * (-1.0) ** j
@@ -73,6 +72,13 @@ class DiffusionProblem:
                 raise ValueError(f"{name} must be finite with |{name}| <= {MU_MAX}, got {mu!r}")
 
 
+def _check_count(name, value):
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _check_nx(nx):
     if not is_integer(nx):
         raise ValueError(f"nx must be an integer, got {nx!r}")
@@ -94,31 +100,12 @@ def _eigen(xi, d2, mu):
     return lam, p, np.linalg.inv(p)
 
 
-def _fast_diagonalization(ea, eb, f, nx):
-    # A U + U B^T = F in the eigenbases of A and B, on the full grid.
-    lam_a, pa, pa_inv = ea
-    lam_b, pb, pb_inv = eb
-    g = (pa_inv @ f @ pb_inv.T) / (lam_a[:, None] + lam_b[None, :])
-    u = np.zeros((nx, nx))
-    u[1:-1, 1:-1] = (pa @ g @ pb.T).real
-    return u
-
-
 def solve_diffusion(p):
     """Collocation solution on the full grid, boundary values exactly zero.
 
-    The interior system ``kron(A, I) + kron(I, B)`` is the Sylvester equation
-    ``A U + U B^T = F`` with A = diag(1 + mu1 x) D2 and B = diag(1 + mu2 x) D2
-    on the interior points.  It is solved by fast diagonalization (Lynch,
-    Rice & Thomas 1964) in O(nx^3): with A = P_A diag(lam) P_A^-1 and
-    B = P_B diag(nu) P_B^-1, U = P_A [(P_A^-1 F P_B^-T) / (lam_i + nu_j)] P_B^T,
-    of which the real part is kept.  The eigenvalues of these operators are
-    real and negative and their eigenvector matrices well conditioned
-    (condition number below 10 up to nx = 120), so the solve is as accurate
-    as a Schur-based one.
+    The slice of :func:`assemble_snapshots` for the one problem ``p``.
     """
-    xi, d2, f = _interior(p.nx)
-    return _fast_diagonalization(_eigen(xi, d2, p.mu1), _eigen(xi, d2, p.mu2), f, p.nx)
+    return assemble_snapshots([(p.mu1, p.mu2)], p.nx)[:, :, 0]
 
 
 def diffusion_residual(p, u):
@@ -140,6 +127,7 @@ def diffusion_residual(p, u):
 
 def parameter_grid(n):
     """Tensorial n x n cartesian grid over [-MU_MAX, MU_MAX]^2, mu1 varying slowest."""
+    _check_count("n", n)
     vals = np.linspace(-MU_MAX, MU_MAX, n)
     return [(float(m1), float(m2)) for m1 in vals for m2 in vals]
 
@@ -147,9 +135,18 @@ def parameter_grid(n):
 def assemble_snapshots(grid, nx):
     """nx x nx x len(grid) tensor whose slice k solves the problem at grid[k].
 
+    Slice k is the collocation solution on the full grid, boundary values
+    exactly zero.  Its interior system ``kron(A, I) + kron(I, B)`` is the
+    Sylvester equation ``A U + U B^T = F`` with A = diag(1 + mu1 x) D2 and
+    B = diag(1 + mu2 x) D2 on the interior points.  It is solved by fast
+    diagonalization (Lynch, Rice & Thomas 1964) in O(nx^3): with
+    A = P_A diag(lam) P_A^-1 and B = P_B diag(nu) P_B^-1,
+    U = P_A [(P_A^-1 F P_B^-T) / (lam_i + nu_j)] P_B^T, of which the real
+    part is kept.  The eigenvalues of these operators are real and negative
+    and their eigenvector matrices well conditioned (condition number below
+    10 up to nx = 120), so the solve is as accurate as a Schur-based one.
     Each distinct mu is diagonalized once, so a 9 x 9 grid costs 9
-    eigendecompositions, not 162; each slice is byte-identical to
-    :func:`solve_diffusion` of its problem.
+    eigendecompositions, not 162.
     """
     if not grid:
         raise ValueError("parameter grid is empty")
@@ -158,7 +155,10 @@ def assemble_snapshots(grid, nx):
     eigen = {mu: _eigen(xi, d2, mu) for mu in {m for p in problems for m in (p.mu1, p.mu2)}}
     snaps = np.zeros((nx, nx, len(grid)))
     for k, p in enumerate(problems):
-        snaps[:, :, k] = _fast_diagonalization(eigen[p.mu1], eigen[p.mu2], f, nx)
+        lam_a, pa, pa_inv = eigen[p.mu1]
+        lam_b, pb, pb_inv = eigen[p.mu2]
+        g = (pa_inv @ f @ pb_inv.T) / (lam_a[:, None] + lam_b[None, :])
+        snaps[1:-1, 1:-1, k] = (pa @ g @ pb.T).real
     return snaps
 
 
@@ -204,7 +204,9 @@ def cp_reduced_basis(a, cfg, rho=None):
     nx = a.shape[0]
     phi_hat = np.empty((nx * a.shape[1], model.R))
     for r in range(model.R):
-        # Not khatri_rao(A, B): its einsum writes +0.0 where this writes -0.0.
+        # Not khatri_rao(A, B): after the ALS polish the boundary rows of A
+        # and B are exactly +-0, its einsum gives some of those products the
+        # other sign, and the thin SVD's column signs follow these zeros.
         phi_hat[:, r] = np.outer(model.A[:, r], model.B[:, r]).ravel()
     u, s, _ = np.linalg.svd(phi_hat, full_matrices=False)
     kept = int(np.sum(s >= 1e-10 * s[0]))
@@ -261,11 +263,8 @@ def run_mor_demo(nx=40, grid_n=9, r0=50, eps=1e-2, n_tests=10, pod_rank=POD_RANK
     Every setting is checked before the first collocation solve.
     """
     _check_nx(nx)
-    for name, value in (("grid_n", grid_n), ("n_tests", n_tests)):
-        if not is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    _check_count("grid_n", grid_n)
+    _check_count("n_tests", n_tests)
     cfg = CompletionConfig(R0=r0, m_max=m_max, seed=seed, eps_truncate=eps)
     grid = parameter_grid(grid_n)
     _check_pod_rank("pod_rank", pod_rank, nx * nx, len(grid))

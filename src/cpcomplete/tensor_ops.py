@@ -100,7 +100,7 @@ def mttkrp_partial(t, factors):
     :func:`gemm_mode` is read.
     """
     i, j, k = t.shape
-    if k <= i:
+    if gemm_mode(t.shape) == 0:
         return (factors[0].T @ t.reshape(i, j * k)).reshape(-1, j, k)
     return (factors[2].T @ t.reshape(i * j, k).T).reshape(-1, i, j)
 
@@ -125,13 +125,14 @@ def mttkrp(t, factors, mode, partial=None):
     """
     a, b, c = factors
     i, j, k = t.shape
-    if mode == gemm_mode(t.shape):
+    side = gemm_mode(t.shape)
+    if mode == side:
         if mode == 0:
             return t.reshape(i, j * k) @ khatri_rao(b, c)
         return (khatri_rao(a, b).T @ t.reshape(i * j, k)).T
     if partial is None:
         partial = mttkrp_partial(t, factors)
-    if k <= i:
+    if side == 0:
         return np.einsum("rjk,kr->jr", partial, c) if mode == 1 else np.einsum("rjk,jr->kr", partial, b)
     return np.einsum("rij,jr->ir", partial, b) if mode == 0 else np.einsum("rij,ir->jr", partial, a)
 
@@ -170,7 +171,7 @@ def rank_one_sum(x, factors, out=None):
         a, b, c = (f.take(nonzero, axis=1) for f in factors)
     i, j, k = a.shape[0], b.shape[0], c.shape[0]
     out = _out_tensor(out, (i, j, k))
-    if k <= i:
+    if gemm_mode((i, j, k)) == 0:
         np.matmul(a * x, khatri_rao(b, c).T, out=out.reshape(i, j * k))
     else:
         np.matmul(khatri_rao(a * x, b), c.T, out=out.reshape(i * j, k))
@@ -250,7 +251,8 @@ def masked_copy(t, s, mask, out=None):
     returned; ``out`` may be ``t`` but must not share memory with ``s``.
     The select works on the bits, ((t ^ s) * observed) ^ s, so every value,
     -0.0 and NaN payloads included, is copied exactly, as by ``np.where``,
-    in three passes that allocate no tensor.  A full mask copies ``t``.
+    in three passes that allocate no tensor.  A full mask needs no branch of
+    its own: there the select gives back the bits of ``t``, ``out=t`` included.
     """
     t = as_tensor(t)
     s = as_tensor(s)
@@ -259,9 +261,6 @@ def masked_copy(t, s, mask, out=None):
     out = _out_tensor(out, t.shape)
     if np.shares_memory(out, s):
         raise ValueError("out must not share memory with s")
-    if mask.count == t.size:
-        np.copyto(out, t)
-        return out
     tv, sv, ov = (x.view(np.uint64) for x in (t, s, out))
     np.bitwise_xor(tv, sv, out=ov)
     np.multiply(ov, mask.where.view(np.uint8), out=ov)

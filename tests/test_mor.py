@@ -46,8 +46,10 @@ class TestChebDiff:
         assert np.abs(d.sum(axis=1)).max() <= 1e-12
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            cheb_diff(0)
+        # and every other n that is not an integer >= 1, a bool included
+        for n in (0, 2.5, True):
+            with pytest.raises(ValueError, match=f"n must be .*got {n!r}"):
+                cheb_diff(n)
 
 
 def interp2(u, x, pts):
@@ -58,6 +60,9 @@ def interp2(u, x, pts):
     return np.array([
         scipy.interpolate.BarycentricInterpolator(x, rows[:, j])(pts) for j in range(len(pts))
     ]).T
+
+
+MU_CASES = [(0.0, 0.0), (0.4, -0.6), (0.99, -0.99), (-0.99, 0.99)]
 
 
 class TestSolveDiffusion:
@@ -109,8 +114,8 @@ class TestSolveDiffusion:
         with pytest.raises(ValueError, match=f"nx must be at least 3 .*got {nx}"):
             DiffusionProblem(nx, 0.0, 0.0)
 
-    @pytest.mark.parametrize("nx", [3, 12, 40, 80])
-    @pytest.mark.parametrize("mu", [(0.0, 0.0), (0.4, -0.6), (0.99, -0.99), (-0.99, 0.99)])
+    @pytest.mark.parametrize("nx", [3, 12, 40])
+    @pytest.mark.parametrize("mu", MU_CASES)
     def test_matches_sparse_kronecker_solve(self, nx, mu):
         # independent oracle: the interior collocation operator assembled here
         # as kron(Ax D2, I) + kron(I, Ay D2) and factored by sparse LU
@@ -119,7 +124,20 @@ class TestSolveDiffusion:
         u = solve_diffusion(DiffusionProblem(nx, *mu))
         assert np.linalg.norm(u[1:-1, 1:-1] - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("nx", [3, 12, 40])
+    @pytest.mark.parametrize("nx", [80])
+    @pytest.mark.parametrize("mu", MU_CASES)
+    def test_matches_schur_sylvester_solve(self, nx, mu):
+        # independent oracle at a size where sparse LU of the Kronecker
+        # operator takes seconds: A U + U B^T = F by Bartels-Stewart on the
+        # Schur forms of A and B^T, which shares no code with the eigenbasis
+        # solve
+        a, b = interior_operator(nx, mu[0]), interior_operator(nx, mu[1])
+        xi = cheb_diff(nx - 1)[0][1:-1]
+        ref = scipy.linalg.solve_sylvester(a, b.T, np.exp(4.0 * np.outer(xi, xi)))
+        u = solve_diffusion(DiffusionProblem(nx, *mu))
+        assert np.linalg.norm(u[1:-1, 1:-1] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("nx", [3, 12, 40, 80])
     @pytest.mark.parametrize("mu", [(0.0, 0.0), (0.4, -0.6), (0.99, -0.99)])
     def test_residual_matches_sparse_kronecker_residual(self, nx, mu):
         # diffusion_residual differentiates the full grid; the oracle applies
@@ -202,6 +220,11 @@ class TestSnapshots:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             assemble_snapshots([], 16)
+
+    @pytest.mark.parametrize("n", [0, 2.5, True])
+    def test_grid_size_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match=f"n must be .*got {n!r}"):
+            parameter_grid(n)
 
 
 class TestPodBasis:

@@ -274,11 +274,13 @@ class TestMaskedCopy:
         assert np.array_equal(result.view(np.uint64), np.where(where, t, s).view(np.uint64))
 
     def test_out_may_be_t(self):
-        t, s = self.special_values()
-        where = np.random.default_rng(16).random(t.shape) < 0.5
-        expected = np.where(where, t, s)
-        assert masked_copy(t, s, Mask.from_bool(where), out=t) is t
-        assert np.array_equal(t.view(np.uint64), expected.view(np.uint64))
+        # a full mask runs the same in-place select and leaves t's bits as they are
+        for fraction in (0.5, 1.0):
+            t, s = self.special_values()
+            where = np.random.default_rng(16).random(t.shape) < fraction
+            expected = np.where(where, t, s)
+            assert masked_copy(t, s, Mask.from_bool(where), out=t) is t
+            assert np.array_equal(t.view(np.uint64), expected.view(np.uint64)), fraction
 
     @pytest.mark.parametrize(
         "bad_out",
