@@ -11,7 +11,7 @@ from .cp_model import CPModel, CPScalingOperator, reconstruct, truncate_rank
 from .exceptions import DataError
 from .factor_updates import Sweep, mm_update
 from .hybrid_l1 import HybridConfig, ista_alpha_step, solve_l1_hybrid
-from .tensor_ops import Mask, as_tensor, is_integer, is_real, mask_dims, masked_copy
+from .tensor_ops import Mask, as_tensor, check_count, is_real, mask_dims, masked_copy
 
 __all__ = [
     "CompletionConfig",
@@ -43,9 +43,7 @@ class CompletionConfig:
 
     def __post_init__(self):
         for name, least in (("R0", 1), ("m_max", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not (is_integer(value) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            check_count(name, getattr(self, name), least)
         if not (is_real(self.eps_tol) and 0.0 < self.eps_tol < 1.0):
             raise ValueError(f"eps_tol must lie in (0, 1), got {self.eps_tol}")
         if self.mode not in ("hybrid", "fixed"):
@@ -79,6 +77,7 @@ def make_random_mask(dims, fraction=0.3, seed=0):
     if not (is_real(fraction) and 0.0 < fraction <= 1.0):
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     dims = mask_dims(dims)
+    check_count("seed", seed, 0)
     total = int(np.prod(dims))
     count = int(np.ceil(fraction * total))
     rng = np.random.default_rng(seed)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cp_model import CPModel, factor_gram, reconstruct
 from .exceptions import NumericalRankError
-from .tensor_ops import as_tensor, gemm_mode, mttkrp, mttkrp_partial
+from .tensor_ops import as_tensor, gemm_mode, is_real, mttkrp, mttkrp_partial
 
 __all__ = ["Sweep", "gradient", "lipschitz_estimate", "mm_update", "regularized_als_step"]
 
@@ -211,8 +211,8 @@ def regularized_als_step(sweep, rho):
     subproblem solution.  Returns the sweep's new model; a rank-0 model has
     nothing to solve for and comes back unchanged.
     """
-    if not rho >= 0.0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
+    if not (is_real(rho) and 0.0 <= rho < np.inf):
+        raise ValueError(f"rho must be finite and nonnegative, got {rho!r}")
     if sweep.model.R == 0:
         return sweep.model
     eye = np.eye(sweep.model.R)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cp_model import reconstruct
 from .factor_updates import STEP_SAFETY
-from .tensor_ops import as_tensor, is_integer, is_real
+from .tensor_ops import as_tensor, check_count, is_real
 
 __all__ = [
     "soft_threshold",
@@ -268,29 +268,16 @@ _REFINE_LAST = np.concatenate(([1.0], np.logspace(-_GRID_STEP, 0.0, _UNIT_GRID.s
 def _wgcv_curve(problem, omega, lams):
     """WGCV objective at each lambda in ``lams``; non-finite values read as +inf.
 
-    The filter factors s_i^2 / (s_i^2 + lam) form a k x L array with lambda
-    along the contiguous axis, summed into trace(M Phi_lam) and then
-    overwritten in place by (1 - filter)^2 for the numerator
-    k * ||(I - M Phi_lam) beta1 e1||^2.  Summation order differs from other
-    layouts by rounding only; wgcv_select returns a point of its grids, so
-    only the position of the minimum matters.
+    With the filter factors s_i^2 / (s_i^2 + lam) it is
+    k * ||(I - M Phi_lam) beta1 e1||^2 / (k + 1 - omega trace(M Phi_lam))^2.
     """
     s2 = problem.s2[:, None]
-    filt = s2 + lams
-    np.divide(s2, filt, out=filt)
-    den = filt.sum(axis=0)
-    np.subtract(1.0, filt, out=filt)
-    np.square(filt, out=filt)
-    vals = problem.c2 @ filt
-    vals += problem.rho2
-    vals *= problem.k
-    den *= -omega
-    den += problem.k + 1
-    np.square(den, out=den)
-    vals /= den
+    filt = s2 / (s2 + lams)
+    num = (problem.c2 @ (1.0 - filt) ** 2 + problem.rho2) * problem.k
+    den = (problem.k + 1 - omega * filt.sum(axis=0)) ** 2
     # Numerator and squared denominator are >= 0, so the only non-finite
     # values are +inf and NaN, and fmin maps NaN to +inf.
-    return np.fmin(vals, np.inf, out=vals)
+    return np.fmin(num / den, np.inf)
 
 
 def wgcv_select(problem, omega, fallback):
@@ -341,8 +328,7 @@ class HybridConfig:
     omega: float = 0.2
 
     def __post_init__(self):
-        if not (is_integer(self.k_max) and self.k_max >= 1):
-            raise ValueError(f"k_max must be an integer >= 1, got {self.k_max!r}")
+        check_count("k_max", self.k_max, 1)
         if not (is_real(self.omega) and 0.0 < self.omega <= 1.0):
             raise ValueError(f"omega must be a number in (0, 1], got {self.omega!r}")
 

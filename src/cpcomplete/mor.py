@@ -11,7 +11,7 @@ import numpy as np
 from .completion import CompletionConfig, complete
 from .cp_model import check_rank
 from .factor_updates import Sweep, regularized_als_step
-from .tensor_ops import Mask, as_tensor, is_integer
+from .tensor_ops import Mask, as_tensor, check_count, is_real
 
 __all__ = [
     "cheb_diff",
@@ -43,7 +43,7 @@ def cheb_diff(n):
     Standard construction with the negative-sum trick on the diagonal, so the
     derivative of constants is exactly zero.
     """
-    _check_count("n", n)
+    check_count("n", n, 1)
     j = np.arange(n + 1)
     x = np.cos(np.pi * j / n)
     c = np.hstack([2.0, np.ones(n - 1), 2.0]) * (-1.0) ** j
@@ -58,7 +58,8 @@ class DiffusionProblem:
     """(1 + mu1 x) u_xx + (1 + mu2 y) u_yy = e^{4xy} on [-1,1]^2, u = 0 on the boundary.
 
     ``nx`` is the number of collocation points per direction including the
-    boundary; |mu| <= MU_MAX keeps the coefficients positive (ellipticity).
+    boundary, at least 3 so that the interior is nonempty; a real |mu| <=
+    MU_MAX keeps the coefficients positive (ellipticity).
     """
 
     nx: int
@@ -66,24 +67,10 @@ class DiffusionProblem:
     mu2: float
 
     def __post_init__(self):
-        _check_nx(self.nx)
+        check_count("nx", self.nx, 3)
         for name, mu in (("mu1", self.mu1), ("mu2", self.mu2)):
-            if not abs(mu) <= MU_MAX:
+            if not (is_real(mu) and abs(mu) <= MU_MAX):
                 raise ValueError(f"{name} must be finite with |{name}| <= {MU_MAX}, got {mu!r}")
-
-
-def _check_count(name, value):
-    if not is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-
-
-def _check_nx(nx):
-    if not is_integer(nx):
-        raise ValueError(f"nx must be an integer, got {nx!r}")
-    if nx < 3:
-        raise ValueError(f"nx must be at least 3 for a nonempty interior, got {nx}")
 
 
 def _interior(nx):
@@ -127,7 +114,7 @@ def diffusion_residual(p, u):
 
 def parameter_grid(n):
     """Tensorial n x n cartesian grid over [-MU_MAX, MU_MAX]^2, mu1 varying slowest."""
-    _check_count("n", n)
+    check_count("n", n, 1)
     vals = np.linspace(-MU_MAX, MU_MAX, n)
     return [(float(m1), float(m2)) for m1 in vals for m2 in vals]
 
@@ -213,10 +200,8 @@ def cp_reduced_basis(a, cfg, rho=None):
     return ReducedBasis(np.ascontiguousarray(u[:, :kept]))
 
 
-def _check_pod_rank(name, r, rows, cols):
-    if not is_integer(r):
-        raise ValueError(f"{name} must be an integer, got {r!r}")
-    if r < 1 or r > min(rows, cols):
+def _check_pod_rank(r, rows, cols):
+    if r > min(rows, cols):
         raise ValueError(f"rank {r} out of range for a {rows} x {cols} snapshot matrix")
 
 
@@ -224,7 +209,8 @@ def pod_basis(a, r=POD_RANK):
     """Leading left singular vectors of the snapshot matrix (slices as columns)."""
     a = as_tensor(a)
     i, j, k = a.shape
-    _check_pod_rank("r", r, i * j, k)
+    check_count("r", r, 1)
+    _check_pod_rank(r, i * j, k)
     y = a.reshape(i * j, k)
     u, _, _ = np.linalg.svd(y, full_matrices=False)
     return ReducedBasis(np.ascontiguousarray(u[:, :r]))
@@ -246,8 +232,7 @@ def project_error(basis, truths):
 
 def compression_ratio(dims, r, scheme):
     """Stored-entry ratio of the raw tensor to the compressed representation."""
-    if r < 1:
-        raise ValueError(f"rank must be at least 1, got {r}")
+    check_count("r", r, 1)
     i, j, k = dims
     total = i * j * k
     if scheme == "pod":
@@ -262,12 +247,13 @@ def run_mor_demo(nx=40, grid_n=9, r0=50, eps=1e-2, n_tests=10, pod_rank=POD_RANK
 
     Every setting is checked before the first collocation solve.
     """
-    _check_nx(nx)
-    _check_count("grid_n", grid_n)
-    _check_count("n_tests", n_tests)
+    check_count("nx", nx, 3)
+    check_count("grid_n", grid_n, 1)
+    check_count("n_tests", n_tests, 1)
+    check_count("pod_rank", pod_rank, 1)
     cfg = CompletionConfig(R0=r0, m_max=m_max, seed=seed, eps_truncate=eps)
     grid = parameter_grid(grid_n)
-    _check_pod_rank("pod_rank", pod_rank, nx * nx, len(grid))
+    _check_pod_rank(pod_rank, nx * nx, len(grid))
     check_rank(r0, (nx, nx, len(grid)))
     snaps = assemble_snapshots(grid, nx)
     cp = cp_reduced_basis(snaps, cfg)

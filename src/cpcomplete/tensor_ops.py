@@ -29,6 +29,7 @@ __all__ = [
     "mttkrp",
     "rank_one_sum",
     "is_integer",
+    "check_count",
     "is_real",
     "mask_dims",
     "Mask",
@@ -181,6 +182,16 @@ def rank_one_sum(x, factors, out=None):
 def is_integer(value):
     """Whether ``value`` is an integer; a bool is not one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_count(name, value, least):
+    """Raise ValueError unless ``value`` is an integer >= ``least``; a bool is not one.
+
+    The one check behind every integer setting of the package, so each
+    names the setting and states its rule in the same words.
+    """
+    if not (is_integer(value) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def is_real(value):

@@ -131,6 +131,13 @@ class TestMaskCommand:
         assert all(option in res.stderr for option in ["--rect", *named]), res.stderr
         assert not out.exists()
 
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        out = tmp_path / "m.msk3"
+        res = run_cli("mask", "--dims", "6,7,3", "--seed", "-1", "--out", out)
+        assert res.returncode == 2
+        assert res.stderr == "error: seed must be an integer >= 0, got -1\n"
+        assert not out.exists()
+
     def test_like_with_dims_is_usage_error(self, tmp_path):
         tpath = tmp_path / "t.tns3"
         save_tensor(np.zeros((8, 9, 3)), tpath)
@@ -448,7 +455,7 @@ class TestMorDemoCommand:
             (["--grid", "3", "--pod-rank", "20"], "rank 20"),
             (["--tests", "0"], "got 0"),
             (["--outdir", "{tmp}/missing"], "missing"),
-            (["--nx", "2"], "nx must be at least 3 for a nonempty interior, got 2"),
+            (["--nx", "2"], "nx must be an integer >= 3, got 2"),
         ],
         ids=["eps", "pod-rank", "tests", "outdir", "nx"],
     )

@@ -140,6 +140,12 @@ class TestMakeRandomMask:
         with pytest.raises(ValueError, match="dims must be three positive integers"):
             make_random_mask(dims, 0.5)
 
+    @pytest.mark.parametrize("seed", [True, 2.5, -1])
+    def test_bad_seed_rejected(self, seed):
+        # True once drew the mask of seed 1, and 2.5 raised a numpy TypeError
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            make_random_mask((3, 3, 3), 0.5, seed)
+
     def test_numpy_integer_dims(self):
         mask = make_random_mask(np.array([3, 2, 2]), 0.5)
         assert mask.dims == (3, 2, 2)

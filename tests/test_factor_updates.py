@@ -255,7 +255,7 @@ class TestRegularizedALS:
         assert norms[0] > norms[1] > norms[2]
 
     def test_negative_rho_rejected(self):
-        for rho in (-1.0, float("nan")):
+        for rho in (-1.0, float("nan"), float("inf"), True):
             with pytest.raises(ValueError, match=f"got {rho}"):
                 regularized_als_step(Sweep(random_model(25), np.zeros((4, 5, 6))), rho)
 

@@ -94,7 +94,7 @@ class TestSolveDiffusion:
         with pytest.raises(ValueError):
             DiffusionProblem(20, 1.5, 0.0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "a"])
     @pytest.mark.parametrize("which", ["mu1", "mu2"])
     def test_non_finite_mu_rejected(self, bad, which):
         mu = {"mu1": 0.0, "mu2": 0.0, which: bad}
@@ -106,12 +106,12 @@ class TestSolveDiffusion:
             DiffusionProblem(12.5, 0.0, 0.0)
 
     def test_bool_nx_rejected(self):
-        with pytest.raises(ValueError, match="nx must be an integer, got True"):
+        with pytest.raises(ValueError, match="nx must be an integer >= 3, got True"):
             DiffusionProblem(True, 0.0, 0.0)
 
     @pytest.mark.parametrize("nx", [2, 0, -4])
     def test_too_few_points_rejected(self, nx):
-        with pytest.raises(ValueError, match=f"nx must be at least 3 .*got {nx}"):
+        with pytest.raises(ValueError, match=f"nx must be an integer >= 3, got {nx}"):
             DiffusionProblem(nx, 0.0, 0.0)
 
     @pytest.mark.parametrize("nx", [3, 12, 40])
@@ -315,9 +315,11 @@ class TestCompressionRatio:
             compression_ratio((2, 2, 2), 1, "tucker")
 
     @pytest.mark.parametrize("scheme", ["pod", "cp"])
-    @pytest.mark.parametrize("r", [0, -1])
+    @pytest.mark.parametrize("r", [0, -1, True, 2.5])
     def test_rank_below_one_rejected(self, scheme, r):
-        with pytest.raises(ValueError, match=f"got {r}"):
+        # and every other r that is not an integer >= 1: True once read as
+        # rank 1, and 2.5 gave a ratio
+        with pytest.raises(ValueError, match=f"r must be an integer >= 1, got {r!r}"):
             compression_ratio((2, 2, 2), r, scheme)
 
 
@@ -404,20 +406,20 @@ class TestRunMorDemo:
         "settings, message",
         [
             ({"r0": 50}, "R=50 exceeds the rank upper bound"),
-            ({"n_tests": 0}, "n_tests must be at least 1"),
+            ({"n_tests": 0}, "n_tests must be an integer >= 1, got 0"),
             ({"pod_rank": 26}, "rank 26 out of range"),
             ({"seed": -1}, "seed must be an integer >= 0"),
             ({"eps": 1.0}, "eps_truncate must lie in"),
-            ({"nx": 5.0}, "nx must be an integer, got 5.0"),
-            ({"grid_n": 2.5}, "grid_n must be an integer, got 2.5"),
-            ({"grid_n": True}, "grid_n must be an integer, got True"),
-            ({"n_tests": 2.5}, "n_tests must be an integer, got 2.5"),
-            ({"n_tests": True}, "n_tests must be an integer, got True"),
-            ({"pod_rank": 2.5}, "pod_rank must be an integer, got 2.5"),
-            ({"pod_rank": True}, "pod_rank must be an integer, got True"),
-            ({"grid_n": 0}, "grid_n must be at least 1, got 0"),
-            ({"nx": 2}, "nx must be at least 3 for a nonempty interior, got 2"),
-            ({"nx": -3}, "nx must be at least 3 for a nonempty interior, got -3"),
+            ({"nx": 5.0}, "nx must be an integer >= 3, got 5.0"),
+            ({"grid_n": 2.5}, "grid_n must be an integer >= 1, got 2.5"),
+            ({"grid_n": True}, "grid_n must be an integer >= 1, got True"),
+            ({"n_tests": 2.5}, "n_tests must be an integer >= 1, got 2.5"),
+            ({"n_tests": True}, "n_tests must be an integer >= 1, got True"),
+            ({"pod_rank": 2.5}, "pod_rank must be an integer >= 1, got 2.5"),
+            ({"pod_rank": True}, "pod_rank must be an integer >= 1, got True"),
+            ({"grid_n": 0}, "grid_n must be an integer >= 1, got 0"),
+            ({"nx": 2}, "nx must be an integer >= 3, got 2"),
+            ({"nx": -3}, "nx must be an integer >= 3, got -3"),
         ],
         ids=[
             "r0-above-rank-bound", "n_tests-zero", "pod_rank-too-large", "seed-negative", "eps-one",

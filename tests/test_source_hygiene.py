@@ -3,7 +3,8 @@ private name it defines at module level is read there, every name it exports,
 through its __all__ or the package __init__, is defined there, every name in
 its __all__ is read by some caller, the package __init__ republishes the
 numerical modules' __all__ lists without naming a public name itself, no
-package module imports scipy, and no test writes a private attribute."""
+package module imports scipy, no test writes a private attribute, and only
+tensor_ops checks that a setting is an integer."""
 
 import ast
 import importlib
@@ -367,3 +368,43 @@ def test_checker_flags_private_attribute_writes():
 @pytest.mark.parametrize("path", TESTS, ids=[p.name for p in TESTS])
 def test_no_private_attribute_writes(path):
     assert private_attribute_writes(path.read_text()) == []
+
+
+def own_integer_checks(source):
+    """``what (line n)`` for each read of ``is_integer``, as a name or an
+    attribute, and each string that holds "must be an integer".  Every
+    integer setting goes through ``tensor_ops.check_count``, so no other
+    module tests for an integer or words the rule itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if getattr(node, "id", None) == "is_integer" or getattr(node, "attr", None) == "is_integer":
+            found.append(f"reads is_integer (line {node.lineno})")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and "must be an integer" in node.value:
+            found.append(f"writes 'must be an integer' (line {node.lineno})")
+    return sorted(found)
+
+
+def test_checker_flags_own_integer_checks():
+    source = (
+        "from .tensor_ops import check_count, is_integer\n"
+        "def f(n, k, x):\n"
+        "    check_count('n', n, 1)\n"
+        "    if not is_integer(k):\n"
+        "        raise ValueError(f'{k!r}: k must be an integer')\n"
+        "    if not tensor_ops.is_integer(x) or not float(x).is_integer():\n"
+        "        raise ValueError('x must be an integer >= 1')\n"
+        "    return all(map(is_integer, (n, k)))\n"
+    )
+    assert own_integer_checks(source) == [
+        "reads is_integer (line 4)",
+        "reads is_integer (line 6)",
+        "reads is_integer (line 6)",
+        "reads is_integer (line 8)",
+        "writes 'must be an integer' (line 5)",
+        "writes 'must be an integer' (line 7)",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "tensor_ops.py"], ids=lambda p: p.name)
+def test_only_tensor_ops_checks_integers(path):
+    assert own_integer_checks(path.read_text()) == []

@@ -4,6 +4,7 @@ import pytest
 from cpcomplete.tensor_ops import (
     Mask,
     as_tensor,
+    check_count,
     frobenius_norm,
     is_integer,
     is_real,
@@ -159,6 +160,15 @@ class TestSettingChecks:
     @pytest.mark.parametrize("value", [True, False, np.bool_(True), 2.0, np.float64(3.0), "3", None, 1j])
     def test_not_integers(self, value):
         assert not is_integer(value)
+
+    @pytest.mark.parametrize("value, least", [(0, 0), (3, 3), (np.int64(4), 1), (np.uint8(2), 1)])
+    def test_counts(self, value, least):
+        assert check_count("n", value, least) is None
+
+    @pytest.mark.parametrize("value, least", [(2, 3), (-1, 0), (True, 1), (False, 0), (2.0, 1), ("3", 1), (None, 0)])
+    def test_not_counts(self, value, least):
+        with pytest.raises(ValueError, match=f"^n must be an integer >= {least}, got {value!r}$"):
+            check_count("n", value, least)
 
     @pytest.mark.parametrize("value", [0.5, float("nan"), float("inf"), np.float32(0.2), 3])
     def test_reals(self, value):
