@@ -16,6 +16,12 @@ the checkout wins at least nine tenths of the pairs and the medians differ by
 more than the distance between the revision's own quartiles. The mirror rule
 says whether the checkout is worse: the revision wins at least nine tenths of
 the pairs and the medians differ, the other way, by more than that distance.
+Last, it sets the relative change of the medians against the metric's
+``bound`` from ``BENCHMARK.json``: the change is "worse by more than the
+bound" or "within the bound", or "unresolved" when the revision's quartile
+spread, relative to its median, is wider than the bound, so that the
+revision's own runs cannot tell a change of that size, unless every run of
+the checkout beats every run of the revision.
 The revision's side is labelled ``base`` and the checkout's ``this``.
 Nothing under ``bench/`` is written except the scratch files that
 ``bench/run.py`` itself keeps under ``.bench_work/`` while it runs.
@@ -54,9 +60,9 @@ def run_bench(tree, workload, seed, seconds):
 
 
 def end_to_end_metrics(tree):
-    """[(name, better)] for each end-to-end metric the tree's BENCHMARK.json lists."""
+    """[(name, better, bound)] for each end-to-end metric the tree's BENCHMARK.json lists."""
     spec = json.loads((Path(tree) / "BENCHMARK.json").read_text())
-    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    return [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
 
 
 def bench_differs(a, b):
@@ -96,6 +102,24 @@ def summarize(name, better, base, this):
     ]
 
 
+def bound_verdict(name, better, bound, base, this):
+    """A line setting the relative change of the medians against the metric's bound:
+    worse by more than it, within it, or unresolved when the base's quartile
+    spread is wider than the bound and some base run beats or ties some run
+    of this side."""
+    sign = -1.0 if better == "lower" else 1.0
+    b1, b2, b3 = quartiles(base)
+    if not b2:
+        return f"{name}: base median 0, so no relative change to set against the bound of {bound:.0%}"
+    t2 = quartiles(this)[1]
+    head = f"{name}: median change {(t2 - b2) / b2:+.1%} against a bound of {bound:.0%}"
+    spread = (b3 - b1) / abs(b2)
+    if spread > bound and not min(sign * t for t in this) > max(sign * b for b in base):
+        return f"{head}: unresolved, the base quartile spread is {spread:.1%} of its median"
+    worse = sign * (b2 - t2) / abs(b2) > bound
+    return f"{head}: {'worse by more than the bound' if worse else 'within the bound'}"
+
+
 def run_pairs(base_tree, this_tree, workload, pairs, seed, seconds):
     """Run the pairs and print the report."""
     metrics = end_to_end_metrics(this_tree)
@@ -107,18 +131,19 @@ def run_pairs(base_tree, this_tree, workload, pairs, seed, seconds):
             results[side].append(run_bench(trees[side], workload, seed, seconds))
         values = "; ".join(
             f"{name} {results['base'][-1]['metrics'][name]['value']:.6g}/{results['this'][-1]['metrics'][name]['value']:.6g}"
-            for name, _ in metrics
+            for name, *_ in metrics
         )
         print(f"pair {i + 1} ({order[0]} first), base/this: {values}", flush=True)
     for side in ("base", "this"):
         failed = sum(r["failed"] for r in results[side])
         attempted = sum(r["attempted"] for r in results[side])
         print(f"{side}: {failed} of {attempted} tasks failed")
-    for name, better in metrics:
+    for name, better, bound in metrics:
         base = [r["metrics"][name]["value"] for r in results["base"]]
         this = [r["metrics"][name]["value"] for r in results["this"]]
         for line in summarize(name, better, base, this):
             print(line)
+        print(bound_verdict(name, better, bound, base, this))
 
 
 def main(argv=None):

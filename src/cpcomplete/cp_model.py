@@ -1,6 +1,7 @@
-"""CP representation [alpha; A, B, C]: reconstruction, the vectorized rank-one
-dictionary Q, the operator that applies Q, Q^T and Q Q^T without forming Q,
-factor Grams, and rank truncation."""
+"""CP representation [alpha; A, B, C]: reconstruction, the operator that
+applies the vectorized rank-one dictionary Q, Q^T and Q Q^T without forming
+Q, factor Grams, and rank truncation.  The dense Q that the tests check the
+operator against is ``build_q`` in ``tests/oracles.py``."""
 
 from dataclasses import dataclass
 
@@ -8,7 +9,7 @@ import numpy as np
 
 from .tensor_ops import mttkrp, rank_one_sum
 
-__all__ = ["CPModel", "check_rank", "CPScalingOperator", "reconstruct", "build_q", "factor_gram", "truncate_rank"]
+__all__ = ["CPModel", "check_rank", "CPScalingOperator", "reconstruct", "factor_gram", "truncate_rank"]
 
 
 @dataclass
@@ -53,15 +54,6 @@ def check_rank(r, dims):
 def reconstruct(m, out=None):
     """Dense tensor sum_r alpha_r * a_r o b_r o c_r, written into ``out`` when given."""
     return rank_one_sum(m.alpha, (m.A, m.B, m.C), out=out)
-
-
-def build_q(m):
-    """R x (IJK) matrix whose row r is the vectorized rank-one tensor a_r o b_r o c_r.
-
-    Satisfies reconstruct(m).ravel() == alpha @ Q.
-    """
-    i, j, k = m.dims
-    return np.einsum("ir,jr,kr->rijk", m.A, m.B, m.C).reshape(m.R, i * j * k)
 
 
 def factor_gram(x):

@@ -26,7 +26,7 @@ for alpha, so its MTTKRPs are full width.
 
 import numpy as np
 
-from .cp_model import CPModel, factor_gram, reconstruct
+from .cp_model import CPModel, factor_gram
 from .exceptions import NumericalRankError
 from .tensor_ops import as_tensor, gemm_mode, is_real, mttkrp, mttkrp_partial
 
@@ -228,7 +228,3 @@ def regularized_als_step(sweep, rho):
         sweep.replace(mode, x, _set_unit_columns(x, g))
     return sweep.model
 
-
-def objective(m, t):
-    """f = 0.5 * ||t - reconstruct(m)||_F^2, the smooth data-fit term."""
-    return 0.5 * float(np.linalg.norm((as_tensor(t) - reconstruct(m)).ravel()) ** 2)

@@ -1,18 +1,20 @@
-"""Dense third-order tensor kernels: unfoldings, Khatri-Rao products, the
+"""Dense third-order tensor kernels: Khatri-Rao products, the
 matricized-tensor-times-Khatri-Rao product (MTTKRP), sums of weighted
-rank-one tensors, and masks.
+rank-one tensors, masks, and the checks of integer and real settings.
 
 Tensors are plain float64 numpy arrays of shape (I, J, K) in C order, so the
 canonical vectorization (k fastest, then j, then i) is just ``ravel()``.  The
-unfolding column order is the one that makes the three matrix identities
+mode unfoldings follow the column order that makes the three matrix
+identities
 
     T(1) = A D (C kr B)^T,   T(2) = B D (C kr A)^T,   T(3) = C D (B kr A)^T
 
 hold exactly against :func:`khatri_rao` below, i.e. mode-1 columns are indexed
-by (k slow, j fast), and analogously for the other modes.  The unfoldings
-are for reading; the kernels that run on every completion iteration use only
-the two free reshapes ``t.reshape(I, J*K)`` and ``t.reshape(I*J, K)``.  An
-observation mask is a boolean tensor of the same shape.
+by (k slow, j fast), mode 2 by (k slow, i fast) and mode 3 by (j slow, i
+fast).  No kernel forms an unfolding: they use only the two free reshapes
+``t.reshape(I, J*K)`` and ``t.reshape(I*J, K)``.  The dense unfolding that
+the tests check the identities with is ``matricize`` in ``tests/oracles.py``.
+An observation mask is a boolean tensor of the same shape.
 """
 
 import numbers
@@ -21,8 +23,6 @@ import numpy as np
 
 __all__ = [
     "as_tensor",
-    "frobenius_norm",
-    "matricize",
     "khatri_rao",
     "gemm_mode",
     "mttkrp_partial",
@@ -45,28 +45,6 @@ def as_tensor(values):
     if min(t.shape) < 1:
         raise ValueError(f"all dimensions must be >= 1, got {t.shape}")
     return t
-
-
-def frobenius_norm(t):
-    return float(np.linalg.norm(np.asarray(t).ravel()))
-
-
-# Axis permutations putting the mode's fibers as columns with the remaining
-# axes ordered (slow, fast) to match the Khatri-Rao column convention.
-_MODE_PERM = {1: (0, 2, 1), 2: (1, 2, 0), 3: (2, 1, 0)}
-
-
-def matricize(t, mode):
-    """Mode-``m`` unfolding of a third-order tensor.
-
-    Mode 1 is I x (JK) with column index k*J + j, mode 2 is J x (IK) with
-    column index k*I + i, mode 3 is K x (IJ) with column index j*I + i.
-    """
-    t = as_tensor(t)
-    if mode not in _MODE_PERM:
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
-    p = _MODE_PERM[mode]
-    return t.transpose(p).reshape(t.shape[p[0]], -1)
 
 
 def khatri_rao(x, y):
@@ -124,6 +102,8 @@ def mttkrp(t, factors, mode, partial=None):
     passes it as ``partial``, so its GEMM runs once; otherwise it is formed
     here.  The Khatri-Rao mode (:func:`gemm_mode`) does not read it.
     """
+    if not (is_integer(mode) and 0 <= mode <= 2):
+        raise ValueError(f"mode must be 0, 1 or 2, got {mode!r}")
     a, b, c = factors
     i, j, k = t.shape
     side = gemm_mode(t.shape)
@@ -154,7 +134,7 @@ def _out_tensor(out, shape):
 
 
 def rank_one_sum(x, factors, out=None):
-    """Tensor sum_r x_r a_r o b_r o c_r for ``factors`` (A, B, C).
+    """Tensor sum_r x_r a_r o b_r o c_r for ``factors`` (A, B, C) and one weight x_r per component.
 
     One GEMM against the smaller Khatri-Rao product, on the same side as
     :func:`mttkrp`, written straight into a free reshape of ``out`` (a new
@@ -164,9 +144,11 @@ def rank_one_sum(x, factors, out=None):
     products, so the GEMM runs over the nonzero weights only; with none it
     writes zeros.  The factors are gathered only when some weight is zero.
     """
-    x = np.asarray(x, dtype=np.float64)
-    nonzero = x.nonzero()[0]
     a, b, c = factors
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (a.shape[1],):
+        raise ValueError(f"weights must have shape ({a.shape[1]},), one per component, got {x.shape}")
+    nonzero = x.nonzero()[0]
     if nonzero.size < x.size:
         x = x[nonzero]
         a, b, c = (f.take(nonzero, axis=1) for f in factors)
@@ -216,12 +198,20 @@ class Mask:
 
     ``where[i, j, k]`` is True where entry (i, j, k) is observed, ``count`` is
     the number of observed entries, and ``observed`` lists them as 0-based
-    (i, j, k) triples in C order.
+    (i, j, k) triples in C order.  The constructor takes the observed
+    entries as an n x 3 integer array of distinct in-range triples (an
+    empty list for none); any other shape or dtype raises ValueError rather
+    than being reshaped or rounded.
     """
 
     def __init__(self, dims, triples):
         dims = mask_dims(dims)
-        triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        triples = np.asarray(triples)
+        if triples.shape == (0,):
+            triples = np.empty((0, 3), dtype=np.int64)
+        if triples.ndim != 2 or triples.shape[1] != 3 or triples.dtype.kind not in "iu":
+            raise ValueError(f"triples must be an n x 3 integer array, got shape {triples.shape} of {triples.dtype}")
+        triples = triples.astype(np.int64, copy=False)
         if triples.size and (triples.min() < 0 or np.any(triples >= np.array(dims))):
             raise ValueError("mask triple out of range")
         where = np.zeros(dims, dtype=bool)

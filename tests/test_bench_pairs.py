@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py with the benchmark runner and the git export stubbed:
-run order, the per-pair lines, medians, quartiles and the gain and worse verdicts."""
+run order, the per-pair lines, medians, quartiles, the gain and worse verdicts
+and the change set against each metric's bound."""
 
 import importlib.util
 import shutil
@@ -70,6 +71,10 @@ def test_alternates_order_and_reports_a_supported_gain(pairs_module, monkeypatch
     assert out.count("gain not supported") == 2
     assert "iter_cost: base wins 1/10 pairs: this is not worse" in out
     assert out.count("this is not worse") == 3
+    # the bounds come from BENCHMARK.json
+    assert "iter_cost: median change -11.9% against a bound of 20%: within the bound" in out
+    assert "setup_s: median change +0.0% against a bound of 25%: within the bound" in out
+    assert "peak_rss_mb: median change +0.0% against a bound of 10%: within the bound" in out
 
 
 def test_eight_wins_or_a_narrow_gap_is_no_gain(pairs_module):
@@ -101,6 +106,39 @@ def test_worse_mirrors_the_gain_rule(pairs_module):
     assert lines[2] == "ops: base wins 10/10 pairs: this is worse"
     lines = pairs_module.summarize("ops", "higher", [2.0] * 10, [2.0] * 10)
     assert lines[2] == "ops: base wins 0/10 pairs: this is not worse"
+
+
+def test_change_is_set_against_the_bound(pairs_module):
+    verdict = pairs_module.bound_verdict
+    assert verdict("iter_cost", "lower", 0.2, [1.0] * 10, [1.3] * 10) == (
+        "iter_cost: median change +30.0% against a bound of 20%: worse by more than the bound"
+    )
+    assert verdict("iter_cost", "lower", 0.2, [1.0] * 10, [1.15] * 10).endswith(": within the bound")
+    # "higher is better" flips the sign
+    assert verdict("ops", "higher", 0.2, [2.0] * 10, [1.5] * 10) == (
+        "ops: median change -25.0% against a bound of 20%: worse by more than the bound"
+    )
+    assert verdict("ops", "higher", 0.2, [2.0] * 10, [3.0] * 10).endswith(": within the bound")
+    assert verdict("ops", "higher", 0.2, [0.0] * 10, [1.0] * 10) == (
+        "ops: base median 0, so no relative change to set against the bound of 20%"
+    )
+
+
+def test_a_base_spread_wider_than_the_bound_leaves_the_change_unresolved(pairs_module):
+    verdict = pairs_module.bound_verdict
+    # base quartiles 1.0 and 1.5 around a median of 1.25: a 40% spread against a 25% bound
+    base = [1.0, 1.5] * 5
+    assert verdict("setup_s", "lower", 0.25, base, [1.3] * 10) == (
+        "setup_s: median change +4.0% against a bound of 25%: unresolved, the base quartile spread is 40.0% of its median"
+    )
+    assert "unresolved" in verdict("setup_s", "lower", 0.25, base, [2.0] * 10)
+    # one run of this side that does not beat every base run keeps it unresolved
+    assert "unresolved" in verdict("setup_s", "lower", 0.25, base, [0.9] * 9 + [1.0])
+    # unless every run of this side beats every base run
+    assert verdict("setup_s", "lower", 0.25, base, [0.9] * 10) == (
+        "setup_s: median change -28.0% against a bound of 25%: within the bound"
+    )
+    assert verdict("setup_s", "lower", 0.5, base, [1.3] * 10).endswith(": within the bound")
 
 
 def test_single_pair_and_changed_bench_noted(pairs_module, monkeypatch, capsys):

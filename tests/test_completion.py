@@ -12,11 +12,12 @@ from cpcomplete.completion import (
     make_random_mask,
     relative_error,
 )
-from cpcomplete.cp_model import CPModel, build_q, factor_gram, reconstruct
+from cpcomplete.cp_model import CPModel, factor_gram, reconstruct
 from cpcomplete.exceptions import DataError
 from cpcomplete.fileio import load_model, save_model
 from cpcomplete.hybrid_l1 import HybridConfig, solve_l1_hybrid
 from cpcomplete.tensor_ops import Mask
+from oracles import build_q
 
 
 def grams(m):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cpcomplete.cp_model import CPModel, CPScalingOperator, build_q, factor_gram, reconstruct, truncate_rank
-from cpcomplete.tensor_ops import frobenius_norm
+from cpcomplete.cp_model import CPModel, CPScalingOperator, factor_gram, reconstruct, truncate_rank
+from oracles import build_q
 
 
 def grams(m):
@@ -50,7 +50,7 @@ class TestReconstruct:
         m = random_model(1)
         t = reconstruct(m)
         oracle = reconstruct_oracle(m)
-        assert np.linalg.norm(t - oracle) <= 1e-13 * frobenius_norm(oracle)
+        assert np.linalg.norm(t - oracle) <= 1e-13 * np.linalg.norm(oracle)
 
     @pytest.mark.parametrize("dims", [(6, 4, 3), (3, 4, 6)], ids=["K<=I", "K>I"])
     def test_out_is_returned_with_the_allocating_bytes(self, dims):

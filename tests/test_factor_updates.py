@@ -11,11 +11,11 @@ from cpcomplete.factor_updates import (
     gradient,
     lipschitz_estimate,
     mm_update,
-    objective,
     regularized_als_step,
 )
 from cpcomplete.hybrid_l1 import ista_alpha_step
-from cpcomplete.tensor_ops import frobenius_norm, khatri_rao, matricize, mttkrp
+from cpcomplete.tensor_ops import khatri_rao, mttkrp
+from oracles import matricize, objective
 
 
 def random_model(seed, dims=(4, 5, 6), r=3, alpha_scale=1.0):
@@ -62,7 +62,7 @@ class TestGradient:
         t = reconstruct(m)
         for mode in "ABC":
             g = gradient(mode, Sweep(m, t))
-            assert np.abs(g).max() <= 1e-11 * frobenius_norm(t)
+            assert np.abs(g).max() <= 1e-11 * np.linalg.norm(t)
 
     @pytest.mark.parametrize("mode", ["A", "B", "C"])
     def test_matches_finite_differences(self, mode):
@@ -215,7 +215,7 @@ class TestMMUpdate:
     def test_rank_one_convergence(self):
         t = reconstruct(random_model(15, r=1, alpha_scale=2.0))
         m = random_model(16, r=1)
-        m.alpha = np.array([frobenius_norm(t)])
+        m.alpha = np.array([np.linalg.norm(t)])
         sweep = Sweep(m, t)
         for _ in range(200):
             for mode in "ABC":
@@ -223,7 +223,7 @@ class TestMMUpdate:
             # scaling refit keeps the iteration honest for a pure factor test
             q = reconstruct(CPModel(m.A, m.B, m.C, np.ones(1)))
             m.alpha = np.array([float((q * t).sum() / max((q * q).sum(), 1e-300))])
-        assert frobenius_norm(t - reconstruct(m)) <= 1e-6 * frobenius_norm(t)
+        assert np.linalg.norm(t - reconstruct(m)) <= 1e-6 * np.linalg.norm(t)
 
 
 class TestRegularizedALS:
@@ -265,7 +265,7 @@ class TestRegularizedALS:
         sweep = Sweep(m, t)
         for _ in range(100):
             m = regularized_als_step(sweep, 1e-6)
-        assert frobenius_norm(t - reconstruct(m)) <= 1e-5 * frobenius_norm(t)
+        assert np.linalg.norm(t - reconstruct(m)) <= 1e-5 * np.linalg.norm(t)
 
     def test_rank_zero_model_comes_back_unchanged(self):
         m = CPModel(np.zeros((4, 0)), np.zeros((5, 0)), np.zeros((6, 0)), np.zeros(0))

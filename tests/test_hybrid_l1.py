@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpcomplete import hybrid_l1
-from cpcomplete.cp_model import CPModel, CPScalingOperator, build_q, factor_gram, reconstruct
+from cpcomplete.cp_model import CPModel, CPScalingOperator, factor_gram, reconstruct
 from cpcomplete.hybrid_l1 import (
     HybridConfig,
     ProjectedProblem,
@@ -17,6 +17,7 @@ from cpcomplete.hybrid_l1 import (
     solve_l1_hybrid,
     wgcv_select,
 )
+from oracles import build_q
 
 
 def grams(m):

@@ -323,16 +323,20 @@ class TestCompressionRatio:
             compression_ratio((2, 2, 2), r, scheme)
 
 
+def separable_rank_two():
+    """Six 10 x 10 slices mixing two separable spatial modes: exact CP rank 2."""
+    rng = np.random.default_rng(4)
+    x1, y1 = rng.normal(size=10), rng.normal(size=10)
+    x2, y2 = rng.normal(size=10), rng.normal(size=10)
+    m1 = np.outer(x1, y1)
+    m2 = np.outer(x2, y2)
+    coeffs = rng.uniform(0.5, 2.0, (6, 2))
+    return np.stack([c1 * m1 + c2 * m2 for c1, c2 in coeffs], axis=2)
+
+
 class TestCpReducedBasis:
     def test_separable_rank_two(self):
-        # two separable spatial modes across slices; spatial rank is 2
-        rng = np.random.default_rng(4)
-        x1, y1 = rng.normal(size=10), rng.normal(size=10)
-        x2, y2 = rng.normal(size=10), rng.normal(size=10)
-        m1 = np.outer(x1, y1)
-        m2 = np.outer(x2, y2)
-        coeffs = rng.uniform(0.5, 2.0, (6, 2))
-        snaps = np.stack([c1 * m1 + c2 * m2 for c1, c2 in coeffs], axis=2)
+        snaps = separable_rank_two()
         # rho = 0 so the polish is exact ALS; the damped default would leave
         # an O(rho)-level bias in the fit
         basis = cp_reduced_basis(snaps, CompletionConfig(R0=4, m_max=300, seed=1), rho=0.0)
@@ -340,6 +344,20 @@ class TestCpReducedBasis:
         y = snaps.reshape(100, 6)
         proj = basis.phi @ (basis.phi.T @ y)
         assert np.linalg.norm(proj - y) <= 1e-7 * np.linalg.norm(y)
+
+    def test_polish_stops_early_on_an_exact_fit(self, monkeypatch):
+        # the sweeps stop once one moves A by at most 1e-8 relative, which an
+        # exact low-rank fit reaches long before the cap
+        real = mor.regularized_als_step
+        calls = []
+
+        def counting(sweep, rho):
+            calls.append(rho)
+            return real(sweep, rho)
+
+        monkeypatch.setattr(mor, "regularized_als_step", counting)
+        cp_reduced_basis(separable_rank_two(), CompletionConfig(R0=4, m_max=300, seed=1), rho=0.0)
+        assert 0 < len(calls) < mor._ALS_SWEEPS
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(5)

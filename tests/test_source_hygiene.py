@@ -1,10 +1,11 @@
 """Every name a package module imports is used there or re-exported, every
 private name it defines at module level is read there, every name it exports,
 through its __all__ or the package __init__, is defined there, every name in
-its __all__ is read by some caller, the package __init__ republishes the
-numerical modules' __all__ lists without naming a public name itself, no
-package module imports scipy, no test writes a private attribute, and only
-tensor_ops checks that a setting is an integer."""
+its __all__ and every public top-level def and class is read by some caller,
+the package __init__ republishes the numerical modules' __all__ lists without
+naming a public name itself, no package module imports scipy, no test writes
+a private attribute, and only tensor_ops checks that a setting is an
+integer."""
 
 import ast
 import importlib
@@ -19,7 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cpcomplete"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # Sources whose reads make a public name used: the package, the acceptance
-# criteria, the benchmark and the scripts.  Unit tests do not count.
+# criteria, the benchmark and the scripts.  Unit tests do not count, so a
+# helper that only tests read belongs with the tests (tests/oracles.py).
 CALLERS = [
     *sorted(PACKAGE.glob("*.py")),
     ROOT / "tests" / "test_acceptance.py",
@@ -31,9 +33,6 @@ CALLERS = [
 NUMERICAL = ["completion", "cp_model", "exceptions", "factor_updates", "hybrid_l1", "mor", "tensor_ops"]
 # Test sources: they build package objects through public names only.
 TESTS = [*sorted((ROOT / "tests").glob("test_*.py")), *sorted((ROOT / "bench").glob("test_*.py"))]
-# Public names kept with no caller: build_q is the dense oracle that the
-# operator tests check CPScalingOperator against.
-UNCALLED_ALLOWED = {"cp_model.build_q"}
 
 
 def unused_imports(source):
@@ -184,11 +183,22 @@ def read_names(source):
     return reads
 
 
-def unread_exports(sources, caller_sources):
-    """``module.name`` for each name in a module's __all__ that no caller source reads."""
+def public_names(source):
+    """The names a module lists in its __all__, and the public functions and
+    classes it defines at top level, listed or not."""
+    defs = (
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    )
+    return {*all_names(source), *defs}
+
+
+def unread_public_names(sources, caller_sources):
+    """``module.name`` for each public name of a module that no caller source reads."""
     read = set().union(*(read_names(source) for source in caller_sources))
     return sorted(
-        f"{module}.{name}" for module, source in sources.items() for name in all_names(source) if name not in read
+        f"{module}.{name}" for module, source in sources.items() for name in public_names(source) if name not in read
     )
 
 
@@ -203,13 +213,27 @@ def test_checker_flags_unread_exports():
         "from cpcomplete.ops import vectorize\n",
         "import cpcomplete\nmask = cpcomplete.tensor_ops.Mask((2, 2, 2), [])\n",
     ]
-    assert unread_exports(sources, callers) == ["model.reconstruct", "ops.vectorize"]
+    assert unread_public_names(sources, callers) == ["model.reconstruct", "ops.vectorize"]
+
+
+def test_checker_flags_helpers_read_only_by_unit_tests():
+    # unfold and Grid are public but not in __all__: the package reads Grid,
+    # a benchmark reads khatri_rao, and only a unit test reads unfold
+    sources = {
+        "ops": "__all__ = ['khatri_rao']\n_PERM = (0, 2, 1)\ndef khatri_rao(x, y):\n    return x\n"
+        "def unfold(t):\n    return t.transpose(_PERM)\nclass Grid:\n    pass\n",
+    }
+    package = [*sources.values(), "from .ops import Grid\nGrid()\n"]
+    bench = "from cpcomplete.ops import khatri_rao\nkhatri_rao(a, b)\n"
+    unit_test = "from cpcomplete.ops import unfold\nassert unfold(t).ndim == 2\n"
+    assert unread_public_names(sources, [*package, bench]) == ["ops.unfold"]
+    # counted as a caller, the unit test would hide it
+    assert unread_public_names(sources, [*package, bench, unit_test]) == []
 
 
 def test_every_export_has_a_caller():
     sources = {p.stem: p.read_text() for p in MODULES}
-    unread = unread_exports(sources, [p.read_text() for p in CALLERS])
-    assert sorted(set(unread) - UNCALLED_ALLOWED) == []
+    assert unread_public_names(sources, [p.read_text() for p in CALLERS]) == []
 
 
 def republishing_faults(init_source, sources):

@@ -5,15 +5,14 @@ from cpcomplete.tensor_ops import (
     Mask,
     as_tensor,
     check_count,
-    frobenius_norm,
     is_integer,
     is_real,
     khatri_rao,
     masked_copy,
-    matricize,
     mttkrp,
     rank_one_sum,
 )
+from oracles import matricize
 
 
 def indexed_tensor():
@@ -117,7 +116,7 @@ class TestKhatriRaoConsistency:
             c = rng.normal(size=(k, r))
             d = rng.normal(size=r)
             t = np.einsum("r,ir,jr,kr->ijk", d, a, b, c)
-            scale = max(frobenius_norm(t), 1e-300)
+            scale = max(np.linalg.norm(t), 1e-300)
             pairs = [(1, a, (c, b)), (2, b, (c, a)), (3, c, (b, a))]
             for mode, x, (y, z) in pairs:
                 lhs = matricize(t, mode)
@@ -150,6 +149,19 @@ class TestMttkrp:
         out = mttkrp(t, factors, mode)
         assert out.shape == (dims[mode], r)
         assert np.allclose(out, oracle, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", [3, 5, -1, True, False, 1.0, "0", None])
+    def test_bad_mode_rejected(self, mode):
+        # each once returned another mode's product: 5 the mode-2 one, True the mode-1 one
+        t = np.ones((2, 3, 4))
+        factors = tuple(np.ones((d, 2)) for d in t.shape)
+        with pytest.raises(ValueError, match="^mode must be 0, 1 or 2, got "):
+            mttkrp(t, factors, mode)
+
+    def test_numpy_integer_mode_accepted(self):
+        t = np.random.default_rng(5).normal(size=(2, 3, 4))
+        factors = tuple(np.ones((d, 2)) for d in t.shape)
+        assert np.array_equal(mttkrp(t, factors, np.int64(1)), mttkrp(t, factors, 1))
 
 
 class TestSettingChecks:
@@ -199,6 +211,31 @@ class TestMask:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Mask((2, 2, 2), [(0, 0, 2)])
+
+    @pytest.mark.parametrize(
+        "triples",
+        [
+            [[0, 0], [0, 1], [1, 1]],
+            [[0.9, 1.7, 0.2]],
+            [[0.0, 1.0, 0.0]],
+            [0, 1, 0],
+            [[[0, 1, 0]]],
+            [[True, False, True]],
+            np.zeros((2, 4), dtype=np.int64),
+        ],
+        ids=["3x2", "fractional", "float", "flat", "3-d", "bool", "2x4"],
+    )
+    def test_malformed_triples_rejected(self, triples):
+        # the 3 x 2 list once read as the two triples (0, 0, 0) and (1, 1, 1),
+        # and the fractional one as (0, 1, 0)
+        with pytest.raises(ValueError, match="^triples must be an n x 3 integer array"):
+            Mask((2, 2, 2), triples)
+
+    def test_empty_and_unsigned_triples_accepted(self):
+        assert Mask((2, 2, 2), []).count == 0
+        assert Mask((2, 2, 2), np.empty((0, 3), dtype=np.int64)).count == 0
+        mask = Mask((2, 2, 2), np.array([[1, 0, 1]], dtype=np.uint64))
+        assert mask.count == 1 and mask.where[1, 0, 1]
 
     @pytest.mark.parametrize("fraction", [0.0, 0.4, 1.0])
     def test_from_bool_matches_the_triples_path(self, fraction):
@@ -352,6 +389,15 @@ class TestRankOneSumOut:
         out = np.full(dims, np.nan)
         assert rank_one_sum(x, factors, out=out) is out
         assert np.array_equal(out.view(np.uint64), np.zeros(dims).view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "x", [[2.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]], 2.0], ids=["1", "2", "4", "1x3", "scalar"]
+    )
+    def test_weights_must_be_one_per_component(self, x):
+        # a single weight once broadcast over all three components
+        factors = tuple(np.ones((d, 3)) for d in (4, 3, 2))
+        with pytest.raises(ValueError, match=r"^weights must have shape \(3,\), one per component"):
+            rank_one_sum(np.asarray(x), factors)
 
     @pytest.mark.parametrize("dims", [(6, 4, 3), (3, 4, 6)], ids=["K<=I", "K>I"])
     def test_non_contiguous_out_rejected(self, dims):
