@@ -2,12 +2,15 @@
 
     python scripts/bench_pairs.py REV --workload W [--pairs N] [--seed S] [--seconds S]
 
-Extracts REV with ``git archive`` into a temporary directory, then runs
-``bench/run.py --trace 0`` N times in each tree, one process at a time. Each
-tree runs its own ``bench/run.py``; a note is printed when the two trees'
-``bench/`` directories differ, since the comparison then mixes benchmark
-code. The first tree to run alternates from pair to pair, so a slow or fast
-spell of the host falls on both sides.
+Extracts REV with ``git archive`` into ``base/`` in a temporary directory,
+and copies this checkout's tracked files, and its untracked files that git
+does not ignore, into ``this/`` beside it, so uncommitted edits are measured
+and both sides run from paths that differ in nothing but that name. Then it
+runs ``bench/run.py --trace 0`` N times in each tree, one process at a time.
+Each tree runs its own ``bench/run.py``; a note is printed when the two
+trees' ``bench/`` directories differ, since the comparison then mixes
+benchmark code. The first tree to run alternates from pair to pair, so a
+slow or fast spell of the host falls on both sides.
 
 For every end-to-end metric that ``BENCHMARK.json`` lists, it prints each
 pair, each tree's median and quartiles, and how many pairs the checkout won
@@ -23,14 +26,16 @@ spread, relative to its median, is wider than the bound, so that the
 revision's own runs cannot tell a change of that size, unless every run of
 the checkout beats every run of the revision.
 The revision's side is labelled ``base`` and the checkout's ``this``.
-Nothing under ``bench/`` is written except the scratch files that
-``bench/run.py`` itself keeps under ``.bench_work/`` while it runs.
+Nothing in the checkout is written: each ``bench/run.py`` keeps its scratch
+files in its own copy.
 """
 
 import argparse
 import filecmp
 import io
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -46,6 +51,17 @@ def export_tree(rev, dest):
     tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True)
     with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
         archive.extractall(dest, filter="data")
+
+
+def copy_checkout(dest):
+    """Copy the checkout's tracked files, and its untracked files that git does
+    not ignore, into ``dest``; a tracked file deleted from the checkout is skipped."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, capture_output=True, check=True).stdout
+    for name in map(os.fsdecode, filter(None, listed.split(b"\0"))):
+        if (ROOT / name).is_file():
+            (Path(dest) / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, Path(dest) / name)
 
 
 def run_bench(tree, workload, seed, seconds):
@@ -158,11 +174,14 @@ def main(argv=None):
         parser.error("--pairs must be at least 1")
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        export_tree(args.rev, tmp)
-        print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s per run: base = {args.rev}, this = {ROOT}")
-        if bench_differs(tmp, ROOT):
+        base, this = Path(tmp) / "base", Path(tmp) / "this"
+        export_tree(args.rev, base)
+        copy_checkout(this)
+        print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s per run: "
+              f"base = {args.rev}, this = {ROOT} with its uncommitted edits")
+        if bench_differs(base, this):
             print("note: bench/ differs between the two trees, so each side runs different benchmark code")
-        run_pairs(tmp, ROOT, args.workload, args.pairs, args.seed, args.seconds)
+        run_pairs(base, this, args.workload, args.pairs, args.seed, args.seconds)
     return 0
 
 

@@ -10,9 +10,11 @@ preconditioner is absorbed by a flexible Golub-Kahan process that maintains
     H^T U_{k+1} = V_{k+1} T_{k+1}   (T upper triangular)
 
 with orthonormal U, V and P_k = [L_1^{-1} v_1, ..., L_k^{-1} v_k].  The process
-builds M_k, :class:`ProjectedProblem` holds its SVD, and the choice of lambda
-by weighted generalized cross validation and the projected Tikhonov solve
-read only that SVD.
+builds M_k, :class:`ProjectedProblem` holds its SVD, and the projected
+Tikhonov solve and the choice of lambda by weighted generalized cross
+validation read only that SVD.  The choice evaluates the WGCV curve once, on
+a 200-point grid, and places lambda by one parabolic step in log lambda
+through the grid minimum and its two neighbours.
 
 What the solver returns is an IRN-weighted Tikhonov iterate, not the lasso
 minimizer: the projected Tikhonov solution at the last WGCV lambda after
@@ -269,14 +271,8 @@ def projected_tikhonov(problem, lam):
 
 
 _UNIT_GRID = np.logspace(-10.0, 0.0, 200)
-# Refinement points as ratios to the best grid point: 200 logarithmic points
-# spanning its two grid neighbours, or its one neighbour at either end,
-# behind a leading 1 that puts the grid point itself first, so that a tie
-# keeps it.
+# Spacing of the grid in log10 lambda.
 _GRID_STEP = 10.0 / (_UNIT_GRID.size - 1)
-_REFINE_INTERIOR = np.concatenate(([1.0], np.logspace(-_GRID_STEP, _GRID_STEP, _UNIT_GRID.size)))
-_REFINE_FIRST = np.concatenate(([1.0], np.logspace(0.0, _GRID_STEP, _UNIT_GRID.size)))
-_REFINE_LAST = np.concatenate(([1.0], np.logspace(-_GRID_STEP, 0.0, _UNIT_GRID.size)))
 
 
 def _wgcv_curve(problem, omega, lams):
@@ -297,15 +293,16 @@ def _wgcv_curve(problem, omega, lams):
 def wgcv_select(problem, omega, fallback):
     """Weighted GCV choice of lambda on a :class:`ProjectedProblem`.
 
-    Minimizes k * ||(I - M Phi_lam) beta1 e1||^2 / trace(I - omega M Phi_lam)^2
-    over a 200-point logarithmic grid spanning [1e-10, 1] * sigma_max(M), then
-    over 200 logarithmic points spanning the grid neighbours of the best
-    point, and returns the better of the two minimizers.  The result is
-    always one of these grid points, so the contract is the position of the
-    minimum, not the curve values: how the curve is summed changes lambda
-    only where rounding reorders two nearly equal values.  Returns
-    ``fallback`` itself when the objective is not finite anywhere on the
-    grid.
+    Evaluates k * ||(I - M Phi_lam) beta1 e1||^2 / trace(I - omega M Phi_lam)^2
+    on a 200-point logarithmic grid spanning [1e-10, 1] * sigma_max(M) and
+    returns the vertex of the parabola through the grid minimum and its two
+    neighbours in log10 lambda (Brent 1973, ch. 5), with no further curve
+    evaluation.  The vertex lies within half a grid step of the grid
+    minimum, toward its lower neighbour; at a grid end, or next to a +inf
+    value, the grid point itself is returned.  Returns ``fallback`` itself
+    when the objective is not finite anywhere on the grid.  The grid scales
+    with sigma_max(M) while lambda is added to sigma_i^2, so it is not
+    unit-free: scaling M by c moves the grid by c and the minimizer by c^2.
     """
     if not 0.0 < omega <= 1.0:
         raise ValueError(f"omega must lie in (0, 1], got {omega}")
@@ -319,14 +316,15 @@ def wgcv_select(problem, omega, fallback):
     best = int(vals.argmin())
     if not math.isfinite(vals[best]):
         return fallback
-    if best == 0:
-        ratios = _REFINE_FIRST
-    elif best == grid.size - 1:
-        ratios = _REFINE_LAST
-    else:
-        ratios = _REFINE_INTERIOR
-    lams = grid[best] * ratios
-    return float(lams[_wgcv_curve(problem, omega, lams).argmin()])
+    lam = float(grid[best])
+    if 0 < best < grid.size - 1:
+        lo, mid, hi = vals[best - 1 : best + 2].tolist()
+        below, above = lo - mid, hi - mid
+        if math.isfinite(below + above):
+            # below > 0 <= above, so the step stays within half a grid step
+            # in floating point too.
+            lam *= 10.0 ** (_GRID_STEP * (below - above) / (2.0 * (below + above)))
+    return lam
 
 
 @dataclass

@@ -4,6 +4,7 @@ and the change set against each metric's bound."""
 
 import importlib.util
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -39,13 +40,67 @@ def stub_runner(module, monkeypatch, costs):
     def fake_export(rev, dest):
         assert rev == "HEAD~1"
         sides[Path(dest)] = "base"
-        shutil.copy(ROOT / "BENCHMARK.json", Path(dest) / "BENCHMARK.json")
-        shutil.copytree(ROOT / "bench", Path(dest) / "bench", ignore=shutil.ignore_patterns("__pycache__"))
+        copy_benchmark(dest)
 
-    sides[module.ROOT] = "this"
+    def fake_copy(dest):
+        sides[Path(dest)] = "this"
+        copy_benchmark(dest)
+
     monkeypatch.setattr(module, "run_bench", fake_run)
     monkeypatch.setattr(module, "export_tree", fake_export)
+    monkeypatch.setattr(module, "copy_checkout", fake_copy)
     return calls
+
+
+def copy_benchmark(dest):
+    Path(dest).mkdir(parents=True)
+    shutil.copy(ROOT / "BENCHMARK.json", Path(dest) / "BENCHMARK.json")
+    shutil.copytree(ROOT / "bench", Path(dest) / "bench", ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                   cwd=repo, capture_output=True, check=True)
+
+
+def test_both_sides_run_from_sibling_copies_with_uncommitted_edits(pairs_module, monkeypatch, tmp_path, capsys):
+    # A small repository stands in for the checkout.  After the commit, one
+    # tracked file is edited and one deleted, an untracked file is added
+    # and an ignored one left behind.
+    repo = tmp_path / "checkout"
+    (repo / "bench").mkdir(parents=True)
+    shutil.copy(ROOT / "BENCHMARK.json", repo / "BENCHMARK.json")
+    (repo / "bench" / "run.py").write_text("committed\n")
+    (repo / "gone.py").write_text("committed\n")
+    (repo / ".gitignore").write_text("*.log\n")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "one")
+    (repo / "bench" / "run.py").write_text("edited\n")
+    (repo / "gone.py").unlink()
+    (repo / "sub").mkdir()
+    (repo / "sub" / "new.py").write_text("untracked\n")
+    (repo / "run.log").write_text("ignored\n")
+
+    seen = []
+
+    def fake_run(tree, workload, seed, seconds):
+        files = sorted(str(p.relative_to(tree)) for p in Path(tree).rglob("*") if p.is_file())
+        seen.append((Path(tree), files, (Path(tree) / "bench" / "run.py").read_text()))
+        return result(1.0)
+
+    monkeypatch.setattr(pairs_module, "ROOT", repo)
+    monkeypatch.setattr(pairs_module, "run_bench", fake_run)
+    assert pairs_module.main(["HEAD", "--workload", "mor_demo", "--pairs", "1"]) == 0
+    (base, base_files, base_run), (this, this_files, this_run) = seen
+    assert base.parent == this.parent and base.parent != repo.parent
+    assert len(str(base)) == len(str(this))
+    assert base_files == [".gitignore", "BENCHMARK.json", "bench/run.py", "gone.py"]
+    assert this_files == [".gitignore", "BENCHMARK.json", "bench/run.py", "sub/new.py"]
+    assert (base_run, this_run) == ("committed\n", "edited\n")
+    out = capsys.readouterr().out
+    assert "note: bench/ differs between the two trees" in out
+    assert f"this = {repo} with its uncommitted edits" in out
 
 
 def test_alternates_order_and_reports_a_supported_gain(pairs_module, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -429,8 +430,10 @@ class TestWGCV:
 
 
 def wgcv_row_layout_oracle(m_mat, beta1, omega, fallback):
-    # The two-stage WGCV search as first written, with a (lambda x k) filter
-    # array; wgcv_select must pick the same grid point.
+    # The WGCV search with a (lambda x k) filter array: the 200-point grid,
+    # then the vertex of the parabola through the grid minimum and its two
+    # neighbours in log10 lambda.  Returns (grid index, lambda), with index
+    # None when the curve is not finite on the grid.
     k = m_mat.shape[1]
     u, s, _ = np.linalg.svd(m_mat, full_matrices=False)
     c = beta1 * u[0]
@@ -443,40 +446,122 @@ def wgcv_row_layout_oracle(m_mat, beta1, omega, fallback):
 
     smax = float(s[0])
     if smax <= 0.0 or not np.isfinite(smax):
-        return fallback
+        return None, fallback
     grid = smax * np.logspace(-10.0, 0.0, 200)
     vals = curve(grid)
     best = int(np.argmin(vals))
     if not np.isfinite(vals[best]):
-        return fallback
-    step = 10.0 / 199
-    lo, hi = (0.0 if best == 0 else -step), (0.0 if best == 199 else step)
-    lams = np.concatenate(([grid[best]], grid[best] * np.logspace(lo, hi, 200)))
-    return float(lams[np.argmin(curve(lams))])
+        return None, fallback
+    if best in (0, 199) or np.isinf(vals[best - 1]) or np.isinf(vals[best + 1]):
+        return best, float(grid[best])
+    v0, v1, v2 = vals[best - 1 : best + 2]
+    delta = (v0 - v2) / (2.0 * (v0 - 2.0 * v1 + v2))
+    return best, float(grid[best] * 10.0 ** (10.0 / 199 * delta))
+
+
+def hessenberg_problems():
+    # 240 random upper Hessenberg problems, k = 1..60 four times over,
+    # columns scaled over 14 decades so that for k >= 2 the singular values
+    # spread over at least 12, beta1 over 6 decades, omega in (0, 1].
+    for seed in range(240):
+        rng = np.random.default_rng(seed)
+        k = 1 + seed % 60
+        scales = 10.0 ** rng.uniform(-7.0, 7.0, size=k)
+        if k >= 2:
+            scales[rng.choice(k, 2, replace=False)] = (1e-7, 1e7)
+        m_mat = np.triu(rng.normal(size=(k + 1, k)), -1) * scales
+        if k >= 2:
+            s = np.linalg.svd(m_mat, compute_uv=False)
+            assert s[0] >= 1e12 * s[-1], seed
+        beta1 = 10.0 ** rng.uniform(-3.0, 3.0)
+        omega = 1.0 if seed % 8 == 0 else 1.0 - rng.uniform()
+        yield seed, ProjectedProblem(m_mat, beta1), m_mat, beta1, omega
+
+
+def grid_curve(problem, omega):
+    """The grid and the curve values that wgcv_select searches."""
+    grid = float(problem.s[0]) * hybrid_l1._UNIT_GRID
+    return grid, hybrid_l1._wgcv_curve(problem, omega, grid)
 
 
 class TestWGCVExactOracle:
     def test_same_lambda_as_row_layout_search(self):
-        # 240 random upper Hessenberg problems, k = 1..60 four times over,
-        # columns scaled over 14 decades so that for k >= 2 the singular
-        # values spread over at least 12, beta1 over 6 decades, omega in (0, 1].
+        # Same grid point bit for bit, and lambda within 1e-9 relative: the
+        # vertex reads three curve values, which the two layouts round apart.
         mismatches = []
-        for seed in range(240):
-            rng = np.random.default_rng(seed)
-            k = 1 + seed % 60
-            scales = 10.0 ** rng.uniform(-7.0, 7.0, size=k)
-            if k >= 2:
-                scales[rng.choice(k, 2, replace=False)] = (1e-7, 1e7)
-            m_mat = np.triu(rng.normal(size=(k + 1, k)), -1) * scales
-            if k >= 2:
-                s = np.linalg.svd(m_mat, compute_uv=False)
-                assert s[0] >= 1e12 * s[-1], seed
-            beta1 = 10.0 ** rng.uniform(-3.0, 3.0)
-            omega = 1.0 if seed % 8 == 0 else 1.0 - rng.uniform()
-            lam = wgcv_select(ProjectedProblem(m_mat, beta1), omega, fallback=None)
-            if lam != wgcv_row_layout_oracle(m_mat, beta1, omega, None):
+        for seed, problem, m_mat, beta1, omega in hessenberg_problems():
+            lam = wgcv_select(problem, omega, fallback=None)
+            best, oracle = wgcv_row_layout_oracle(m_mat, beta1, omega, None)
+            if int(grid_curve(problem, omega)[1].argmin()) != best or abs(lam - oracle) > 1e-9 * oracle:
                 mismatches.append(seed)
         assert mismatches == []
+
+    def test_vertex_lies_toward_the_lower_neighbour_within_half_a_step(self):
+        half = 0.5 * hybrid_l1._GRID_STEP
+        interior = 0
+        for seed, problem, *_, omega in hessenberg_problems():
+            lam = wgcv_select(problem, omega, fallback=None)
+            grid, vals = grid_curve(problem, omega)
+            best = int(vals.argmin())
+            if best in (0, grid.size - 1):
+                assert lam == grid[best], seed
+                continue
+            interior += 1
+            shift = np.log10(lam / grid[best])
+            assert abs(shift) <= half * (1.0 + 1e-12), seed
+            if vals[best - 1] < vals[best + 1]:
+                assert shift <= 0.0, seed
+            elif vals[best + 1] < vals[best - 1]:
+                assert shift >= 0.0, seed
+            else:
+                assert lam == grid[best], seed
+        # 57 interior minima; 167 sit at the first grid point and 16 at the last
+        assert interior >= 50
+
+    def test_grid_end_or_infinite_neighbour_returns_the_grid_point(self):
+        # The grid minimum sits at an end on 183 of the problems.  On each
+        # interior one, beta1 is scaled so that the numerator overflows to
+        # +inf at the next grid point but not at the minimum, where
+        # beta1^2 stays finite; the grid depends on M only.
+        big = float(np.finfo(float).max)
+        ends = infinite = 0
+        for seed, problem, m_mat, beta1, omega in hessenberg_problems():
+            grid, vals = grid_curve(problem, omega)
+            best = int(vals.argmin())
+            if best in (0, grid.size - 1):
+                ends += 1
+                assert wgcv_select(problem, omega, fallback=None) == grid[best], seed
+                continue
+            s2 = problem.s2[:, None]
+            filt = s2 / (s2 + grid[best : best + 2])
+            num_at, num_next = (problem.k * (problem.c2 @ (1.0 - filt) ** 2 + problem.rho2)).tolist()
+            scale = big / math.sqrt(num_at * num_next)
+            if not float(beta1) ** 2 * scale < big:
+                continue
+            scaled = ProjectedProblem(m_mat, beta1 * math.sqrt(scale))
+            with np.errstate(over="ignore"):
+                scaled_vals = hybrid_l1._wgcv_curve(scaled, omega, grid)
+                lam = wgcv_select(scaled, omega, fallback=None)
+            assert int(scaled_vals.argmin()) == best and np.isinf(scaled_vals[best + 1]), seed
+            assert lam == grid[best], seed
+            infinite += 1
+        assert ends >= 150 and infinite >= 10
+
+    def test_within_a_step_of_a_brute_force_minimizer(self):
+        # 20,001 log-spaced lambdas over the bracket of the grid minimum, or
+        # over its one-step half at a grid end.
+        step = hybrid_l1._GRID_STEP
+        for seed, problem, *_, omega in hessenberg_problems():
+            lam = wgcv_select(problem, omega, fallback=None)
+            grid, vals = grid_curve(problem, omega)
+            best = int(vals.argmin())
+            lo = -step if best > 0 else 0.0
+            hi = step if best < grid.size - 1 else 0.0
+            fine = grid[best] * np.logspace(lo, hi, 20001)
+            brute = fine[int(hybrid_l1._wgcv_curve(problem, omega, fine).argmin())]
+            assert abs(np.log10(lam / brute)) <= step, seed
+            val = hybrid_l1._wgcv_curve(problem, omega, np.array([lam]))[0]
+            assert val <= vals[best] * (1.0 + 1e-6), seed
 
     @pytest.mark.parametrize(
         "m_mat, beta1",
@@ -490,7 +575,7 @@ class TestWGCVExactOracle:
     def test_non_finite_returns_the_fallback_object(self, m_mat, beta1):
         fallback = object()
         with np.errstate(invalid="ignore"):  # inf * 0 in c = beta1 * u[0]
-            assert wgcv_row_layout_oracle(m_mat, beta1, 1.0, fallback) is fallback
+            assert wgcv_row_layout_oracle(m_mat, beta1, 1.0, fallback) == (None, fallback)
             assert wgcv_select(ProjectedProblem(m_mat, beta1), 1.0, fallback) is fallback
 
 
