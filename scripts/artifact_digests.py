@@ -9,6 +9,9 @@ snapshot tensor), then runs ``python -m cpcomplete`` from this checkout's
 - ``complete`` on the pixmap at ``fixed:35``;
 - ``pod`` on the small tensor;
 - a small ``mor-demo``;
+- ``mor-demo --seed 1`` at the default size, whose polished factors have
+  exactly zero boundary rows, so the basis depends on the sign of each
+  zero product (the small demo's basis does not);
 - ``mask`` for the small tensor at the default fraction and seed, and
   ``complete`` on the small tensor with that mask, taking rank, mode and
   tolerance from the defaults and the iteration cap from a ``--config``
@@ -185,6 +188,8 @@ def main():
         (out / "mor").mkdir(exist_ok=True)
         run(["mor-demo", "--nx", "16", "--grid", "5", "--rank0", "12", "--tests", "3", "--pod-rank", "6",
              "--max-iter", "60", "--outdir", out / "mor"], env)
+        (out / "mor_seed1").mkdir(exist_ok=True)
+        run(["mor-demo", "--seed", "1", "--outdir", out / "mor_seed1"], env)
         run(["mask", "--dims", "12,10,8", "--out", out / "defaults.msk3"], env)
         (out / "defaults.cfg").write_text(f"max-iter = {DEFAULTS_MAX_ITER}\n")
         run(["complete", "--input", out / "snaps.tns3", "--mask", out / "defaults.msk3",

@@ -108,11 +108,7 @@ def _init_sweep(s, r0, rng):
 
     sweep = Sweep(CPModel(*(unit_columns(d) for d in s.shape), np.zeros(r0)), s)
     op = CPScalingOperator(sweep.model, sweep.grams)
-    alpha, *_ = np.linalg.lstsq(op.gram, op.rmatvec(s), rcond=None)
-    # Exact zeros would freeze components (D = 0 annihilates the gradients).
-    small = np.abs(alpha) < 1e-8
-    alpha[small] = np.where(alpha[small] < 0.0, -1e-8, 1e-8)
-    sweep.model.alpha = alpha
+    sweep.model.alpha = np.linalg.lstsq(op.gram, op.rmatvec(s), rcond=None)[0]
     return sweep
 
 

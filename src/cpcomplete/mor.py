@@ -11,7 +11,8 @@ import numpy as np
 from .completion import CompletionConfig, complete
 from .cp_model import check_rank
 from .factor_updates import Sweep, regularized_als_step
-from .tensor_ops import Mask, as_tensor, check_count, is_real
+from .exceptions import DataError
+from .tensor_ops import Mask, as_tensor, check_count, is_real, khatri_rao
 
 __all__ = [
     "cheb_diff",
@@ -168,13 +169,16 @@ def cp_reduced_basis(a, cfg, rho=None):
     truncation at ``cfg.eps_truncate`` times the largest scaling), polishes
     the factors with up to 200 damped ALS sweeps at that rank (``rho``
     defaults to 1e-6 * ||a||_F / sqrt(R)), stopping once a sweep moves A by
-    at most 1e-8 relative, vectorizes the spatial outer products x_r o y_r,
-    and orthonormalizes them by a thin SVD, keeping the left singular
-    vectors whose singular value is at least 1e-10 times the largest.  A fit
-    that keeps no component (an all-zero tensor) gives a basis with no
-    columns.
+    at most 1e-8 relative, and orthonormalizes the spatial products
+    x_r o y_r, the columns of the Khatri-Rao product of the two spatial
+    factors, by a thin SVD, keeping the left singular vectors whose singular
+    value is at least 1e-10 times the largest.  A fit that keeps no
+    component (an all-zero tensor) gives a basis with no columns; a given
+    ``rho`` is checked before the fit.
     """
     a = as_tensor(a)
+    if rho is not None and not (is_real(rho) and 0.0 <= rho < np.inf):
+        raise ValueError(f"rho must be finite and nonnegative, got {rho!r}")
     model, _, _ = complete(a, Mask.full(a.shape), cfg)
     if model.R == 0:
         return ReducedBasis(np.zeros((a.shape[0] * a.shape[1], 0)))
@@ -187,15 +191,7 @@ def cp_reduced_basis(a, cfg, rho=None):
         delta = np.linalg.norm(model.A - prev) / max(np.linalg.norm(prev), 1e-300)
         if delta <= _ALS_TOL:
             break
-
-    nx = a.shape[0]
-    phi_hat = np.empty((nx * a.shape[1], model.R))
-    for r in range(model.R):
-        # Not khatri_rao(A, B): after the ALS polish the boundary rows of A
-        # and B are exactly +-0, its einsum gives some of those products the
-        # other sign, and the thin SVD's column signs follow these zeros.
-        phi_hat[:, r] = np.outer(model.A[:, r], model.B[:, r]).ravel()
-    u, s, _ = np.linalg.svd(phi_hat, full_matrices=False)
+    u, s, _ = np.linalg.svd(khatri_rao(model.A, model.B), full_matrices=False)
     kept = int(np.sum(s >= 1e-10 * s[0]))
     return ReducedBasis(np.ascontiguousarray(u[:, :kept]))
 
@@ -206,8 +202,13 @@ def _check_pod_rank(r, rows, cols):
 
 
 def pod_basis(a, r=POD_RANK):
-    """Leading left singular vectors of the snapshot matrix (slices as columns)."""
+    """Leading left singular vectors of the snapshot matrix (slices as columns).
+
+    A snapshot tensor holding a NaN or an infinity raises DataError.
+    """
     a = as_tensor(a)
+    if not np.all(np.isfinite(a)):
+        raise DataError("input tensor contains non-finite values")
     i, j, k = a.shape
     check_count("r", r, 1)
     _check_pod_rank(r, i * j, k)

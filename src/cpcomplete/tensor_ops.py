@@ -51,13 +51,14 @@ def khatri_rao(x, y):
     """Column-wise Kronecker product: column r is x_r kron y_r (x index slow).
 
     For x of shape (I, R) and y of shape (J, R) the result is (I*J, R) with
-    row index i*J + j.
+    row index i*J + j.  Each entry is the exact product x[i, r] * y[j, r],
+    so a zero keeps its sign.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise ValueError(f"column counts must match, got {x.shape} and {y.shape}")
-    return np.einsum("ir,jr->ijr", x, y).reshape(x.shape[0] * y.shape[0], x.shape[1])
+    return (x[:, None, :] * y).reshape(x.shape[0] * y.shape[0], x.shape[1])
 
 
 def gemm_mode(shape):

@@ -488,6 +488,16 @@ class TestPodCommand:
         assert np.array_equal(arguments.pop("a"), t) and defaults.pop("a") is inspect.Parameter.empty
         assert arguments == defaults
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_snapshots_are_data_error(self, tmp_path, bad):
+        snaps = np.ones((4, 4, 3))
+        snaps[2, 1, 1] = bad
+        save_tensor(snaps, tmp_path / "s.tns3")
+        res = run_cli("pod", "--input", tmp_path / "s.tns3", "--rank", "2", "--out", tmp_path / "b.mat1")
+        assert res.returncode == 3, res.stderr
+        assert "input tensor contains non-finite values" in res.stderr
+        assert not (tmp_path / "b.mat1").exists()
+
     def test_overflowing_header_is_data_error(self, tmp_path):
         bogus = tmp_path / "huge.tns3"
         bogus.write_bytes(b"TNS3" + struct.pack("<3Q", 2**40, 2**40, 2**40) + b"\x00" * 8)

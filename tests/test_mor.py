@@ -13,6 +13,7 @@ import scipy.sparse.linalg
 from cpcomplete import mor
 from cpcomplete.completion import CompletionConfig
 from cpcomplete.cp_model import CPModel
+from cpcomplete.exceptions import DataError
 from cpcomplete.mor import (
     DiffusionProblem,
     ReducedBasis,
@@ -228,6 +229,13 @@ class TestSnapshots:
 
 
 class TestPodBasis:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_snapshots_rejected(self, bad):
+        snaps = np.ones((4, 4, 3))
+        snaps[2, 1, 1] = bad
+        with pytest.raises(DataError, match="input tensor contains non-finite values"):
+            pod_basis(snaps, 2)
+
     def test_rank_one_snapshots(self):
         rng = np.random.default_rng(0)
         mode = rng.normal(size=(5, 5))
@@ -366,6 +374,16 @@ class TestCpReducedBasis:
         gram = basis.phi.T @ basis.phi
         assert np.abs(gram - np.eye(gram.shape[0])).max() <= 1e-10
 
+    @pytest.mark.parametrize("rho", [-1.0, np.nan, np.inf, True, "1e-6"])
+    def test_bad_rho_rejected_before_the_fit(self, monkeypatch, rho):
+        # at an all-zero tensor the fit keeps no component, so a check left
+        # to the polish would never run
+        fits = []
+        monkeypatch.setattr(mor, "complete", lambda *args: fits.append(args))
+        with pytest.raises(ValueError, match=f"rho must be finite and nonnegative, got {rho!r}"):
+            cp_reduced_basis(np.zeros((6, 6, 5)), CompletionConfig(R0=3, m_max=20), rho=rho)
+        assert fits == []
+
     def test_fit_keeping_no_component_gives_no_columns(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -417,6 +435,23 @@ class TestCpBasisMatchesPivotedQr:
         basis = cp_reduced_basis(np.ones((6, 5, 3)), CompletionConfig(R0=4, m_max=5))
         assert basis.phi.shape[1] == 3
         self.assert_same_span(basis.phi, spatial_products(model))
+
+    def test_signed_zero_rows_give_the_svd_basis_of_the_products(self, monkeypatch):
+        # after the ALS polish the boundary rows of A and B are exactly +-0;
+        # the basis is the thin SVD of the outer products with every zero's
+        # sign kept, bit for bit
+        rng = np.random.default_rng(11)
+        a, b, c = rng.normal(size=(12, 5)), rng.normal(size=(12, 5)), rng.normal(size=(4, 5))
+        signs = rng.choice([-1.0, 1.0], size=(2, 2, 5))
+        a[[0, -1]] = 0.0 * signs[0]
+        b[[0, -1]] = 0.0 * signs[1]
+        model = CPModel(a, b, c, np.ones(5))
+        monkeypatch.setattr(mor, "complete", lambda *args: (model, None, None))
+        monkeypatch.setattr(mor, "regularized_als_step", lambda sweep, rho: sweep.model)
+        basis = cp_reduced_basis(np.ones((12, 12, 4)), CompletionConfig(R0=5, m_max=5))
+        u, s, _ = np.linalg.svd(spatial_products(model), full_matrices=False)
+        expected = u[:, : int(np.sum(s >= 1e-10 * s[0]))]
+        assert np.array_equal(basis.phi.view(np.uint64), expected.view(np.uint64))
 
 
 class TestRunMorDemo:

@@ -101,6 +101,18 @@ class TestKhatriRao:
         for r in range(2):
             assert np.allclose(out[:, r], kron_oracle(x[:, r], y[:, r]), atol=1e-15)
 
+    def test_signed_zeros_match_the_outer_products(self):
+        # each entry is the product x[i, r] * y[j, r], so -0.0 * 1.5 stays -0.0
+        # and -0.0 * -0.0 is +0.0, bit for bit as np.outer gives them
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(5, 4)), rng.normal(size=(6, 4))
+        x[[0, -1]] = [[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0]]
+        y[[0, 2, -1]] = [[-0.0, -0.0, 0.0, 0.0], [0.0, 0.0, -0.0, -0.0], [-0.0, 0.0, 0.0, -0.0]]
+        oracle = np.stack([np.outer(x[:, r], y[:, r]).ravel() for r in range(4)], axis=1)
+        out = khatri_rao(x, y)
+        assert np.array_equal(np.signbit(out), np.signbit(oracle))
+        assert np.array_equal(out.view(np.uint64), oracle.view(np.uint64))
+
     def test_mismatched_columns(self):
         with pytest.raises(ValueError):
             khatri_rao(np.zeros((2, 2)), np.zeros((3, 3)))
