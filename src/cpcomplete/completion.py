@@ -1,7 +1,6 @@
 """Outer tensor-completion driver: impute missing entries from the current
 model, update factors cyclically, solve the scaling vector, repeat."""
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -11,7 +10,7 @@ from .cp_model import CPModel, CPScalingOperator, reconstruct, truncate_rank
 from .exceptions import DataError
 from .factor_updates import Sweep, mm_update
 from .hybrid_l1 import HybridConfig, ista_alpha_step, solve_l1_hybrid
-from .tensor_ops import Mask, as_tensor, check_count, is_real, mask_dims, masked_copy
+from .tensor_ops import Mask, as_tensor, check_count, check_real, mask_dims, masked_copy
 
 __all__ = [
     "CompletionConfig",
@@ -44,14 +43,12 @@ class CompletionConfig:
     def __post_init__(self):
         for name, least in (("R0", 1), ("m_max", 1), ("seed", 0)):
             check_count(name, getattr(self, name), least)
-        if not (is_real(self.eps_tol) and 0.0 < self.eps_tol < 1.0):
-            raise ValueError(f"eps_tol must lie in (0, 1), got {self.eps_tol}")
+        check_real("eps_tol", self.eps_tol, 0, 1, "()")
         if self.mode not in ("hybrid", "fixed"):
             raise ValueError(f"mode must be 'hybrid' or 'fixed', got {self.mode!r}")
-        if self.mode == "fixed" and not (is_real(self.lam) and 0.0 <= self.lam < math.inf):
-            raise ValueError(f"fixed-mode lambda must be finite and nonnegative, got {self.lam}")
-        if not (is_real(self.eps_truncate) and 0.0 < self.eps_truncate < 1.0):
-            raise ValueError(f"eps_truncate must lie in (0, 1), got {self.eps_truncate}")
+        if self.mode == "fixed":
+            check_real("lam", self.lam, 0, np.inf, "[)")
+        check_real("eps_truncate", self.eps_truncate, 0, 1, "()")
 
 
 @dataclass
@@ -74,8 +71,7 @@ class CompletionTrace:
 
 def make_random_mask(dims, fraction=0.3, seed=0):
     """Uniform mask observing ceil(fraction * IJK) entries, seeded."""
-    if not (is_real(fraction) and 0.0 < fraction <= 1.0):
-        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
+    check_real("fraction", fraction, 0, 1, "(]")
     dims = mask_dims(dims)
     check_count("seed", seed, 0)
     total = int(np.prod(dims))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import mttkrp, rank_one_sum
+from .tensor_ops import check_real, mttkrp, rank_one_sum
 
 __all__ = ["CPModel", "check_rank", "CPScalingOperator", "reconstruct", "factor_gram", "truncate_rank"]
 
@@ -131,8 +131,7 @@ def truncate_rank(m, eps):
     nonzero maximal component always survives; zero components never do, so
     an all-zero alpha, like an R=0 model, gives an R=0 model.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    check_real("eps", eps, 0, 1, "()")
     mag = np.abs(m.alpha)
     keep = (mag > 0.0) & (mag >= eps * mag.max(initial=0.0))
     idx = np.nonzero(keep)[0]

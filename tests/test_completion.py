@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 
@@ -133,7 +134,7 @@ class TestMakeRandomMask:
 
     @pytest.mark.parametrize("fraction", [-0.5, 1.5, float("nan"), True, "0.5", None])
     def test_bad_fraction_rejected(self, fraction):
-        with pytest.raises(ValueError, match=f"fraction must lie in .*got {fraction}"):
+        with pytest.raises(ValueError, match=re.escape(f"fraction must be a real number in (0, 1], got {fraction!r}")):
             make_random_mask((3, 3, 3), fraction)
 
     @pytest.mark.parametrize("dims", [(2.7, 2, 2), (2, 2.0, 2), (True, 2, 2), (2, 2), (2, 0, 2)])
@@ -332,18 +333,18 @@ class TestComplete:
 
     @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf"), True, "3"])
     def test_bad_fixed_lambda_rejected(self, lam):
-        with pytest.raises(ValueError, match=f"got {lam}"):
+        with pytest.raises(ValueError, match=re.escape(f"lam must be a real number in [0, inf), got {lam!r}")):
             CompletionConfig(mode="fixed", lam=lam)
         CompletionConfig(mode="hybrid", lam=lam)  # lam is not read in hybrid mode
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0, float("nan"), None, "0.1"])
     def test_bad_eps_truncate_rejected(self, eps):
-        with pytest.raises(ValueError, match=f"eps_truncate must lie in \\(0, 1\\), got {eps}"):
+        with pytest.raises(ValueError, match=re.escape(f"eps_truncate must be a real number in (0, 1), got {eps!r}")):
             CompletionConfig(eps_truncate=eps)
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0, float("nan"), None, "0.1", True])
     def test_bad_eps_tol_rejected(self, eps):
-        with pytest.raises(ValueError, match=f"eps_tol must lie in \\(0, 1\\), got {eps}"):
+        with pytest.raises(ValueError, match=re.escape(f"eps_tol must be a real number in (0, 1), got {eps!r}")):
             CompletionConfig(eps_tol=eps)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -153,10 +155,16 @@ class TestTruncateRank:
         assert out.dims == m.dims
         assert not reconstruct(out).any()
 
-    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, float("nan"), float("inf"), True, "0.5"])
     def test_bad_eps_rejected(self, eps):
-        with pytest.raises(ValueError, match=f"got {eps}"):
+        with pytest.raises(ValueError, match=re.escape(f"eps must be a real number in (0, 1), got {eps!r}")):
             truncate_rank(random_model(17, unit=True), eps)
+
+    @pytest.mark.parametrize("eps", [5e-324, 1.0 - 2.0**-53])
+    def test_open_interval_ends_accepted(self, eps):
+        m = random_model(17, unit=True)
+        m.alpha = np.array([1.0, 0.5, 1e-300])
+        assert truncate_rank(m, eps).R == (3 if eps < 0.5 else 1)
 
     def test_rank_zero_model_accepted(self):
         empty = CPModel(np.zeros((4, 0)), np.zeros((5, 0)), np.zeros((6, 0)), np.zeros(0))

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -255,8 +256,8 @@ class TestRegularizedALS:
         assert norms[0] > norms[1] > norms[2]
 
     def test_negative_rho_rejected(self):
-        for rho in (-1.0, float("nan"), float("inf"), True):
-            with pytest.raises(ValueError, match=f"got {rho}"):
+        for rho in (-1.0, float("nan"), float("inf"), True, "0"):
+            with pytest.raises(ValueError, match=re.escape(f"rho must be a real number in [0, inf), got {rho!r}")):
                 regularized_als_step(Sweep(random_model(25), np.zeros((4, 5, 6))), rho)
 
     def test_exact_rank_convergence(self):

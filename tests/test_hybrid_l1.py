@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ class TestSoftThreshold:
 
     def test_negative_lambda_rejected(self):
         for lam in (-1.0, float("nan")):
-            with pytest.raises(ValueError, match="lambda must be nonnegative"):
+            with pytest.raises(ValueError, match=re.escape(f"lambda must be a real number in [0, inf], got {lam!r}")):
                 soft_threshold(np.zeros(2), lam)
 
 
@@ -297,7 +298,7 @@ class TestProjectedTikhonov:
     def test_negative_lambda_rejected(self):
         state = fgk_init(np.eye(3), np.array([2.0, 0.0, 0.0]))
         fgk_expand(state, np.eye(3), None)
-        with pytest.raises(ValueError, match="got -1.0"):
+        with pytest.raises(ValueError, match=re.escape("lambda must be a real number in (0, inf], got -1.0")):
             projected_tikhonov(projected(state), -1.0)
 
     @pytest.mark.parametrize("lam", [0.0, -0.0, float("nan")])
@@ -306,7 +307,7 @@ class TestProjectedTikhonov:
         # the previous lambda, or 1.0.
         state = fgk_init(np.eye(3), np.array([2.0, 0.0, 0.0]))
         fgk_expand(state, np.eye(3), None)
-        with pytest.raises(ValueError, match="lambda must be positive"):
+        with pytest.raises(ValueError, match=re.escape(f"lambda must be a real number in (0, inf], got {lam!r}")):
             projected_tikhonov(projected(state), lam)
 
     def test_matches_normal_equations(self):
@@ -404,7 +405,12 @@ class TestWGCV:
 
     @pytest.mark.parametrize(
         "omega, steps, message",
-        [(0.0, 1, "omega"), (1.5, 1, "omega"), (float("nan"), 1, "omega"), (1.0, 0, "at least one expansion")],
+        [
+            (0.0, 1, re.escape("omega must be a real number in (0, 1], got 0.0")),
+            (1.5, 1, re.escape("omega must be a real number in (0, 1], got 1.5")),
+            (float("nan"), 1, re.escape("omega must be a real number in (0, 1], got nan")),
+            (1.0, 0, "at least one expansion"),
+        ],
         ids=["omega-zero", "omega-above-one", "omega-nan", "no-step"],
     )
     def test_bad_omega_or_step_count_rejected(self, omega, steps, message):
@@ -427,6 +433,52 @@ class TestWGCV:
         m_mat[0, 0], m_mat[1, 1] = 1.0, 0.5
         problem = ProjectedProblem(m_mat, np.nan)
         assert wgcv_select(problem, 1.0, fallback=0.25) == 0.25
+
+
+def small_problem():
+    state = fgk_init(np.eye(3), np.array([2.0, 1.0, 0.0]))
+    fgk_expand(state, np.eye(3), None)
+    return projected(state)
+
+
+# Each real setting of the inner-solve kernels: a call that passes it, its
+# name and the interval its check states.
+REAL_SETTINGS = {
+    "soft_threshold": (lambda lam: soft_threshold(np.array([0.5, -2.0]), lam), "lambda", "[0, inf]"),
+    "projected_tikhonov": (lambda lam: projected_tikhonov(small_problem(), lam), "lambda", "(0, inf]"),
+    "wgcv_select": (lambda omega: wgcv_select(small_problem(), omega, fallback=1.0), "omega", "(0, 1]"),
+}
+
+
+class TestRealSettings:
+    @pytest.mark.parametrize(
+        "kernel, value",
+        [
+            *((kernel, value) for kernel in REAL_SETTINGS for value in (True, "0.5")),
+            ("soft_threshold", -5e-324), ("soft_threshold", -math.inf), ("projected_tikhonov", -math.inf),
+            ("wgcv_select", 1.0 + 2.0**-52), ("wgcv_select", math.inf),
+        ],
+    )
+    def test_bool_string_or_outside_the_interval_rejected(self, kernel, value):
+        call, name, interval = REAL_SETTINGS[kernel]
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number in {interval}, got {value!r}")):
+            call(value)
+
+    @pytest.mark.parametrize(
+        "kernel, value",
+        [
+            ("soft_threshold", 0.0), ("soft_threshold", -0.0), ("soft_threshold", math.inf),
+            ("projected_tikhonov", 5e-324), ("projected_tikhonov", math.inf),
+            ("wgcv_select", 5e-324), ("wgcv_select", 1.0),
+        ],
+    )
+    def test_interval_ends_accepted(self, kernel, value):
+        out = REAL_SETTINGS[kernel][0](value)
+        assert np.all(np.isfinite(out))
+
+    def test_infinite_lambda_gives_zero(self):
+        assert not soft_threshold(np.array([0.5, -2.0]), math.inf).any()
+        assert not projected_tikhonov(small_problem(), math.inf).any()
 
 
 def wgcv_row_layout_oracle(m_mat, beta1, omega, fallback):

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import warnings
@@ -99,7 +100,7 @@ class TestSolveDiffusion:
     @pytest.mark.parametrize("which", ["mu1", "mu2"])
     def test_non_finite_mu_rejected(self, bad, which):
         mu = {"mu1": 0.0, "mu2": 0.0, which: bad}
-        with pytest.raises(ValueError, match=f"{which} .*got {bad!r}"):
+        with pytest.raises(ValueError, match=re.escape(f"{which} must be a real number in [-0.99, 0.99], got {bad!r}")):
             DiffusionProblem(12, **mu)
 
     def test_non_integer_nx_rejected(self):
@@ -380,7 +381,7 @@ class TestCpReducedBasis:
         # to the polish would never run
         fits = []
         monkeypatch.setattr(mor, "complete", lambda *args: fits.append(args))
-        with pytest.raises(ValueError, match=f"rho must be finite and nonnegative, got {rho!r}"):
+        with pytest.raises(ValueError, match=re.escape(f"rho must be a real number in [0, inf), got {rho!r}")):
             cp_reduced_basis(np.zeros((6, 6, 5)), CompletionConfig(R0=3, m_max=20), rho=rho)
         assert fits == []
 
@@ -462,7 +463,7 @@ class TestRunMorDemo:
             ({"n_tests": 0}, "n_tests must be an integer >= 1, got 0"),
             ({"pod_rank": 26}, "rank 26 out of range"),
             ({"seed": -1}, "seed must be an integer >= 0"),
-            ({"eps": 1.0}, "eps_truncate must lie in"),
+            ({"eps": 1.0}, "eps_truncate must be a real number in"),
             ({"nx": 5.0}, "nx must be an integer >= 3, got 5.0"),
             ({"grid_n": 2.5}, "grid_n must be an integer >= 1, got 2.5"),
             ({"grid_n": True}, "grid_n must be an integer >= 1, got True"),

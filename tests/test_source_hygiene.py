@@ -5,11 +5,12 @@ its __all__ and every public top-level def and class is read by some caller,
 the package __init__ republishes the numerical modules' __all__ lists without
 naming a public name itself, no package module imports scipy, no test writes
 a private attribute, and only tensor_ops checks that a setting is an
-integer."""
+integer or a real number in its interval."""
 
 import ast
 import importlib
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -394,18 +395,35 @@ def test_no_private_attribute_writes(path):
     assert private_attribute_writes(path.read_text()) == []
 
 
-def own_integer_checks(source):
-    """``what (line n)`` for each read of ``is_integer``, as a name or an
-    attribute, and each string that holds "must be an integer".  Every
-    integer setting goes through ``tensor_ops.check_count``, so no other
-    module tests for an integer or words the rule itself."""
+def own_checks(source, predicate, wording):
+    """``what (line n)`` for each read of the name ``predicate``, as a name or
+    an attribute, and each string in which the regex ``wording`` finds the
+    words of a setting's rule."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if getattr(node, "id", None) == "is_integer" or getattr(node, "attr", None) == "is_integer":
-            found.append(f"reads is_integer (line {node.lineno})")
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and "must be an integer" in node.value:
-            found.append(f"writes 'must be an integer' (line {node.lineno})")
+        if predicate in (getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append(f"reads {predicate} (line {node.lineno})")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and (match := re.search(wording, node.value)):
+            found.append(f"writes {match.group()!r} (line {node.lineno})")
     return sorted(found)
+
+
+def own_integer_checks(source):
+    """Every integer setting goes through ``tensor_ops.check_count``, so no
+    other module reads ``is_integer`` or writes "must be an integer"."""
+    return own_checks(source, "is_integer", "must be an integer")
+
+
+# The words of a real range: check_real's "must be a real number in", and
+# the six wordings the package wrote by hand before it, such as "must lie in
+# (0, 1)", "must be finite and nonnegative" and "must be finite with |mu|".
+REAL_RULE = r"must (?:be|lie) (?:in [(\[]|a (?:real )?number|(?:finite and )?(?:non)?(?:negative|positive)|finite with)"
+
+
+def own_real_checks(source):
+    """Every real setting goes through ``tensor_ops.check_real``, so no other
+    module reads ``is_real`` or words a real range itself."""
+    return own_checks(source, "is_real", REAL_RULE)
 
 
 def test_checker_flags_own_integer_checks():
@@ -432,3 +450,35 @@ def test_checker_flags_own_integer_checks():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "tensor_ops.py"], ids=lambda p: p.name)
 def test_only_tensor_ops_checks_integers(path):
     assert own_integer_checks(path.read_text()) == []
+
+
+def test_checker_flags_own_real_checks():
+    source = (
+        "from .tensor_ops import check_real, is_real\n"
+        "def f(eps, lam, rho, omega, mu, h):\n"
+        "    check_real('eps', eps, 0, 1, '()')\n"
+        "    if not is_real(lam) or not lam >= 0.0:\n"
+        "        raise ValueError(f'lambda must be nonnegative, got {lam}')\n"
+        "    if not tensor_ops.is_real(rho):\n"
+        "        raise ValueError(f'rho must be finite and nonnegative, got {rho!r}')\n"
+        "    if not 0.0 < omega <= 1.0:\n"
+        "        raise ValueError(f'omega must lie in (0, 1], got {omega}')\n"
+        "    if abs(mu) > 0.99:\n"
+        "        raise ValueError(f'mu must be a real number in [-0.99, 0.99], got {mu!r}')\n"
+        "    if not h.all():\n"
+        "        raise ValueError('operator must be finite; mode must be one of A, B, C')\n"
+        "    return check_count('n', 3, 1)\n"
+    )
+    assert own_real_checks(source) == [
+        "reads is_real (line 4)",
+        "reads is_real (line 6)",
+        "writes 'must be a real number' (line 11)",
+        "writes 'must be finite and nonnegative' (line 7)",
+        "writes 'must be nonnegative' (line 5)",
+        "writes 'must lie in (' (line 9)",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "tensor_ops.py"], ids=lambda p: p.name)
+def test_only_tensor_ops_checks_reals(path):
+    assert own_real_checks(path.read_text()) == []

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from cpcomplete.tensor_ops import (
     Mask,
     as_tensor,
     check_count,
+    check_real,
     is_integer,
     is_real,
     khatri_rao,
@@ -101,14 +105,17 @@ class TestKhatriRao:
         for r in range(2):
             assert np.allclose(out[:, r], kron_oracle(x[:, r], y[:, r]), atol=1e-15)
 
-    def test_signed_zeros_match_the_outer_products(self):
+    @pytest.mark.parametrize("i, j, r", [(5, 6, 4), (40, 40, 50), (267, 3, 50), (30, 30, 12)], ids=str)
+    def test_signed_zeros_match_the_outer_products(self, i, j, r):
         # each entry is the product x[i, r] * y[j, r], so -0.0 * 1.5 stays -0.0
-        # and -0.0 * -0.0 is +0.0, bit for bit as np.outer gives them
+        # and -0.0 * -0.0 is +0.0, bit for bit as np.outer gives them; the
+        # shapes are the small case and the products the benchmark forms
         rng = np.random.default_rng(3)
-        x, y = rng.normal(size=(5, 4)), rng.normal(size=(6, 4))
-        x[[0, -1]] = [[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0]]
-        y[[0, 2, -1]] = [[-0.0, -0.0, 0.0, 0.0], [0.0, 0.0, -0.0, -0.0], [-0.0, 0.0, 0.0, -0.0]]
-        oracle = np.stack([np.outer(x[:, r], y[:, r]).ravel() for r in range(4)], axis=1)
+        x, y = rng.normal(size=(i, r)), rng.normal(size=(j, r))
+        for f in (x, y):
+            f[rng.random(f.shape) < 0.2] = 0.0
+            f[rng.random(f.shape) < 0.1] = -0.0
+        oracle = np.stack([np.outer(x[:, c], y[:, c]).ravel() for c in range(r)], axis=1)
         out = khatri_rao(x, y)
         assert np.array_equal(np.signbit(out), np.signbit(oracle))
         assert np.array_equal(out.view(np.uint64), oracle.view(np.uint64))
@@ -201,6 +208,45 @@ class TestSettingChecks:
     @pytest.mark.parametrize("value", [True, False, "0.5", None, 1j, [0.5]])
     def test_not_reals(self, value):
         assert not is_real(value)
+
+    @pytest.mark.parametrize(
+        "value, low, high, ends",
+        [
+            (0.0, 0, 1, "[)"),
+            (-0.0, 0, 1, "[)"),
+            (1, 0, 1, "(]"),
+            (5e-324, 0, 1, "()"),
+            (math.inf, 0, math.inf, "(]"),
+            (-0.99, -0.99, 0.99, "[]"),
+            (np.float32(0.5), 0, 1, "()"),
+            (np.int64(3), 0, math.inf, "[)"),
+        ],
+    )
+    def test_reals_in_the_interval(self, value, low, high, ends):
+        assert check_real("x", value, low, high, ends) is None
+
+    @pytest.mark.parametrize(
+        "value, low, high, ends, interval",
+        [
+            (0.0, 0, 1, "(]", "(0, 1]"),
+            (-0.0, 0, 1, "(]", "(0, 1]"),
+            (1.0, 0, 1, "[)", "[0, 1)"),
+            (math.inf, 0, math.inf, "[)", "[0, inf)"),
+            (-math.inf, 0, math.inf, "[]", "[0, inf]"),
+            (math.nan, 0, math.inf, "[]", "[0, inf]"),
+            (math.nan, -math.inf, math.inf, "[]", "[-inf, inf]"),
+            (-0.991, -0.99, 0.99, "[]", "[-0.99, 0.99]"),
+            (True, 0, 1, "[]", "[0, 1]"),
+            (False, 0, 1, "[]", "[0, 1]"),
+            ("0.5", 0, 1, "[]", "[0, 1]"),
+            (None, 0, 1, "[]", "[0, 1]"),
+            (0.5j, 0, 1, "[]", "[0, 1]"),
+        ],
+    )
+    def test_not_in_the_interval(self, value, low, high, ends, interval):
+        message = f"x must be a real number in {interval}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_real("x", value, low, high, ends)
 
 
 class TestMask:
