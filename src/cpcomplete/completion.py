@@ -147,8 +147,10 @@ def complete(t, mask, cfg):
     masked_copy(t, reconstruct(model, out=s_hat), mask, out=s)
     zero_alpha_run = 0
     for _ in range(cfg.m_max):
+        active = sweep.active()
         for mode in ("A", "B", "C"):
-            model = mm_update(mode, sweep)
+            mm_update(mode, active)
+        model = sweep.model
         op = CPScalingOperator(model, sweep.grams)
         if cfg.mode == "hybrid":
             alpha, lam_hist = solve_l1_hybrid(*op.coordinates(s.ravel()), cfg.hybrid)

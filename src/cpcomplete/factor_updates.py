@@ -17,10 +17,11 @@ C on an (I, J, K) tensor at rank R forms:
 
 The MM step acts on the active components, those with alpha_r != 0: a
 component with alpha_r = 0 has a zero gradient block and adds nothing to
-the block's Lipschitz constant, so the MTTKRP columns, the shared partial,
-the gradient and the eigenproblem run over the active components only, and
-the other factor columns stay as they were.  With alpha dense that is every
-component, and the arrays are read as they are, not gathered.  ALS solves
+the block's Lipschitz constant.  :meth:`Sweep.active` gathers them once per
+sweep into a sweep over those columns, so the MTTKRPs, the shared partial,
+the gradients and the eigenproblems run over them only, and the other
+factor columns stay as they were; with alpha dense it is the sweep itself.
+Every kernel below is dense and reads the sweep it is given.  ALS solves
 for alpha, so its MTTKRPs are full width.
 """
 
@@ -52,11 +53,10 @@ def _convention(mode):
     return _MODES[mode]
 
 
-def _set_unit_columns(target, g, where=True):
-    # target[:, r] = g[:, r] / ||g[:, r]|| where ``where`` holds; a collapsed
-    # column keeps its value.
+def _set_unit_columns(target, g):
+    # target[:, r] = g[:, r] / ||g[:, r]||; a collapsed column keeps its value.
     norms = np.linalg.norm(g, axis=0)
-    np.divide(g, norms, out=target, where=(norms > 0.0) & where)
+    np.divide(g, norms, out=target, where=norms > 0.0)
     return norms
 
 
@@ -66,13 +66,12 @@ class Sweep:
     ``model`` is the current model and ``grams`` its factor Grams
     [A^T A, B^T B, C^T C].  :meth:`replace` installs a new factor and forms
     its Gram; the other two are read as they are.  The partial contraction
-    that two modes' MTTKRPs share is formed when the first of them reads it
-    and dropped when the second does, when the tensor changes
-    (:meth:`set_tensor`) or when the factor it contracts is replaced; it
-    belongs to the components it was formed for, so a read for other
-    components forms its own.
-    Factors are replaced, never written in place, so a replaced factor array
-    still holds its old values.
+    that two modes' MTTKRPs share is formed when the first reads it and
+    dropped when the second does, when the tensor changes (:meth:`set_tensor`)
+    or when the factor it contracts is replaced.  Factors are replaced, never
+    written in place, so a replaced factor array keeps its old values.  The
+    MM step runs on :meth:`active`, which gathers the components with
+    alpha_r != 0 once per sweep.
     """
 
     def __init__(self, m, t):
@@ -90,28 +89,15 @@ class Sweep:
         _, y, z = _convention(mode)
         return self.grams[y] * self.grams[z]
 
-    def mttkrp(self, mode, cols=None):
-        """The mode's MTTKRP, T(mode) W, for the current model and tensor.
-
-        Given an index array ``cols``, only those columns, formed from those
-        components' columns of the other two factors (the mode's own factor
-        is not read); None means every column.
-        """
-        axis, y, z = _convention(mode)
-        m = self.model
-        factors = [m.A, m.B, m.C]
-        if cols is not None:
-            factors[y] = factors[y].take(cols, axis=1)
-            factors[z] = factors[z].take(cols, axis=1)
+    def mttkrp(self, mode):
+        """The mode's MTTKRP, T(mode) W, for the current model and tensor."""
+        axis, _, _ = _convention(mode)
+        factors = (self.model.A, self.model.B, self.model.C)
         if axis == gemm_mode(self.t.shape):
             return mttkrp(self.t, factors, axis)
-        key = None if cols is None else cols.tobytes()
-        if self._partial is not None and self._partial[0] == key:
-            partial = self._partial[1]
-            self._partial = None  # its second reader: no mode reads it again
-        else:
-            partial = mttkrp_partial(self.t, factors)
-            self._partial = (key, partial)
+        partial, self._partial = self._partial, None
+        if partial is None:  # the first of its two readers keeps it for the second
+            partial = self._partial = mttkrp_partial(self.t, factors)
         return mttkrp(self.t, factors, axis, partial)
 
     def replace(self, mode, x, alpha=None):
@@ -125,22 +111,42 @@ class Sweep:
         factors = [m.A, m.B, m.C]
         factors[axis] = x
         self.model = CPModel(*factors, m.alpha if alpha is None else alpha)
-        self.grams[axis] = factor_gram(x)
+        self.grams[axis] = self._gram(mode, x)
         if axis == gemm_mode(self.t.shape):
             self._partial = None
 
+    def _gram(self, mode, x):
+        return factor_gram(x)
 
-def _active_block(mode, sweep):
-    # The active components (alpha_r != 0), their alpha and their block of
-    # W^T W.  When every component is active the index is None and nothing
-    # is gathered: an index selecting every column would copy each array
-    # only to give the same values.
-    alpha = sweep.model.alpha
-    gram = sweep.mode_gram(mode)
-    active = alpha.nonzero()[0]
-    if active.size == alpha.size:
-        return None, alpha, gram
-    return active, alpha[active], gram.take(active, 0).take(active, 1)
+    def active(self):
+        """The sweep over the components with alpha_r != 0, for one MM sweep.
+
+        With alpha dense that is this sweep; otherwise a sweep over those
+        columns, with blocks of this sweep's Grams, until its tensor or alpha
+        changes.  Its :meth:`replace` takes no alpha and installs here a copy
+        of the factor with the new columns in, so the full Gram is formed once.
+        """
+        cols = self.model.alpha.nonzero()[0]
+        return self if cols.size == self.model.R else _Columns(self, cols)
+
+
+class _Columns(Sweep):
+    # The sweep over columns ``cols`` of a parent sweep (see Sweep.active).
+
+    def __init__(self, parent, cols):
+        m, self.parent, self.cols = parent.model, parent, cols
+        self.model = CPModel(*(x.take(cols, axis=1) for x in (m.A, m.B, m.C)), m.alpha[cols])
+        self.grams = [g[np.ix_(cols, cols)] for g in parent.grams]
+        self.set_tensor(parent.t)
+
+    def replace(self, mode, x):  # no alpha: it is the parent's to replace
+        super().replace(mode, x)
+
+    def _gram(self, mode, x):
+        full = getattr(self.parent.model, mode).copy()
+        full[:, self.cols] = x
+        self.parent.replace(mode, full)
+        return self.parent.grams[_convention(mode)[0]][np.ix_(self.cols, self.cols)]
 
 
 def gradient(mode, sweep):
@@ -149,21 +155,15 @@ def gradient(mode, sweep):
 
     For mode A this is (A D W^T - T(1)) W D with W the Khatri-Rao product of
     the other two factors; modes B and C are analogous.  Column r is scaled
-    by alpha_r, so it is formed for the active components only and is
-    exactly zero where alpha_r = 0.
+    by alpha_r, so it is zero where alpha_r = 0.
     """
-    active, d, gram = _active_block(mode, sweep)
-    x = getattr(sweep.model, mode)
     # (X D W^T W - T(mode) W) D, using the Gram identity instead of forming W.
     # The MTTKRP comes first, so its temporaries are gone before the rest.
-    mtt = sweep.mttkrp(mode, active)
-    block = ((x if active is None else x.take(active, axis=1)) * d) @ gram
-    block -= mtt
-    block *= d
-    if active is None:
-        return block
-    g = np.zeros_like(x)
-    g[:, active] = block
+    mtt = sweep.mttkrp(mode)
+    d = sweep.model.alpha
+    g = (getattr(sweep.model, mode) * d) @ sweep.mode_gram(mode)
+    g -= mtt
+    g *= d
     return g
 
 
@@ -171,33 +171,30 @@ def lipschitz_estimate(mode, sweep):
     """Largest eigenvalue of D W^T W D for the mode, floored at 1e-12.
 
     This is the exact Lipschitz constant of the block gradient, since f is
-    quadratic in each factor.  The rows and columns of components with
-    alpha_r = 0 are zero, so the eigenproblem is solved on the active block.
+    quadratic in each factor.
     """
-    _, d, gram = _active_block(mode, sweep)
-    evals = np.linalg.eigvalsh(gram * (d[:, None] * d))
+    d = sweep.model.alpha
+    evals = np.linalg.eigvalsh(sweep.mode_gram(mode) * (d[:, None] * d))
     return max(float(evals[-1]) if evals.size else 0.0, 1e-12)
 
 
 def mm_update(mode, sweep):
     """One majorize-minimize step on a single factor with unit-column projection.
 
-    Takes the gradient step X - grad / (s * L), with L the mode's
-    :func:`lipschitz_estimate` and s = STEP_SAFETY, on the columns of the
-    active components (alpha_r != 0), renormalizes them, and installs the
-    result in the sweep, whose new model it returns.  A column that
-    collapses to zero keeps its previous value, and so does every column
-    with alpha_r = 0; with no active component the step is the identity.
+    Takes the gradient step X - grad / (s * L) on every column, with L the
+    mode's :func:`lipschitz_estimate` and s = STEP_SAFETY, renormalizes the
+    columns, and installs the result in the sweep, whose new model it
+    returns.  A column that collapses to zero keeps its previous value.  The
+    driver runs it on :meth:`Sweep.active`, so columns with alpha_r = 0 stay
+    as they were; with alpha all zero the step is the identity.
     """
     _convention(mode)
-    alpha = sweep.model.alpha
-    if not np.count_nonzero(alpha):
+    if not sweep.model.alpha.any():
         return sweep.model
     step = 1.0 / (STEP_SAFETY * lipschitz_estimate(mode, sweep))
     old = getattr(sweep.model, mode)
-    d = old - step * gradient(mode, sweep)
     x = old.copy()
-    _set_unit_columns(x, d, alpha != 0.0)
+    _set_unit_columns(x, old - step * gradient(mode, sweep))
     sweep.replace(mode, x)
     return sweep.model
 

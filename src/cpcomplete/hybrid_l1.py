@@ -24,10 +24,10 @@ condition of the lasso min ||H s - d||^2 + mu ||s||_1 at mu = 2 lambda, but
 the step count ends the iteration before it settles there: on the
 completion driver's coordinate problems, s was up to 0.42 away from the
 exact lasso solution x* at mu = 2 lambda, relative to ||x*||, early in a
-run.  The iterate is dense, with no entry exactly zero in practice, so the
-kernels that skip components with alpha_r = 0 (the MM step and the
-reconstructions) save work only in fixed-lambda mode, where the soft
-threshold makes exact zeros.
+run.  The iterate is dense, with no entry exactly zero in practice, so
+skipping the components with alpha_r = 0 (the MM step's one gather,
+``Sweep.active``, and the reconstructions) saves work only in fixed-lambda
+mode, where the soft threshold makes exact zeros.
 
 A fixed-lambda ISTA step for the CP scaling vector is provided as a baseline,
 together with the closed-form soft-threshold proximal map.

@@ -298,6 +298,45 @@ class TestComplete:
         assert model.R == 0
         assert np.array_equal(s, np.where(mask.where, t, 0.0))
 
+    def test_a_zeroed_component_comes_back(self, monkeypatch):
+        # On this run the fourth ISTA step zeroes alpha_3 and the fifth
+        # restores it.  While alpha_r = 0 the MM sweep runs over the other
+        # components and leaves r's factor columns as they were, bit for
+        # bit; the ISTA gradient stays R0 wide, so once |grad_r| > lambda
+        # component r re-enters and the next sweep moves it again.
+        dims, lam = (8, 9, 3), 1.0
+        steps, widths = [], []  # per iteration: (factors, alpha, |ISTA gradient|), MM sweep width
+        ista, active = completion.ista_alpha_step, factor_updates.Sweep.active
+
+        def logged_ista(m, t, lam, op, work=None):
+            grad = np.abs(op.rmatvec(reconstruct(m) - t))
+            alpha = ista(m, t, lam, op, work)
+            steps.append(([x.copy() for x in (m.A, m.B, m.C)], alpha.copy(), grad))
+            return alpha
+
+        def logged_active(sweep):
+            columns = active(sweep)
+            widths.append(columns.model.R)
+            return columns
+
+        monkeypatch.setattr(completion, "ista_alpha_step", logged_ista)
+        monkeypatch.setattr(factor_updates.Sweep, "active", logged_active)
+        cfg = CompletionConfig(R0=6, m_max=6, eps_tol=1e-12, mode="fixed", lam=lam, seed=0)
+        complete(synthetic_rank(0, dims, 2), make_random_mask(dims, 0.7, seed=0), cfg)
+        assert len(steps) == 6 and widths[0] == 6
+        back = []
+        for k in range(1, 6):
+            (before, alpha, _), (after, new_alpha, grad) = steps[k - 1], steps[k]
+            zero = alpha == 0.0
+            assert widths[k] == 6 - zero.sum()
+            for x, y in zip(before, after):
+                assert np.array_equal(x[:, zero], y[:, zero])
+            back += [(k, r) for r in np.flatnonzero(zero & (new_alpha != 0.0))]
+            assert np.array_equal(grad[zero] > lam, new_alpha[zero] != 0.0)
+        assert back == [(4, 3)]
+        for x, y in zip(steps[4][0], steps[5][0]):
+            assert not np.array_equal(x[:, 3], y[:, 3])
+
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
             complete(np.ones((3, 3, 3)), Mask((3, 3, 3), []), CompletionConfig(R0=2))
@@ -447,15 +486,17 @@ class TestKernelBudget:
         # Between two ISTA steps come the reconstruction from the first
         # step's alpha, the MM sweep and the second step's reconstruction.
         # With that alpha's z zeros, all of them take R0 - z components; Q
-        # times the residual takes all R0.
+        # times the residual takes all R0.  The sweep still forms 3 Grams,
+        # each R0 x R0, and reads the active blocks off them.
         r0 = 6
-        log = []
-        count_kernel_calls(monkeypatch, log)
+        log, grams = [], []
+        calls = count_kernel_calls(monkeypatch, log)
         ista = completion.ista_alpha_step
 
         def logged(*args, **kwargs):
             alpha = ista(*args, **kwargs)
             log.append(("ista", np.count_nonzero(alpha)))
+            grams.append(calls["factor_gram"])
             return alpha
 
         monkeypatch.setattr(completion, "ista_alpha_step", logged)
@@ -464,6 +505,7 @@ class TestKernelBudget:
         steps = [i for i, (name, _) in enumerate(log) if name == "ista"]
         widths = [log[i][1] for i in steps]
         assert len(steps) == 6 and min(widths) < r0 - 1
+        assert np.diff([3] + grams).tolist() == [3] * 6  # the start's 3, then 3 per sweep
         for start, stop, w in zip(steps, steps[1:], widths):
             if dims[2] <= dims[0]:
                 sweep = [("mttkrp_gemm", w), ("khatri_rao", w), ("mttkrp_partial", w)]

@@ -394,8 +394,10 @@ class TestSweepExactOracle:
         oracle = self.old_mm_update if alpha_case == "generic" else self.active_mm_update
         for t in (t1, t2):
             sweep.set_tensor(t)
+            active = sweep.active()  # as the driver runs its MM sweep
             for mode in "ABC":
-                new = mm_update(mode, sweep)
+                mm_update(mode, active)
+                new = sweep.model
                 old = oracle(mode, old, t)
                 self.assert_same(new, old)
             assert np.array_equal(CPScalingOperator(new, sweep.grams).gram, self.old_hadamard_gram(old.A, old.B, old.C))
@@ -419,8 +421,9 @@ class TestSweepExactOracle:
 def test_sweep_products_stay_current_in_any_order(dims):
     # updates, reads and tensor changes in random order: every MTTKRP and Gram
     # the sweep hands out equals one formed afresh from its current state
-    # alpha_1 = 0, so the MM steps read the MTTKRPs of components 0 and 2
-    # between the full-width reads
+    # (alpha_1 = 0, but the MM steps run on the full sweep, so they read
+    # full-width MTTKRPs; test_active_sweep_writes_through covers the
+    # active-column sweep)
     rng = np.random.default_rng(40)
     m = random_model(41, dims, r=3)
     m.alpha[1] = 0.0
@@ -439,3 +442,37 @@ def test_sweep_products_stay_current_in_any_order(dims):
         m = sweep.model
         for gram, x in zip(sweep.grams, (m.A, m.B, m.C)):
             assert np.array_equal(gram, x.T @ x)
+
+
+@pytest.mark.parametrize("dims", [(7, 5, 3), (3, 5, 7)], ids=["K<=I", "K>I"])
+def test_active_sweep_writes_through(dims):
+    # alpha_1 = 0, so the active sweep holds components 0, 2 and 3.  MM steps
+    # and MTTKRP reads in random order: its factors and Grams stay the
+    # active columns and blocks of the full sweep's, the full Grams are
+    # formed afresh from the full factors, column 1 keeps its bits, and
+    # every MTTKRP equals one formed afresh from the active factors.
+    rng = np.random.default_rng(42)
+    m = random_model(43, dims, r=4)
+    dense = Sweep(m, np.zeros(dims))
+    assert dense.active() is dense  # alpha dense: the sweep itself
+    m.alpha[1] = -0.0
+    sweep = Sweep(m, rng.normal(size=dims))
+    active, cols = sweep.active(), [0, 2, 3]
+    for _ in range(40):
+        mode = "ABC"[rng.integers(3)]
+        if rng.integers(2):
+            part = active.model
+            fresh = mttkrp(sweep.t, (part.A, part.B, part.C), "ABC".index(mode))
+            assert np.array_equal(active.mttkrp(mode), fresh)
+        else:
+            mm_update(mode, active)
+        full, part = sweep.model, active.model
+        assert np.shares_memory(full.alpha, m.alpha) and np.array_equal(part.alpha, m.alpha[cols])
+        for x, y, x0, gram, block in zip(
+            (full.A, full.B, full.C), (part.A, part.B, part.C), (m.A, m.B, m.C), sweep.grams, active.grams
+        ):
+            assert np.array_equal(x[:, cols], y) and np.array_equal(x[:, 1], x0[:, 1])
+            assert np.array_equal(gram, x.T @ x) and np.array_equal(block, gram[np.ix_(cols, cols)])
+    assert not np.array_equal(full.A, m.A)
+    with pytest.raises(TypeError):  # alpha is the full sweep's to replace
+        active.replace("A", part.A, part.alpha)
