@@ -125,7 +125,8 @@ def complete(t, mask, cfg):
     Returns ``(model, s, trace)`` where ``model`` is truncated at
     ``cfg.eps_truncate`` (components sorted by descending |alpha|) and ``s``
     is the completed tensor with the observed entries copied back verbatim;
-    it is the driver's imputation tensor, the last imputation.
+    it is the last imputation, in the tensor every iteration imputes into.
+    Raises DataError if t is not finite or its observed entries' norm overflows.
     """
     t = as_tensor(t)
     if not np.all(np.isfinite(t)):
@@ -141,6 +142,8 @@ def complete(t, mask, cfg):
     sweep = _init_sweep(s, cfg.R0, rng)
     model = sweep.model
     obs_norm = max(float(np.linalg.norm(s.ravel())), 1e-300)
+    if obs_norm == np.inf:
+        raise DataError("the norm of the observed entries overflows; rescale the data")
 
     trace = CompletionTrace()
     start = time.perf_counter()

@@ -168,14 +168,14 @@ def gradient(mode, sweep):
 
 
 def lipschitz_estimate(mode, sweep):
-    """Largest eigenvalue of D W^T W D for the mode, floored at 1e-12.
+    """Largest eigenvalue of D W^T W D for the mode, floored at the smallest normal float.
 
     This is the exact Lipschitz constant of the block gradient, since f is
-    quadratic in each factor.
+    quadratic in each factor.  The floor only keeps the step finite if alpha^2 underflows.
     """
     d = sweep.model.alpha
     evals = np.linalg.eigvalsh(sweep.mode_gram(mode) * (d[:, None] * d))
-    return max(float(evals[-1]) if evals.size else 0.0, 1e-12)
+    return max(float(evals[-1]) if evals.size else 0.0, np.finfo(np.float64).tiny)
 
 
 def mm_update(mode, sweep):

@@ -60,9 +60,6 @@ _BREAKDOWN_RTOL = 1e-14
 # IRN thresholds: |s_i| below _TAU1 counts as vanished and is weighted as _TAU2.
 _TAU1 = 1e-10
 _TAU2 = 1e-14
-# lambda used if WGCV fails at the first step, which needs non-finite input:
-# M_11 = ||H^T u_1|| > 0 and the WGCV denominator is at least 1.
-_LAMBDA_FALLBACK = 1.0
 
 
 def soft_threshold(v, lam):
@@ -163,7 +160,8 @@ class FGKState:
 def fgk_init(h, d):
     """Bootstrap u_1 = d/||d|| and v_1 = H^T u_1 / ||H^T u_1|| for a 2-D array H.
 
-    Returns None when d or H^T d vanishes (the solution of the regularized
+    Returns None when d or H^T d is exactly zero, the breakdown test of
+    :func:`fgk_expand` with no basis yet (the solution of the regularized
     problem is zero and there is nothing to expand).
     """
     if not isinstance(h, np.ndarray) or h.ndim != 2:
@@ -179,7 +177,7 @@ def fgk_init(h, d):
     u1 = d / beta1
     z = h.T @ u1
     t11 = math.sqrt(z @ z)
-    if t11 <= _BREAKDOWN_RTOL * beta1:
+    if t11 == 0.0:
         return None
     return FGKState(u1, z / t11, t11, beta1)
 
@@ -288,7 +286,7 @@ def _wgcv_curve(problem, omega, lams):
     return np.fmin(num / den, np.inf)
 
 
-def wgcv_select(problem, omega, fallback):
+def wgcv_select(problem, omega):
     """Weighted GCV choice of lambda on a :class:`ProjectedProblem`.
 
     Evaluates k * ||(I - M Phi_lam) beta1 e1||^2 / trace(I - omega M Phi_lam)^2
@@ -297,22 +295,19 @@ def wgcv_select(problem, omega, fallback):
     neighbours in log10 lambda (Brent 1973, ch. 5), with no further curve
     evaluation.  The vertex lies within half a grid step of the grid
     minimum, toward its lower neighbour; at a grid end, or next to a +inf
-    value, the grid point itself is returned.  Returns ``fallback`` itself
-    when the objective is not finite anywhere on the grid.  The grid scales
-    with sigma_max(M) while lambda is added to sigma_i^2, so it is not
-    unit-free: scaling M by c moves the grid by c and the minimizer by c^2.
+    value, the grid point itself is returned.  Raises ValueError when the
+    objective is not finite anywhere on the grid (data near overflow).  The
+    grid scales with sigma_max(M) while lambda is added to sigma_i^2, so it is
+    not unit-free: scaling M by c moves the grid by c and the minimizer by c^2.
     """
     check_real("omega", omega, 0, 1, "(]")
     if problem.k < 1:
         raise ValueError("wgcv_select needs at least one expansion step")
-    smax = float(problem.s[0])
-    if smax <= 0.0 or not math.isfinite(smax):
-        return fallback
-    grid = smax * _UNIT_GRID
+    grid = float(problem.s[0]) * _UNIT_GRID
     vals = _wgcv_curve(problem, omega, grid)
     best = int(vals.argmin())
     if not math.isfinite(vals[best]):
-        return fallback
+        raise ValueError("the WGCV curve is not finite anywhere on its grid")
     lam = float(grid[best])
     if 0 < best < grid.size - 1:
         lo, mid, hi = vals[best - 1 : best + 2].tolist()
@@ -369,7 +364,7 @@ def solve_l1_hybrid(h, d, cfg):
         weights = irn_weights(sol) if lam_history else None
         fgk_expand(state, h, weights)
         problem = ProjectedProblem(state.M, state.beta1)
-        lam = wgcv_select(problem, omega, fallback=lam_history[-1] if lam_history else _LAMBDA_FALLBACK)
+        lam = wgcv_select(problem, omega)
         sol = state.P @ projected_tikhonov(problem, lam)
         lam_history.append(lam)
         if state.breakdown:

@@ -276,6 +276,19 @@ class TestCompleteCommand:
         assert "all dimensions must be >= 1" in res.stderr
         assert not (tmp / "m.cpm1").exists()
 
+    @pytest.mark.parametrize("mode", ["hybrid", "fixed:0.5"])
+    def test_data_too_large_to_square_is_data_error(self, workspace, mode):
+        tmp, tpath, mpath = workspace
+        save_tensor(1e160 * small_tensor(), tpath)
+        with np.errstate(over="ignore"):
+            res = run_cli(
+                "complete", "--input", tpath, "--mask", mpath, "--rank", "3", "--mode", mode,
+                "--max-iter", "3", "--out", tmp / "m.cpm1",
+            )
+        assert res.returncode == 3
+        assert "observed entries overflows" in res.stderr
+        assert not (tmp / "m.cpm1").exists()
+
     def test_pixmap_recon_of_a_non_rgb_tensor_fails_before_the_solve(self, tmp_path):
         save_tensor(small_tensor(dims=(4, 5, 6)), tmp_path / "t.tns3")
         res = run_cli("mask", "--dims", "4,5,6", "--out", tmp_path / "m.msk3")

@@ -267,6 +267,46 @@ class TestComplete:
             assert np.array_equal(getattr(mc, name), getattr(m1, name)), name
         assert trc.residual == tr1.residual
 
+    @pytest.mark.parametrize("c", [4.0**-20, 4.0**-5, 4.0**4, 4.0**20])
+    def test_scaling_the_data_and_lambda_scales_the_fixed_fit(self, c):
+        # In fixed mode the MM step size is 1 / L with L in alpha^2's units,
+        # so the fit of c t at lambda c is c times the fit of t, bit for bit,
+        # as long as no floor on L binds.
+        t = synthetic_rank(14, (9, 8, 7), 3)
+        mask = make_random_mask(t.shape, 0.6, seed=14)
+
+        def fit(scale):
+            cfg = CompletionConfig(R0=6, m_max=40, eps_tol=1e-8, mode="fixed", lam=0.5 * scale, seed=14)
+            return complete(scale * t, mask, cfg)
+
+        m1, s1, tr1 = fit(1.0)
+        mc, sc, trc = fit(c)
+        assert np.array_equal(sc, c * s1)
+        assert np.array_equal(mc.alpha, c * m1.alpha)
+        for name in ("A", "B", "C"):
+            assert np.array_equal(getattr(mc, name), getattr(m1, name)), name
+        assert trc.residual == tr1.residual
+
+    @pytest.mark.parametrize("c", [4.0**20, 4.0**24])
+    def test_hybrid_fit_of_large_data_is_not_the_zero_model(self, c):
+        # fgk_init stops only when H^T u_1 is exactly zero.  Measuring it
+        # against a multiple of ||d|| would compare H's units with the
+        # data's, and return the zero model once the data are large enough.
+        t = synthetic_rank(14, (9, 8, 7), 3)
+        mask = make_random_mask(t.shape, 0.6, seed=14)
+        cfg = CompletionConfig(R0=6, m_max=40, eps_tol=1e-8, seed=14)
+        model, _, trace = complete(c * t, mask, cfg)
+        assert model.R >= 1
+        assert trace.residual[-1] < 0.5
+
+    @pytest.mark.parametrize("mode", ["hybrid", "fixed"])
+    def test_data_too_large_to_square_rejected(self, mode):
+        t = synthetic_rank(14, (9, 8, 7), 3)
+        mask = make_random_mask(t.shape, 0.6, seed=14)
+        cfg = CompletionConfig(R0=6, m_max=5, mode=mode, lam=0.5, seed=14)
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="observed entries overflows"):
+            complete(1e160 * t, mask, cfg)
+
     def test_fixed_mode_runs(self):
         t = synthetic_rank(11, (8, 8, 8), 2, scale=1.0)
         mask = make_random_mask(t.shape, 0.8, seed=11)
@@ -385,6 +425,84 @@ class TestComplete:
     def test_bad_eps_tol_rejected(self, eps):
         with pytest.raises(ValueError, match=re.escape(f"eps_tol must be a real number in (0, 1), got {eps!r}")):
             CompletionConfig(eps_tol=eps)
+
+
+def start_factors(dims, seed):
+    """The unit factor columns complete() starts from at R0 = 1 with ``seed``."""
+    rng = np.random.default_rng(seed)
+    cols = [rng.standard_normal((n, 1)) for n in dims]
+    return [x / np.linalg.norm(x) for x in cols]
+
+
+class TestDegenerateInputs:
+    """Accepted inputs that reach the branches no workload takes; each test
+    checks that its branches ran."""
+
+    @pytest.fixture
+    def branches(self, monkeypatch):
+        seen = Counter()
+        init, expand, solve = hybrid_l1.fgk_init, hybrid_l1.fgk_expand, completion.solve_l1_hybrid
+        mm, eigh = completion.mm_update, np.linalg.eigh
+
+        def fgk_init(h, d):
+            state = init(h, d)
+            seen["fgk_init zero"] += state is None
+            return state
+
+        def fgk_expand(state, h, weights=None):
+            expand(state, h, weights)
+            # a u-side breakdown adds no column to U
+            seen["u-side breakdown"] += state.breakdown and state.U.shape[1] == state.k
+            return state
+
+        def solve_l1_hybrid(h, d, cfg):
+            sol, lams = solve(h, d, cfg)
+            seen["solve zero"] += lams.size == 0 and not sol.any()
+            return sol, lams
+
+        def mm_update(mode, sweep):
+            before = sweep.model
+            after = mm(mode, sweep)
+            seen["mm identity"] += after is before
+            return after
+
+        def eigenvalue_factor(a, *args, **kwargs):
+            seen["eigenvalue factor"] += 1
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(hybrid_l1, "fgk_init", fgk_init)
+        monkeypatch.setattr(hybrid_l1, "fgk_expand", fgk_expand)
+        monkeypatch.setattr(completion, "solve_l1_hybrid", solve_l1_hybrid)
+        monkeypatch.setattr(completion, "mm_update", mm_update)
+        monkeypatch.setattr(np.linalg, "eigh", eigenvalue_factor)
+        return seen
+
+    @pytest.mark.parametrize("mode", ["hybrid", "fixed"])
+    def test_all_zero_data(self, mode, branches):
+        t = np.zeros((6, 5, 4))
+        cfg = CompletionConfig(R0=3, mode=mode, seed=0)
+        model, s, trace = complete(t, make_random_mask(t.shape, 0.5, seed=0), cfg)
+        assert len(trace) == 1 and model.R == 0 and not s.any()
+        assert branches["mm identity"] == 3
+        if mode == "hybrid":
+            assert np.isnan(trace.lam[0])
+            assert branches["eigenvalue factor"] == branches["fgk_init zero"] == branches["solve zero"] == 1
+        else:
+            assert trace.lam == [cfg.lam]
+
+    @pytest.mark.parametrize(
+        "t",
+        [np.array([[[2.0]]]), reconstruct(CPModel(*start_factors((5, 4, 3), 0), [2.0]))],
+        ids=["1x1x1", "rank-1-from-the-start"],
+    )
+    def test_exact_rank_one_fit_at_rank_one(self, t, branches):
+        # The start is an exact fit, so [d Q^T] has rank 1: its Gram needs
+        # the eigenvalue factor, and H p_1 lies in the span of u_1.
+        cfg = CompletionConfig(R0=1, seed=0)
+        model, _, trace = complete(t, Mask.full(t.shape), cfg)
+        assert len(trace) == 1 and model.R == 1
+        assert trace.residual[0] == pytest.approx(1e-10, rel=1e-3)
+        assert branches["eigenvalue factor"] == branches["u-side breakdown"] == 1
 
 
 # Modules that call the counted kernels, each through its own binding.

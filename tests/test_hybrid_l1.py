@@ -303,8 +303,8 @@ class TestProjectedTikhonov:
 
     @pytest.mark.parametrize("lam", [0.0, -0.0, float("nan")])
     def test_lambda_not_positive_rejected(self, lam):
-        # Every lambda solve_l1_hybrid passes is positive: a WGCV grid point,
-        # the previous lambda, or 1.0.
+        # Every lambda solve_l1_hybrid passes is positive: a WGCV grid point
+        # or a point within half a grid step of one.
         state = fgk_init(np.eye(3), np.array([2.0, 0.0, 0.0]))
         fgk_expand(state, np.eye(3), None)
         with pytest.raises(ValueError, match=re.escape(f"lambda must be a real number in (0, inf], got {lam!r}")):
@@ -346,7 +346,7 @@ class TestWGCV:
         m_mat[1, 1] = 0.1
         beta1 = 1.3
         problem = ProjectedProblem(m_mat, beta1)
-        lam = wgcv_select(problem, 1.0, fallback=1.0)
+        lam = wgcv_select(problem, 1.0)
         grid = m_mat[0, 0] * np.logspace(-10, 0, 2000)
         oracle = wgcv_dense_oracle(m_mat, beta1, 1.0, grid)
         assert abs(np.log10(lam) - np.log10(oracle)) <= 0.05
@@ -359,7 +359,7 @@ class TestWGCV:
         state = fgk_init(h, d)
         for _ in range(8):
             fgk_expand(state, h, None)
-        lam = wgcv_select(projected(state), 1.0, fallback=1.0)
+        lam = wgcv_select(projected(state), 1.0)
         smax = np.linalg.svd(state.M, compute_uv=False)[0]
         assert lam <= 1e-6 * smax
 
@@ -397,7 +397,7 @@ class TestWGCV:
             m_mat = np.triu(rng.normal(size=(k + 1, k)), -1) * 10.0 ** rng.uniform(-3, 3, size=k)
             beta1, omega = rng.uniform(0.5, 3.0), rng.uniform(0.05, 1.0)
         problem = ProjectedProblem(m_mat, beta1)
-        lam = wgcv_select(problem, omega, fallback=None)
+        lam = wgcv_select(problem, omega)
         smax = np.linalg.svd(m_mat, compute_uv=False)[0]
         dense = _wgcv_curve(problem, omega, smax * np.logspace(-10, 0, 20001))
         val = _wgcv_curve(problem, omega, np.array([lam]))[0]
@@ -420,19 +420,22 @@ class TestWGCV:
             fgk_expand(state, h, None)
         problem = projected(state)
         with pytest.raises(ValueError, match=message):
-            wgcv_select(problem, omega, fallback=1.0)
+            wgcv_select(problem, omega)
 
-    def test_non_finite_falls_back(self):
+    def test_zero_matrix_raises(self):
+        # sigma_max(M) = 0 puts the whole grid at 0, where the curve is 0/0.
         problem = ProjectedProblem(np.zeros((3, 2)), 1.0)
-        assert wgcv_select(problem, 1.0, fallback=0.25) == 0.25
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite anywhere"):
+            wgcv_select(problem, 1.0)
 
-    def test_non_finite_curve_falls_back(self):
+    def test_non_finite_curve_raises(self):
         # sigma_max(M) is finite and positive, but a NaN beta1 makes the WGCV
         # numerator NaN at every lambda.
         m_mat = np.zeros((3, 2))
         m_mat[0, 0], m_mat[1, 1] = 1.0, 0.5
         problem = ProjectedProblem(m_mat, np.nan)
-        assert wgcv_select(problem, 1.0, fallback=0.25) == 0.25
+        with pytest.raises(ValueError, match="not finite anywhere"):
+            wgcv_select(problem, 1.0)
 
 
 def small_problem():
@@ -446,7 +449,7 @@ def small_problem():
 REAL_SETTINGS = {
     "soft_threshold": (lambda lam: soft_threshold(np.array([0.5, -2.0]), lam), "lambda", "[0, inf]"),
     "projected_tikhonov": (lambda lam: projected_tikhonov(small_problem(), lam), "lambda", "(0, inf]"),
-    "wgcv_select": (lambda omega: wgcv_select(small_problem(), omega, fallback=1.0), "omega", "(0, 1]"),
+    "wgcv_select": (lambda omega: wgcv_select(small_problem(), omega), "omega", "(0, 1]"),
 }
 
 
@@ -481,11 +484,11 @@ class TestRealSettings:
         assert not projected_tikhonov(small_problem(), math.inf).any()
 
 
-def wgcv_row_layout_oracle(m_mat, beta1, omega, fallback):
+def wgcv_row_layout_oracle(m_mat, beta1, omega):
     # The WGCV search with a (lambda x k) filter array: the 200-point grid,
     # then the vertex of the parabola through the grid minimum and its two
-    # neighbours in log10 lambda.  Returns (grid index, lambda), with index
-    # None when the curve is not finite on the grid.
+    # neighbours in log10 lambda.  Returns (grid index, lambda), and raises
+    # ValueError when the curve is not finite on the grid.
     k = m_mat.shape[1]
     u, s, _ = np.linalg.svd(m_mat, full_matrices=False)
     c = beta1 * u[0]
@@ -496,14 +499,11 @@ def wgcv_row_layout_oracle(m_mat, beta1, omega, fallback):
         vals = k * (((1.0 - filt) ** 2) @ c**2 + rho2) / (k + 1 - omega * filt.sum(axis=1)) ** 2
         return np.where(np.isfinite(vals), vals, np.inf)
 
-    smax = float(s[0])
-    if smax <= 0.0 or not np.isfinite(smax):
-        return None, fallback
-    grid = smax * np.logspace(-10.0, 0.0, 200)
+    grid = float(s[0]) * np.logspace(-10.0, 0.0, 200)
     vals = curve(grid)
     best = int(np.argmin(vals))
     if not np.isfinite(vals[best]):
-        return None, fallback
+        raise ValueError("the WGCV curve is not finite anywhere on its grid")
     if best in (0, 199) or np.isinf(vals[best - 1]) or np.isinf(vals[best + 1]):
         return best, float(grid[best])
     v0, v1, v2 = vals[best - 1 : best + 2]
@@ -542,8 +542,8 @@ class TestWGCVExactOracle:
         # vertex reads three curve values, which the two layouts round apart.
         mismatches = []
         for seed, problem, m_mat, beta1, omega in hessenberg_problems():
-            lam = wgcv_select(problem, omega, fallback=None)
-            best, oracle = wgcv_row_layout_oracle(m_mat, beta1, omega, None)
+            lam = wgcv_select(problem, omega)
+            best, oracle = wgcv_row_layout_oracle(m_mat, beta1, omega)
             if int(grid_curve(problem, omega)[1].argmin()) != best or abs(lam - oracle) > 1e-9 * oracle:
                 mismatches.append(seed)
         assert mismatches == []
@@ -552,7 +552,7 @@ class TestWGCVExactOracle:
         half = 0.5 * hybrid_l1._GRID_STEP
         interior = 0
         for seed, problem, *_, omega in hessenberg_problems():
-            lam = wgcv_select(problem, omega, fallback=None)
+            lam = wgcv_select(problem, omega)
             grid, vals = grid_curve(problem, omega)
             best = int(vals.argmin())
             if best in (0, grid.size - 1):
@@ -582,7 +582,7 @@ class TestWGCVExactOracle:
             best = int(vals.argmin())
             if best in (0, grid.size - 1):
                 ends += 1
-                assert wgcv_select(problem, omega, fallback=None) == grid[best], seed
+                assert wgcv_select(problem, omega) == grid[best], seed
                 continue
             s2 = problem.s2[:, None]
             filt = s2 / (s2 + grid[best : best + 2])
@@ -593,7 +593,7 @@ class TestWGCVExactOracle:
             scaled = ProjectedProblem(m_mat, beta1 * math.sqrt(scale))
             with np.errstate(over="ignore"):
                 scaled_vals = hybrid_l1._wgcv_curve(scaled, omega, grid)
-                lam = wgcv_select(scaled, omega, fallback=None)
+                lam = wgcv_select(scaled, omega)
             assert int(scaled_vals.argmin()) == best and np.isinf(scaled_vals[best + 1]), seed
             assert lam == grid[best], seed
             infinite += 1
@@ -604,7 +604,7 @@ class TestWGCVExactOracle:
         # over its one-step half at a grid end.
         step = hybrid_l1._GRID_STEP
         for seed, problem, *_, omega in hessenberg_problems():
-            lam = wgcv_select(problem, omega, fallback=None)
+            lam = wgcv_select(problem, omega)
             grid, vals = grid_curve(problem, omega)
             best = int(vals.argmin())
             lo = -step if best > 0 else 0.0
@@ -624,11 +624,13 @@ class TestWGCVExactOracle:
         ],
         ids=["zero-matrix", "nan-beta1", "inf-beta1"],
     )
-    def test_non_finite_returns_the_fallback_object(self, m_mat, beta1):
-        fallback = object()
-        with np.errstate(invalid="ignore"):  # inf * 0 in c = beta1 * u[0]
-            assert wgcv_row_layout_oracle(m_mat, beta1, 1.0, fallback) == (None, fallback)
-            assert wgcv_select(ProjectedProblem(m_mat, beta1), 1.0, fallback) is fallback
+    def test_non_finite_raises(self, m_mat, beta1):
+        # inf * 0 in c = beta1 * u[0], and 0 / 0 on the zero matrix's grid
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="not finite anywhere"):
+                wgcv_row_layout_oracle(m_mat, beta1, 1.0)
+            with pytest.raises(ValueError, match="not finite anywhere"):
+                wgcv_select(ProjectedProblem(m_mat, beta1), 1.0)
 
 
 class TestSolveHybrid:
