@@ -1,12 +1,14 @@
 """Compare a git revision with this checkout by alternating benchmark pairs.
 
-    python scripts/bench_pairs.py REV --workload W [--pairs N] [--seed S] [--seconds S]
+    python scripts/bench_pairs.py REV [--workload W ...] [--pairs N] [--seed S] [--seconds S]
 
 Extracts REV with ``git archive`` into ``base/`` in a temporary directory,
 and copies this checkout's tracked files, and its untracked files that git
 does not ignore, into ``this/`` beside it, so uncommitted edits are measured
-and both sides run from paths that differ in nothing but that name. Then it
-runs ``bench/run.py --trace 0`` N times in each tree, one process at a time.
+and both sides run from paths that differ in nothing but that name. Then,
+for each workload, it runs ``bench/run.py --trace 0`` N times in each tree,
+one process at a time, and prints one report block.  ``--workload`` may be
+repeated; without it every workload in ``BENCHMARK.json`` runs, in its order.
 Each tree runs its own ``bench/run.py``; a note is printed when the two
 trees' ``bench/`` directories differ, since the comparison then mixes
 benchmark code. The first tree to run alternates from pair to pair, so a
@@ -75,10 +77,14 @@ def run_bench(tree, workload, seed, seconds):
     return json.loads(lines[-1])
 
 
+def benchmark_spec(tree):
+    """The tree's BENCHMARK.json."""
+    return json.loads((Path(tree) / "BENCHMARK.json").read_text())
+
+
 def end_to_end_metrics(tree):
     """[(name, better, bound)] for each end-to-end metric the tree's BENCHMARK.json lists."""
-    spec = json.loads((Path(tree) / "BENCHMARK.json").read_text())
-    return [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
+    return [(m["name"], m["better"], m["bound"]) for m in benchmark_spec(tree)["end_to_end"]]
 
 
 def bench_differs(a, b):
@@ -165,23 +171,32 @@ def run_pairs(base_tree, this_tree, workload, pairs, seed, seconds):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare against, for example HEAD~1")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append",
+                        help="a workload of BENCHMARK.json; repeat for more (default: every one)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=15.0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    known = [w["name"] for w in benchmark_spec(ROOT)["workloads"]]
+    unknown = [w for w in args.workload or () if w not in known]
+    if unknown:
+        parser.error(f"unknown workload {unknown[0]!r}; BENCHMARK.json lists {', '.join(known)}")
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         base, this = Path(tmp) / "base", Path(tmp) / "this"
         export_tree(args.rev, base)
         copy_checkout(this)
-        print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s per run: "
-              f"base = {args.rev}, this = {ROOT} with its uncommitted edits")
-        if bench_differs(base, this):
-            print("note: bench/ differs between the two trees, so each side runs different benchmark code")
-        run_pairs(base, this, args.workload, args.pairs, args.seed, args.seconds)
+        differs = bench_differs(base, this)
+        for i, workload in enumerate(args.workload or known):
+            if i:
+                print()
+            print(f"{workload}, seed {args.seed}, {args.seconds:g} s per run: "
+                  f"base = {args.rev}, this = {ROOT} with its uncommitted edits")
+            if differs:
+                print("note: bench/ differs between the two trees, so each side runs different benchmark code")
+            run_pairs(base, this, workload, args.pairs, args.seed, args.seconds)
     return 0
 
 

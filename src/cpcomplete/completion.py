@@ -1,6 +1,7 @@
 """Outer tensor-completion driver: impute missing entries from the current
 model, update factors cyclically, solve the scaling vector, repeat."""
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -108,6 +109,21 @@ def _init_sweep(s, r0, rng):
     return sweep
 
 
+def _coordinates(op, s, k_max):
+    """op's coordinate problem (H, c) for the imputation s.
+
+    Raises DataError when k ||c||^2 = k ||s||^2 overflows for k = min(k_max, R),
+    the most steps the hybrid solve takes: WGCV's numerator reaches it at
+    large lambda.  The pair is returned rather than kept in the driver, so it
+    is freed when the solve returns.
+    """
+    h, c = op.coordinates(s.ravel())
+    if not math.isfinite(min(k_max, h.shape[1]) * float(c @ c)):
+        raise DataError("the squared norm of the imputed data overflows in the lambda "
+                        "selection; rescale the data")
+    return h, c
+
+
 def complete(t, mask, cfg):
     """Recover a low-rank CP model of ``t`` given the observed entries.
 
@@ -120,13 +136,18 @@ def complete(t, mask, cfg):
 
     The driver allocates two IJK-sized tensors and reuses them on every
     iteration: the imputation, which the factor updates read, and the
-    reconstruction, which then holds the observed residual.
+    reconstruction from the new alpha, which then holds the observed
+    residual.  Hybrid mode writes that reconstruction with the scaling
+    operator; in fixed mode the ISTA step writes it, so one reconstruction
+    is formed per iteration in either mode.
 
     Returns ``(model, s, trace)`` where ``model`` is truncated at
     ``cfg.eps_truncate`` (components sorted by descending |alpha|) and ``s``
     is the completed tensor with the observed entries copied back verbatim;
     it is the last imputation, in the tensor every iteration imputes into.
-    Raises DataError if t is not finite or its observed entries' norm overflows.
+    Raises DataError if t is not finite or its observed entries' norm
+    overflows, if the MM step's squared scaling vector overflows, or, in
+    hybrid mode, if the lambda selection's squared norms would overflow.
     """
     t = as_tensor(t)
     if not np.all(np.isfinite(t)):
@@ -156,13 +177,13 @@ def complete(t, mask, cfg):
         model = sweep.model
         op = CPScalingOperator(model, sweep.grams)
         if cfg.mode == "hybrid":
-            alpha, lam_hist = solve_l1_hybrid(*op.coordinates(s.ravel()), cfg.hybrid)
+            alpha, lam_hist = solve_l1_hybrid(*_coordinates(op, s, cfg.hybrid.k_max), cfg.hybrid)
             lam = float(lam_hist[-1]) if lam_hist.size else float("nan")
+            op.reconstruct(alpha, out=s_hat)
         else:
-            alpha = ista_alpha_step(model, s, cfg.lam, op, work=s_hat)
+            alpha = ista_alpha_step(model, s, cfg.lam, op, s_hat)
             lam = cfg.lam
         model.alpha = alpha
-        op.reconstruct(alpha, out=s_hat)
         masked_copy(t, s_hat, mask, out=s)
         sweep.set_tensor(s)
         # The imputation differs from s_hat only on the observed entries,

@@ -25,10 +25,12 @@ Every kernel below is dense and reads the sweep it is given.  ALS solves
 for alpha, so its MTTKRPs are full width.
 """
 
+import math
+
 import numpy as np
 
 from .cp_model import CPModel, factor_gram
-from .exceptions import NumericalRankError
+from .exceptions import DataError, NumericalRankError
 from .tensor_ops import as_tensor, check_real, gemm_mode, mttkrp, mttkrp_partial
 
 __all__ = ["Sweep", "gradient", "lipschitz_estimate", "mm_update", "regularized_als_step"]
@@ -172,8 +174,12 @@ def lipschitz_estimate(mode, sweep):
 
     This is the exact Lipschitz constant of the block gradient, since f is
     quadratic in each factor.  The floor only keeps the step finite if alpha^2 underflows.
+    Raises DataError when ||alpha||^2 overflows: the Gram's diagonal is 1, so
+    that is the matrix's trace, which bounds its entries and eigenvalues.
     """
     d = sweep.model.alpha
+    if not math.isfinite(d @ d):
+        raise DataError("the squared scaling vector overflows in the factor update; rescale the data")
     evals = np.linalg.eigvalsh(sweep.mode_gram(mode) * (d[:, None] * d))
     return max(float(evals[-1]) if evals.size else 0.0, np.finfo(np.float64).tiny)
 

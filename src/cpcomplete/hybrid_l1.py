@@ -30,11 +30,14 @@ skipping the components with alpha_r = 0 (the MM step's one gather,
 mode, where the soft threshold makes exact zeros.
 
 A fixed-lambda ISTA step for the CP scaling vector is provided as a baseline,
-together with the closed-form soft-threshold proximal map.
+together with the closed-form soft-threshold proximal map.  The step reads
+Q Q^T off the factor Grams, so its gradient Q Q^T alpha - Q t needs no
+IJK-sized residual; the one IJK-sized tensor it forms is the new alpha's
+reconstruction, which it writes into the driver's buffer.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,28 +72,30 @@ def soft_threshold(v, lam):
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 
 
-def ista_alpha_step(m, t, lam, op, work=None):
+def ista_alpha_step(m, t, lam, op, out=None):
     """One thresholded-Landweber step on the scaling vector at fixed lambda.
 
-    alpha <- prox(alpha - (alpha Q - t) Q^T / (s eta), lambda / (s eta)) with
+    alpha <- prox(alpha - Q (Q^T alpha - t) / (s eta), lambda / (s eta)) with
     eta the largest eigenvalue of Q Q^T and s = STEP_SAFETY, the same safety
     factor the MM factor updates use.  ``op`` is the
     :class:`~cpcomplete.cp_model.CPScalingOperator` of m's factors, which
-    supplies Q Q^T and the products with Q, so Q is never materialized.  The
-    residual alpha Q - t is formed in ``work``, a tensor of t's shape that
-    must not share memory with t, or in a new one when it is None.  The
-    reconstruction alpha Q runs over the nonzero alpha_r only, but the
-    gradient Q (alpha Q - t) and eta cover every component, so one with
-    alpha_r = 0 can come back.  A rank-0 model gets an empty alpha.
+    supplies Q Q^T and Q t, so the gradient is Q Q^T alpha - Q t and Q is
+    never materialized.  The gradient and eta cover every component, so one
+    with alpha_r = 0 can come back.  When ``out``, a tensor of t's shape that
+    must not share memory with t, is given, the new alpha's reconstruction
+    is written into it, over the nonzero components only; m is left as it
+    was.  A rank-0 model gets an empty alpha.
     """
     t = as_tensor(t)
-    if work is not None and np.shares_memory(work, t):
-        raise ValueError("work must not share memory with t")
+    if out is not None and np.shares_memory(out, t):
+        raise ValueError("out must not share memory with t")
     eta = max(float(np.linalg.eigvalsh(op.gram).max(initial=0.0)), 1e-12)
     step = 1.0 / (STEP_SAFETY * eta)
-    residual = reconstruct(m, out=work)
-    grad = op.rmatvec(np.subtract(residual, t, out=residual))
-    return soft_threshold(m.alpha - step * grad, lam * step)
+    grad = op.gram @ m.alpha - op.rmatvec(t)
+    alpha = soft_threshold(m.alpha - step * grad, lam * step)
+    if out is not None:
+        reconstruct(replace(m, alpha=alpha), out=out)
+    return alpha
 
 
 def irn_weights(s):

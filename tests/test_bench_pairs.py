@@ -1,6 +1,6 @@
 """scripts/bench_pairs.py with the benchmark runner and the git export stubbed:
 run order, the per-pair lines, medians, quartiles, the gain and worse verdicts
-and the change set against each metric's bound."""
+and the change set against each metric's bound, over one workload or several."""
 
 import importlib.util
 import shutil
@@ -215,3 +215,61 @@ def test_single_pair_and_changed_bench_noted(pairs_module, monkeypatch, capsys):
 def test_pairs_must_be_positive(pairs_module):
     with pytest.raises(SystemExit):
         pairs_module.main(["HEAD~1", "--workload", "mor_demo", "--pairs", "0"])
+
+
+def test_without_a_workload_every_benchmark_workload_runs_on_one_export(pairs_module, monkeypatch, capsys):
+    names = [w["name"] for w in pairs_module.benchmark_spec(ROOT)["workloads"]]
+    assert len(names) >= 2
+    calls = stub_runner(pairs_module, monkeypatch, {
+        "base": [result(1.0) for _ in names] * 2, "this": [result(0.9) for _ in names] * 2,
+    })
+    exports = []
+    real_export, real_copy = pairs_module.export_tree, pairs_module.copy_checkout
+
+    def export(rev, dest):
+        exports.append("base")
+        real_export(rev, dest)
+
+    def copy(dest):
+        exports.append("this")
+        real_copy(dest)
+
+    monkeypatch.setattr(pairs_module, "export_tree", export)
+    monkeypatch.setattr(pairs_module, "copy_checkout", copy)
+    assert pairs_module.main(["HEAD~1", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert exports == ["base", "this"]
+    # two pairs of each workload, one workload after the other, in BENCHMARK.json's order
+    assert [c[1] for c in calls] == [n for n in names for _ in range(4)]
+    blocks = out.split("\n\n")
+    assert len(blocks) == len(names)
+    for name, block in zip(names, blocks):
+        assert block.startswith(f"{name}, seed 0, 15 s per run: base = HEAD~1")
+        assert block.count("pair ") == 2 and "iter_cost: this wins 2/2 pairs" in block
+
+
+def test_repeated_workloads_print_the_single_reports_in_turn(pairs_module, monkeypatch, capsys):
+    costs = {"mor_demo": ([1.0, 1.1], [0.9, 1.0]), "image_fixed": ([1.2, 1.3], [1.1, 1.25])}
+
+    def report(*workloads):
+        stub_runner(pairs_module, monkeypatch, {
+            "base": [result(c) for w in workloads for c in costs[w][0]],
+            "this": [result(c) for w in workloads for c in costs[w][1]],
+        })
+        argv = ["HEAD~1", "--pairs", "2", "--seconds", "3"]
+        for w in workloads:
+            argv += ["--workload", w]
+        assert pairs_module.main(argv) == 0
+        return capsys.readouterr().out
+
+    first, second = report("mor_demo"), report("image_fixed")
+    assert first.startswith("mor_demo, seed 0, 3 s per run: base = HEAD~1, this = ")
+    assert "pair 2 (this first), base/this: iter_cost 1.1/1" in first
+    assert second.startswith("image_fixed, seed 0, 3 s per run: ")
+    assert report("mor_demo", "image_fixed") == first + "\n" + second
+
+
+def test_unknown_workload_rejected(pairs_module, monkeypatch):
+    stub_runner(pairs_module, monkeypatch, {"base": [], "this": []})
+    with pytest.raises(SystemExit):
+        pairs_module.main(["HEAD~1", "--workload", "mor_demo", "--workload", "no_such_workload"])

@@ -289,6 +289,20 @@ class TestCompleteCommand:
         assert "observed entries overflows" in res.stderr
         assert not (tmp / "m.cpm1").exists()
 
+    def test_data_whose_squares_overflow_in_the_hybrid_solve_is_data_error(self, workspace):
+        # The observed entries' squared norm is finite; the lambda selection's
+        # R0 times the imputation's squared norm is not.
+        tmp, tpath, mpath = workspace
+        t = small_tensor()
+        save_tensor(1.2e154 / np.linalg.norm(t) * t, tpath)
+        res = run_cli(
+            "complete", "--input", tpath, "--mask", mpath, "--rank", "3", "--max-iter", "3",
+            "--out", tmp / "m.cpm1",
+        )
+        assert res.returncode == 3
+        assert "squared norm of the imputed data overflows" in res.stderr
+        assert not (tmp / "m.cpm1").exists()
+
     def test_pixmap_recon_of_a_non_rgb_tensor_fails_before_the_solve(self, tmp_path):
         save_tensor(small_tensor(dims=(4, 5, 6)), tmp_path / "t.tns3")
         res = run_cli("mask", "--dims", "4,5,6", "--out", tmp_path / "m.msk3")

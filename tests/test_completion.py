@@ -216,18 +216,25 @@ class TestComplete:
     def test_trace_residual_is_the_gathered_observed_residual(self, mode, monkeypatch):
         # The driver reads the residual off the next imputation; it must equal
         # ||s_hat(Omega) - t(Omega)|| / ||t(Omega)|| for each iteration's s_hat.
+        # Hybrid mode forms s_hat with the operator, fixed mode inside the
+        # ISTA step.
         t = synthetic_rank(13, (7, 8, 9), 3)
         mask = make_random_mask(t.shape, 0.6, seed=13)
         recons = []
-        original = CPScalingOperator.reconstruct
 
-        def recording(op, x, out=None):
-            # The driver reuses its reconstruction tensor, so keep a copy.
-            result = original(op, x, out=out)
-            recons.append(result.copy())
-            return result
+        def recording(original):
+            def wrapper(*args, out=None):
+                # The driver reuses its reconstruction tensor, so keep a copy.
+                result = original(*args, out=out)
+                recons.append(result.copy())
+                return result
 
-        monkeypatch.setattr(CPScalingOperator, "reconstruct", recording)
+            return wrapper
+
+        if mode == "hybrid":
+            monkeypatch.setattr(CPScalingOperator, "reconstruct", recording(CPScalingOperator.reconstruct))
+        else:
+            monkeypatch.setattr(hybrid_l1, "reconstruct", recording(hybrid_l1.reconstruct))
         cfg = CompletionConfig(R0=5, m_max=12, eps_tol=1e-8, mode=mode, lam=0.1, seed=13)
         _, s, trace = complete(t, mask, cfg)
         assert len(recons) == len(trace) == 12
@@ -306,6 +313,28 @@ class TestComplete:
         cfg = CompletionConfig(R0=6, m_max=5, mode=mode, lam=0.5, seed=14)
         with np.errstate(over="ignore"), pytest.raises(DataError, match="observed entries overflows"):
             complete(1e160 * t, mask, cfg)
+
+    @pytest.mark.parametrize("dims, r0", [((10, 9, 8), 6), ((6, 5, 4), 12)])
+    def test_data_whose_squares_overflow_in_the_hybrid_solve_rejected(self, dims, r0):
+        # The observed entries' norm, about 1e154, squares to a finite number,
+        # but the lambda selection multiplies the imputation's squared norm by
+        # up to min(k_max, R0) steps, which overflows.
+        t = synthetic_rank(1, dims, 3, scale=1.0) * 10**153.5
+        mask = make_random_mask(dims, 0.6, seed=1)
+        assert np.isfinite(np.linalg.norm(t[mask.where]))
+        cfg = CompletionConfig(R0=r0, m_max=5, seed=1)
+        with pytest.raises(DataError, match="squared norm of the imputed data overflows"):
+            complete(t, mask, cfg)
+
+    def test_scaling_vector_whose_square_overflows_is_data_error(self):
+        # Between 10^152.9 and 10^153.2 this input once raised LinAlgError:
+        # alpha_r^2 overflowed in the MM step's Lipschitz matrix.
+        dims = (10, 9, 8)
+        t = synthetic_rank(1, dims, 3, scale=1.0) * 10**153.0
+        mask = make_random_mask(dims, 0.6, seed=1)
+        cfg = CompletionConfig(R0=6, m_max=30, seed=0)
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="squared scaling vector overflows"):
+            complete(t, mask, cfg)
 
     def test_fixed_mode_runs(self):
         t = synthetic_rank(11, (8, 8, 8), 2, scale=1.0)
@@ -565,19 +594,19 @@ class TestKernelBudget:
     contraction cannot come back unnoticed.
 
     Per iteration the MM sweep forms 3 factor Grams, one Khatri-Rao GEMM and
-    one shared partial; Q Q^T is read off the same Grams, and the new
-    reconstruction is one more.  Hybrid mode adds Q t (``rmatvec``); fixed
-    mode adds the ISTA step's reconstruction and Q times the residual.  When K > I, ``rmatvec``'s
-    mode-0 MTTKRP is a partial contraction, and ``rank_one_sum`` scales A
-    before its Khatri-Rao product, so no Khatri-Rao product is shared.
+    one shared partial; Q Q^T is read off the same Grams.  Both modes then
+    take Q t (``rmatvec``), for the coordinate problem in hybrid mode and for
+    the ISTA gradient Q Q^T alpha - Q t in fixed mode, and one reconstruction
+    from the new alpha, so the two modes run the same kernels.  When K > I,
+    ``rmatvec``'s mode-0 MTTKRP is a partial contraction, and
+    ``rank_one_sum`` scales A before its Khatri-Rao product, so no Khatri-Rao
+    product is shared.
     """
 
     BUDGET = {
-        # (K <= I, mode): (factor_gram, mttkrp_partial, mttkrp_gemm, rank_one_sum, khatri_rao)
-        (True, "hybrid"): (3, 1, 2, 1, 3),
-        (True, "fixed"): (3, 1, 2, 2, 4),
-        (False, "hybrid"): (3, 2, 1, 1, 2),
-        (False, "fixed"): (3, 2, 1, 2, 3),
+        # K <= I: (factor_gram, mttkrp_partial, mttkrp_gemm, rank_one_sum, khatri_rao)
+        True: (3, 1, 2, 1, 3),
+        False: (3, 2, 1, 1, 2),
     }
 
     @pytest.mark.parametrize("mode", ["hybrid", "fixed"])
@@ -595,17 +624,17 @@ class TestKernelBudget:
             runs.append(dict(calls))
         names = ("factor_gram", "mttkrp_partial", "mttkrp_gemm", "rank_one_sum", "khatri_rao")
         per_iteration = tuple(runs[1].get(n, 0) - runs[0].get(n, 0) for n in names)
-        assert per_iteration == self.BUDGET[dims[2] <= dims[0], mode]
-        # IJK-sized contractions: 4 in hybrid mode, 5 in fixed mode, on either side
-        assert sum(per_iteration[1:4]) == (4 if mode == "hybrid" else 5)
+        assert per_iteration == self.BUDGET[dims[2] <= dims[0]]
+        # IJK-sized contractions: 4 in either mode, on either side
+        assert sum(per_iteration[1:4]) == 4
 
     @pytest.mark.parametrize("dims", [(9, 6, 4), (4, 6, 9)], ids=["K<=I", "K>I"])
     def test_fixed_mode_products_run_over_the_nonzero_components(self, dims, monkeypatch):
-        # Between two ISTA steps come the reconstruction from the first
-        # step's alpha, the MM sweep and the second step's reconstruction.
-        # With that alpha's z zeros, all of them take R0 - z components; Q
-        # times the residual takes all R0.  The sweep still forms 3 Grams,
-        # each R0 x R0, and reads the active blocks off them.
+        # Between two ISTA steps come the MM sweep, over the first step's
+        # nonzero components, and the second step: Q t over all R0 and the
+        # reconstruction from its new alpha, over that alpha's nonzero
+        # components.  The sweep still forms 3 Grams, each R0 x R0, and reads
+        # the active blocks off them.
         r0 = 6
         log, grams = [], []
         calls = count_kernel_calls(monkeypatch, log)
@@ -624,15 +653,14 @@ class TestKernelBudget:
         widths = [log[i][1] for i in steps]
         assert len(steps) == 6 and min(widths) < r0 - 1
         assert np.diff([3] + grams).tolist() == [3] * 6  # the start's 3, then 3 per sweep
-        for start, stop, w in zip(steps, steps[1:], widths):
+        for start, stop, w, w_next in zip(steps, steps[1:], widths, widths[1:]):
             if dims[2] <= dims[0]:
                 sweep = [("mttkrp_gemm", w), ("khatri_rao", w), ("mttkrp_partial", w)]
-                q_residual = [("mttkrp_gemm", r0), ("khatri_rao", r0)]
+                q_t = [("mttkrp_gemm", r0), ("khatri_rao", r0)]
             else:
                 sweep = [("mttkrp_partial", w), ("mttkrp_gemm", w), ("khatri_rao", w)]
-                q_residual = [("mttkrp_partial", r0)]
-            reconstruction = [("khatri_rao", w)]
-            assert log[start + 1 : stop] == reconstruction + sweep + reconstruction + q_residual
+                q_t = [("mttkrp_partial", r0)]
+            assert log[start + 1 : stop] == sweep + q_t + [("khatri_rao", w_next)]
 
     @pytest.mark.parametrize("mode", ["hybrid", "fixed"])
     def test_initial_grams_formed_once(self, mode, monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cpcomplete.cp_model import CPModel, CPScalingOperator, reconstruct
-from cpcomplete.exceptions import NumericalRankError
+from cpcomplete.exceptions import DataError, NumericalRankError
 from cpcomplete.factor_updates import (
     Sweep,
     _set_unit_columns,
@@ -161,6 +161,15 @@ class TestLipschitz:
         m = random_model(8)
         m.alpha = np.zeros(m.R)
         assert lipschitz_estimate("B", Sweep(m, np.zeros(m.dims))) == np.finfo(np.float64).tiny
+
+    def test_squared_norm_at_the_overflow_edge(self):
+        m = random_model(8)
+        big = np.sqrt(np.finfo(np.float64).max)
+        m.alpha = np.array([0.5, -0.99 * big, 1.0])
+        assert np.isfinite(lipschitz_estimate("C", Sweep(m, np.zeros(m.dims))))
+        m.alpha[1] = -1.01 * big
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="squared scaling vector overflows"):
+            lipschitz_estimate("C", Sweep(m, np.zeros(m.dims)))
 
 
 class TestMMUpdate:

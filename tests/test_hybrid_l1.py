@@ -115,18 +115,50 @@ class TestIstaAlphaStep:
         assert alpha[1] != 0.0
         assert np.isclose(alpha[1], -(grad[1] - lam * np.sign(grad[1])) / (1.05 * eta))
 
-    def test_work_tensor_gives_the_same_bytes(self):
+    def test_out_gives_the_same_bytes_and_the_new_reconstruction(self):
         rng = np.random.default_rng(4)
         mats = [x / np.linalg.norm(x, axis=0) for x in rng.normal(size=(3, 5, 4))]
         m = CPModel(*mats, rng.normal(size=4))
         t = rng.normal(size=(5, 5, 5))
         op = CPScalingOperator(m, grams(m))
-        t_before = t.copy()
+        t_before, alpha_before = t.copy(), m.alpha.copy()
         expected = ista_alpha_step(m, t, 0.3, op)
-        assert np.array_equal(ista_alpha_step(m, t, 0.3, op, work=np.empty_like(t)), expected)
+        out = np.full_like(t, np.nan)
+        assert np.array_equal(ista_alpha_step(m, t, 0.3, op, out), expected)
+        assert np.array_equal(out, reconstruct(CPModel(*mats, expected)))
         assert np.array_equal(t, t_before)
-        with pytest.raises(ValueError, match="work must not share memory with t"):
-            ista_alpha_step(m, t, 0.3, op, work=t)
+        assert np.array_equal(m.alpha, alpha_before)
+        with pytest.raises(ValueError, match="out must not share memory with t"):
+            ista_alpha_step(m, t, 0.3, op, out=t)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.4])
+    @pytest.mark.parametrize("alpha_kind", ["dense", "partly zero"])
+    @pytest.mark.parametrize("dims", [(7, 6, 5), (5, 6, 7)], ids=["K<=I", "K>I"])
+    def test_matches_the_dense_oracle_step(self, dims, alpha_kind, lam):
+        # alpha - s Q (Q^T alpha - t), thresholded at lambda s, with Q formed
+        # densely and s = 1 / (STEP_SAFETY eta), eta = lambda_max(Q Q^T).
+        rng = np.random.default_rng(len(alpha_kind) + 10 * int(lam > 0) + dims[0])
+        mats = [x / np.linalg.norm(x, axis=0) for x in (rng.normal(size=(d, 4)) for d in dims)]
+        t = reconstruct(CPModel(*mats, rng.uniform(1.0, 3.0, 4))) + 0.1 * rng.normal(size=dims)
+        alpha = rng.normal(size=4)
+        if alpha_kind == "partly zero":
+            alpha[[1, 3]] = 0.0
+        m = CPModel(*mats, alpha)
+        q = build_q(m)
+        grad = q @ (alpha @ q - t.ravel())
+        step = 1.0 / (hybrid_l1.STEP_SAFETY * np.linalg.eigvalsh(q @ q.T)[-1])
+        expected = soft_threshold(alpha - step * grad, lam * step)
+
+        out = np.empty(dims)
+        new = ista_alpha_step(m, t, lam, CPScalingOperator(m, grams(m)), out)
+        assert np.linalg.norm(new - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.array_equal(new == 0.0, expected == 0.0)
+        assert np.array_equal(out, reconstruct(CPModel(*mats, new)))
+        assert np.array_equal(m.alpha, alpha)
+        # a zero component whose gradient exceeds lambda comes back
+        back = (alpha == 0.0) & (np.abs(grad) > lam)
+        assert back.sum() == (2 if alpha_kind == "partly zero" else 0)
+        assert new[back].all()
 
     def test_matches_coordinate_descent_objective(self):
         rng = np.random.default_rng(3)
