@@ -1,14 +1,17 @@
 """Compare a git revision with this checkout by alternating benchmark pairs.
 
-    python scripts/bench_pairs.py REV [--workload W ...] [--pairs N] [--seed S] [--seconds S]
+    python scripts/bench_pairs.py REV [--workload W ...] [--pairs N] [--seed S ...] [--seconds S]
 
 Extracts REV with ``git archive`` into ``base/`` in a temporary directory,
 and copies this checkout's tracked files, and its untracked files that git
 does not ignore, into ``this/`` beside it, so uncommitted edits are measured
 and both sides run from paths that differ in nothing but that name. Then,
-for each workload, it runs ``bench/run.py --trace 0`` N times in each tree,
-one process at a time, and prints one report block.  ``--workload`` may be
-repeated; without it every workload in ``BENCHMARK.json`` runs, in its order.
+for each workload and seed, it runs ``bench/run.py --trace 0`` N times in
+each tree, one process at a time, and prints one report block.
+``--workload`` may be repeated; without it every workload in
+``BENCHMARK.json`` runs, in its order.  ``--seed`` may be repeated too, so
+one export covers a claim seed and a held-out one; each workload then runs
+at every seed, in the order given (seed 0 without it).
 Each tree runs its own ``bench/run.py``; a note is printed when the two
 trees' ``bench/`` directories differ, since the comparison then mixes
 benchmark code. The first tree to run alternates from pair to pair, so a
@@ -174,7 +177,8 @@ def main(argv=None):
     parser.add_argument("--workload", action="append",
                         help="a workload of BENCHMARK.json; repeat for more (default: every one)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="the workload seed; repeat for more (default: 0)")
     parser.add_argument("--seconds", type=float, default=15.0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -189,14 +193,15 @@ def main(argv=None):
         export_tree(args.rev, base)
         copy_checkout(this)
         differs = bench_differs(base, this)
-        for i, workload in enumerate(args.workload or known):
+        blocks = [(w, seed) for w in args.workload or known for seed in args.seed or [0]]
+        for i, (workload, seed) in enumerate(blocks):
             if i:
                 print()
-            print(f"{workload}, seed {args.seed}, {args.seconds:g} s per run: "
+            print(f"{workload}, seed {seed}, {args.seconds:g} s per run: "
                   f"base = {args.rev}, this = {ROOT} with its uncommitted edits")
             if differs:
                 print("note: bench/ differs between the two trees, so each side runs different benchmark code")
-            run_pairs(base, this, workload, args.pairs, args.seed, args.seconds)
+            run_pairs(base, this, workload, args.pairs, seed, args.seconds)
     return 0
 
 

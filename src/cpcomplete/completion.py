@@ -109,15 +109,15 @@ def _init_sweep(s, r0, rng):
     return sweep
 
 
-def _coordinates(op, s, k_max):
-    """op's coordinate problem (H, c) for the imputation s.
+def _coordinates(op, s, qs, k_max):
+    """op's coordinate problem (H, c) for the imputation s, given Q s.
 
     Raises DataError when k ||c||^2 = k ||s||^2 overflows for k = min(k_max, R),
     the most steps the hybrid solve takes: WGCV's numerator reaches it at
     large lambda.  The pair is returned rather than kept in the driver, so it
     is freed when the solve returns.
     """
-    h, c = op.coordinates(s.ravel())
+    h, c = op.coordinates(s.ravel(), qs)
     if not math.isfinite(min(k_max, h.shape[1]) * float(c @ c)):
         raise DataError("the squared norm of the imputed data overflows in the lambda "
                         "selection; rescale the data")
@@ -139,7 +139,10 @@ def complete(t, mask, cfg):
     reconstruction from the new alpha, which then holds the observed
     residual.  Hybrid mode writes that reconstruction with the scaling
     operator; in fixed mode the ISTA step writes it, so one reconstruction
-    is formed per iteration in either mode.
+    is formed per iteration in either mode.  Both scaling-vector solves
+    start from Q s, which the sweep reads off the mode-C MTTKRP of its last
+    update (:meth:`~cpcomplete.factor_updates.Sweep.qt`), so the imputation
+    is contracted only by the MM sweep.
 
     Returns ``(model, s, trace)`` where ``model`` is truncated at
     ``cfg.eps_truncate`` (components sorted by descending |alpha|) and ``s``
@@ -175,13 +178,13 @@ def complete(t, mask, cfg):
         for mode in ("A", "B", "C"):
             mm_update(mode, active)
         model = sweep.model
-        op = CPScalingOperator(model, sweep.grams)
+        op, qs = CPScalingOperator(model, sweep.grams), sweep.qt()
         if cfg.mode == "hybrid":
-            alpha, lam_hist = solve_l1_hybrid(*_coordinates(op, s, cfg.hybrid.k_max), cfg.hybrid)
+            alpha, lam_hist = solve_l1_hybrid(*_coordinates(op, s, qs, cfg.hybrid.k_max), cfg.hybrid)
             lam = float(lam_hist[-1]) if lam_hist.size else float("nan")
             op.reconstruct(alpha, out=s_hat)
         else:
-            alpha = ista_alpha_step(model, s, cfg.lam, op, s_hat)
+            alpha = ista_alpha_step(model, qs, cfg.lam, op, s_hat)
             lam = cfg.lam
         model.alpha = alpha
         masked_copy(t, s_hat, mask, out=s)

@@ -90,9 +90,12 @@ class CPScalingOperator:
         ga, gb, gc = factor_grams
         self.gram = ga * gb * gc
 
-    def coordinates(self, d):
+    def coordinates(self, d, qd):
         """(H, c) with [c H] an (R+1) x (R+1) factor of the joint Gram [d Q^T]^T [d Q^T].
 
+        ``qd`` is Q d, which the completion driver reads off its MM sweep
+        (:meth:`~cpcomplete.factor_updates.Sweep.qt`) and anyone else gets
+        from :meth:`rmatvec`, so nothing IJK-sized is contracted here.
         Every inner product among d and the columns of Q^T is preserved, so
         min ||H x - c||^2 + lambda ||x||_1 is the same problem as
         min ||Q^T x - d||^2 + lambda ||x||_1, posed in R+1 coordinates.  The
@@ -103,7 +106,7 @@ class CPScalingOperator:
         r = self.A.shape[1]
         xtx = np.empty((r + 1, r + 1))
         xtx[0, 0] = d @ d
-        xtx[0, 1:] = xtx[1:, 0] = self.rmatvec(d)
+        xtx[0, 1:] = xtx[1:, 0] = qd
         xtx[1:, 1:] = self.gram
         try:
             c = np.linalg.cholesky(xtx).T

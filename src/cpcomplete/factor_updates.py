@@ -15,14 +15,22 @@ C on an (I, J, K) tensor at rank R forms:
   share;
 - one Khatri-Rao product, and a copy of only the factor each update replaces.
 
+The mode-C MTTKRP M_C = T(3) (B kr A) reads neither C nor alpha, so the
+sweep keeps it, R wide, until A, B or the tensor changes, and
+:meth:`Sweep.qt` reads the scaling operator's Q t off it,
+(Q t)_r = sum_k C[k, r] M_C[k, r], with no contraction of its own.
+
 The MM step acts on the active components, those with alpha_r != 0: a
 component with alpha_r = 0 has a zero gradient block and adds nothing to
 the block's Lipschitz constant.  :meth:`Sweep.active` gathers them once per
-sweep into a sweep over those columns, so the MTTKRPs, the shared partial,
-the gradients and the eigenproblems run over them only, and the other
-factor columns stay as they were; with alpha dense it is the sweep itself.
-Every kernel below is dense and reads the sweep it is given.  ALS solves
-for alpha, so its MTTKRPs are full width.
+sweep into a sweep over those columns, so the gradients and the
+eigenproblems run over them only, and the other factor columns stay as they
+were; with alpha dense it is the sweep itself.  Its MTTKRPs run over the
+active columns too, except the two that Q t needs R wide: mode C reads its
+columns off the full sweep's M_C, and when K <= I mode B reads its rows of
+the full sweep's partial, which M_C then reads.  Every kernel below is
+dense and reads the sweep it is given.  ALS solves for alpha, so its
+MTTKRPs are full width.
 """
 
 import math
@@ -70,9 +78,10 @@ class Sweep:
     its Gram; the other two are read as they are.  The partial contraction
     that two modes' MTTKRPs share is formed when the first reads it and
     dropped when the second does, when the tensor changes (:meth:`set_tensor`)
-    or when the factor it contracts is replaced.  Factors are replaced, never
-    written in place, so a replaced factor array keeps its old values.  The
-    MM step runs on :meth:`active`, which gathers the components with
+    or when the factor it contracts is replaced.  The mode-C MTTKRP is kept
+    until A, B or the tensor changes, for :meth:`qt`.  Factors are replaced,
+    never written in place, so a replaced factor array keeps its old values.
+    The MM step runs on :meth:`active`, which gathers the components with
     alpha_r != 0 once per sweep.
     """
 
@@ -84,7 +93,7 @@ class Sweep:
     def set_tensor(self, t):
         """Update against ``t`` from now on, keeping the model and its Grams."""
         self.t = as_tensor(t)
-        self._partial = None
+        self._partial = self._mc = None
 
     def mode_gram(self, mode):
         """W^T W for the mode, the Hadamard product of the other two factors' Grams."""
@@ -92,15 +101,38 @@ class Sweep:
         return self.grams[y] * self.grams[z]
 
     def mttkrp(self, mode):
-        """The mode's MTTKRP, T(mode) W, for the current model and tensor."""
+        """The mode's MTTKRP, T(mode) W, for the current model and tensor.
+
+        The caller must not write into it: mode C's is the one :meth:`qt` reads.
+        """
         axis, _, _ = _convention(mode)
+        if axis != 2:
+            return self._mttkrp(axis)
+        if self._mc is None:
+            self._mc = self._mttkrp(2)
+        return self._mc
+
+    def _mttkrp(self, axis):
         factors = (self.model.A, self.model.B, self.model.C)
         if axis == gemm_mode(self.t.shape):
             return mttkrp(self.t, factors, axis)
+        return mttkrp(self.t, factors, axis, self._read_partial())
+
+    def _read_partial(self):
         partial, self._partial = self._partial, None
         if partial is None:  # the first of its two readers keeps it for the second
-            partial = self._partial = mttkrp_partial(self.t, factors)
-        return mttkrp(self.t, factors, axis, partial)
+            partial = self._partial = mttkrp_partial(self.t, (self.model.A, self.model.B, self.model.C))
+        return partial
+
+    def qt(self):
+        """Q t for the model's factors and the tensor t, as
+        :meth:`~cpcomplete.cp_model.CPScalingOperator.rmatvec` gives it.
+
+        (Q t)_r = sum_k C[k, r] M_C[k, r], with M_C the mode-C MTTKRP
+        (Kolda & Bader, SIAM Review 2009, section 3), which the sweep's C
+        update has formed and kept; it is formed here only if it has not been.
+        """
+        return np.einsum("kr,kr->r", self.model.C, self.mttkrp("C"))
 
     def replace(self, mode, x, alpha=None):
         """Make ``x`` the mode's factor, and ``alpha`` the scaling vector if given.
@@ -116,6 +148,8 @@ class Sweep:
         self.grams[axis] = self._gram(mode, x)
         if axis == gemm_mode(self.t.shape):
             self._partial = None
+        if axis != 2:
+            self._mc = None
 
     def _gram(self, mode, x):
         return factor_gram(x)
@@ -127,6 +161,9 @@ class Sweep:
         columns, with blocks of this sweep's Grams, until its tensor or alpha
         changes.  Its :meth:`replace` takes no alpha and installs here a copy
         of the factor with the new columns in, so the full Gram is formed once.
+        Its mode-C MTTKRP is those columns of this sweep's, and when K <= I
+        its partial is those rows of this sweep's, so :meth:`qt` here needs
+        no contraction after its MM sweep.
         """
         cols = self.model.alpha.nonzero()[0]
         return self if cols.size == self.model.R else _Columns(self, cols)
@@ -143,6 +180,16 @@ class _Columns(Sweep):
 
     def replace(self, mode, x):  # no alpha: it is the parent's to replace
         super().replace(mode, x)
+
+    def mttkrp(self, mode):
+        if mode == "C":
+            return self.parent.mttkrp(mode)[:, self.cols]
+        return super().mttkrp(mode)
+
+    def _read_partial(self):
+        if gemm_mode(self.t.shape) == 0:  # A contracted: the parent's, which its M_C reads
+            return self.parent._read_partial()[self.cols]
+        return super()._read_partial()
 
     def _gram(self, mode, x):
         full = getattr(self.parent.model, mode).copy()

@@ -191,11 +191,15 @@ def save_ppm(img, path):
     """Write an (height, width, 3) tensor in [0, 1] as a binary P6 pixmap.
 
     Values are mapped with round-half-up and clamped to [0, 255], so data that
-    originated from 8-bit samples round-trips exactly.
+    originated from 8-bit samples round-trips exactly; +inf and -inf clamp
+    to 255 and 0.  A NaN sample has no byte and raises DataError, before
+    the file is opened.
     """
     img = as_tensor(img)
     if img.shape[2] != 3:
         raise ValueError(f"expected 3 channels, got {img.shape[2]}")
+    if np.isnan(img).any():
+        raise DataError("image contains NaN samples")
     quantized = np.clip(np.floor(img * 255.0 + 0.5), 0.0, 255.0).astype(np.uint8)
     height, width, _ = img.shape
     with open(path, "wb") as fh:

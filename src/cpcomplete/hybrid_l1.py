@@ -31,9 +31,10 @@ mode, where the soft threshold makes exact zeros.
 
 A fixed-lambda ISTA step for the CP scaling vector is provided as a baseline,
 together with the closed-form soft-threshold proximal map.  The step reads
-Q Q^T off the factor Grams, so its gradient Q Q^T alpha - Q t needs no
-IJK-sized residual; the one IJK-sized tensor it forms is the new alpha's
-reconstruction, which it writes into the driver's buffer.
+Q Q^T off the factor Grams and takes Q t from its caller, so its gradient
+Q Q^T alpha - Q t needs no IJK-sized residual or contraction; the one
+IJK-sized tensor it forms is the new alpha's reconstruction, which it
+writes into the driver's buffer.
 """
 
 import math
@@ -43,7 +44,7 @@ import numpy as np
 
 from .cp_model import reconstruct
 from .factor_updates import STEP_SAFETY
-from .tensor_ops import as_tensor, check_count, check_real
+from .tensor_ops import check_count, check_real
 
 __all__ = [
     "soft_threshold",
@@ -72,26 +73,26 @@ def soft_threshold(v, lam):
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 
 
-def ista_alpha_step(m, t, lam, op, out=None):
+def ista_alpha_step(m, qt, lam, op, out=None):
     """One thresholded-Landweber step on the scaling vector at fixed lambda.
 
     alpha <- prox(alpha - Q (Q^T alpha - t) / (s eta), lambda / (s eta)) with
     eta the largest eigenvalue of Q Q^T and s = STEP_SAFETY, the same safety
-    factor the MM factor updates use.  ``op`` is the
+    factor the MM factor updates use, for the tensor t being fitted.  ``qt``
+    is Q t, which the completion driver reads off its MM sweep
+    (:meth:`~cpcomplete.factor_updates.Sweep.qt`) and anyone else gets from
+    ``op.rmatvec(t)``; ``op`` is the
     :class:`~cpcomplete.cp_model.CPScalingOperator` of m's factors, which
-    supplies Q Q^T and Q t, so the gradient is Q Q^T alpha - Q t and Q is
-    never materialized.  The gradient and eta cover every component, so one
-    with alpha_r = 0 can come back.  When ``out``, a tensor of t's shape that
-    must not share memory with t, is given, the new alpha's reconstruction
-    is written into it, over the nonzero components only; m is left as it
+    supplies Q Q^T, so the gradient is Q Q^T alpha - Q t and neither Q nor
+    anything IJK-sized is formed for it.  The gradient and eta cover every
+    component, so one with alpha_r = 0 can come back.  When ``out``, a
+    tensor of m's dimensions, is given, the new alpha's reconstruction is
+    written into it, over the nonzero components only; m is left as it
     was.  A rank-0 model gets an empty alpha.
     """
-    t = as_tensor(t)
-    if out is not None and np.shares_memory(out, t):
-        raise ValueError("out must not share memory with t")
     eta = max(float(np.linalg.eigvalsh(op.gram).max(initial=0.0)), 1e-12)
     step = 1.0 / (STEP_SAFETY * eta)
-    grad = op.gram @ m.alpha - op.rmatvec(t)
+    grad = op.gram @ m.alpha - qt
     alpha = soft_threshold(m.alpha - step * grad, lam * step)
     if out is not None:
         reconstruct(replace(m, alpha=alpha), out=out)

@@ -269,6 +269,30 @@ def test_repeated_workloads_print_the_single_reports_in_turn(pairs_module, monke
     assert report("mor_demo", "image_fixed") == first + "\n" + second
 
 
+def test_repeated_seeds_print_the_single_reports_in_turn(pairs_module, monkeypatch, capsys):
+    costs = {0: ([1.0, 1.1], [0.9, 1.0]), 2718: ([1.2, 1.3], [1.1, 1.25])}
+    runs = []
+
+    def report(*seeds):
+        calls = stub_runner(pairs_module, monkeypatch, {
+            "base": [result(c) for s in seeds for c in costs[s][0]],
+            "this": [result(c) for s in seeds for c in costs[s][1]],
+        })
+        argv = ["HEAD~1", "--workload", "image_fixed", "--pairs", "2", "--seconds", "3"]
+        for s in seeds:
+            argv += ["--seed", str(s)]
+        assert pairs_module.main(argv) == 0
+        runs.append([c[2] for c in calls])
+        return capsys.readouterr().out
+
+    first, second = report(0), report(2718)
+    assert first.startswith("image_fixed, seed 0, 3 s per run: base = HEAD~1, this = ")
+    assert "pair 2 (this first), base/this: iter_cost 1.1/1" in first
+    assert second.startswith("image_fixed, seed 2718, 3 s per run: ")
+    assert report(0, 2718) == first + "\n" + second
+    assert runs[2] == [0] * 4 + [2718] * 4  # one seed after the other, on one export
+
+
 def test_unknown_workload_rejected(pairs_module, monkeypatch):
     stub_runner(pairs_module, monkeypatch, {"base": [], "this": []})
     with pytest.raises(SystemExit):

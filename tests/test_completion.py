@@ -68,6 +68,12 @@ class TestScalingOperator:
         assert np.allclose(op.reconstruct(m.alpha), reconstruct(m), atol=1e-12)
 
 
+def coordinates(m, d):
+    # The coordinate problem for d, with Q d from the operator's rmatvec.
+    op = CPScalingOperator(m, grams(m))
+    return op.coordinates(d, op.rmatvec(d))
+
+
 def coordinate_case(zero_column):
     # A model with one all-zero factor column makes the joint Gram singular
     # with an exact zero pivot, so its Cholesky factorization fails.
@@ -85,7 +91,7 @@ class TestCoordinates:
     @pytest.mark.parametrize("zero_column", [False, True], ids=["cholesky", "eigh"])
     def test_reproduces_joint_gram(self, zero_column):
         m, d, joint = coordinate_case(zero_column)
-        h, c = CPScalingOperator(m, grams(m)).coordinates(d)
+        h, c = coordinates(m, d)
         assert h.shape == (6, 5) and c.shape == (6,)
         factor = np.column_stack([c, h])
         assert np.abs(factor.T @ factor - joint).max() <= 1e-12 * np.abs(joint).max()
@@ -99,14 +105,14 @@ class TestCoordinates:
     def test_solve_matches_dense_problem(self, zero_column):
         m, d, _ = coordinate_case(zero_column)
         cfg = HybridConfig(k_max=m.R)
-        sol, lams = solve_l1_hybrid(*CPScalingOperator(m, grams(m)).coordinates(d), cfg)
+        sol, lams = solve_l1_hybrid(*coordinates(m, d), cfg)
         dense_sol, dense_lams = solve_l1_hybrid(build_q(m).T, d, cfg)
         assert np.abs(sol - dense_sol).max() <= 1e-12 * np.abs(dense_sol).max()
         assert np.allclose(lams, dense_lams, rtol=1e-12)
 
     def test_steps_capped_at_column_count(self):
         m, d, _ = coordinate_case(zero_column=False)
-        h, c = CPScalingOperator(m, grams(m)).coordinates(d)
+        h, c = coordinates(m, d)
         sol, lams = solve_l1_hybrid(h, c, HybridConfig(k_max=m.R))
         long_sol, long_lams = solve_l1_hybrid(h, c, HybridConfig(k_max=m.R + 10))
         assert lams.size == long_lams.size == m.R
@@ -367,6 +373,28 @@ class TestComplete:
         assert model.R == 0
         assert np.array_equal(s, np.where(mask.where, t, 0.0))
 
+    @pytest.mark.parametrize("mode", ["hybrid", "fixed"])
+    @pytest.mark.parametrize("dims", [(9, 6, 4), (4, 6, 9)], ids=["K<=I", "K>I"])
+    def test_the_solves_get_q_s_of_the_imputation(self, dims, mode, monkeypatch):
+        # Q s, read off the sweep after its MM steps, is the dense oracle's
+        # Q s for the model and the imputation the sweep has just fitted.
+        reads = []
+        qt = factor_updates.Sweep.qt
+
+        def logged_qt(sweep):
+            reads.append((sweep.model, sweep.t.copy(), qt(sweep), sweep.model.alpha.all()))
+            return reads[-1][2]
+
+        monkeypatch.setattr(factor_updates.Sweep, "qt", logged_qt)
+        cfg = CompletionConfig(R0=6, m_max=5, eps_tol=1e-12, mode=mode, lam=5.0, seed=11)
+        complete(synthetic_rank(11, dims, 2), make_random_mask(dims, 0.7, seed=11), cfg)
+        assert len(reads) == 5
+        for m, s, q_s, _ in reads:
+            expected = build_q(m) @ s.ravel()
+            assert np.linalg.norm(q_s - expected) <= 1e-12 * np.linalg.norm(expected)
+        # hybrid alpha is dense; in fixed mode the sweeps over the nonzero components ran
+        assert [dense for *_, dense in reads] == [True] + [mode == "hybrid"] * 4
+
     def test_a_zeroed_component_comes_back(self, monkeypatch):
         # On this run the fourth ISTA step zeroes alpha_3 and the fifth
         # restores it.  While alpha_r = 0 the MM sweep runs over the other
@@ -377,9 +405,9 @@ class TestComplete:
         steps, widths = [], []  # per iteration: (factors, alpha, |ISTA gradient|), MM sweep width
         ista, active = completion.ista_alpha_step, factor_updates.Sweep.active
 
-        def logged_ista(m, t, lam, op, work=None):
-            grad = np.abs(op.rmatvec(reconstruct(m) - t))
-            alpha = ista(m, t, lam, op, work)
+        def logged_ista(m, qt, lam, op, work=None):
+            grad = np.abs(op.gram @ m.alpha - qt)
+            alpha = ista(m, qt, lam, op, work)
             steps.append(([x.copy() for x in (m.A, m.B, m.C)], alpha.copy(), grad))
             return alpha
 
@@ -544,13 +572,14 @@ def count_kernel_calls(monkeypatch, log=None):
     ``factor_gram`` is one R x R GEMM; ``mttkrp_partial`` and
     ``rank_one_sum`` are one IJK-sized GEMM each, and so is ``mttkrp`` in
     its Khatri-Rao mode (counted as ``mttkrp_gemm``); ``khatri_rao`` counts
-    the Khatri-Rao products formed.
+    the Khatri-Rao products formed.  ``rmatvec`` counts the scaling
+    operator's separate Q y, whose MTTKRP is counted as well.
 
-    Given a list ``log``, each ``mttkrp_partial``, ``mttkrp_gemm`` and
-    ``khatri_rao`` call also appends (name, components) to it in call order,
-    with components the column count of the factors it reads.
-    ``rank_one_sum`` multiplies by the Khatri-Rao product it forms, so that
-    product's entry gives its width.
+    Given a list ``log``, each ``mttkrp_partial``, ``mttkrp_gemm``,
+    ``khatri_rao`` and ``rmatvec`` call also appends (name, components) to
+    it in call order, with components the column count of the factors it
+    reads.  ``rank_one_sum`` multiplies by the Khatri-Rao product it forms,
+    so that product's entry gives its width.
     """
     calls = Counter()
     log = [] if log is None else log
@@ -569,6 +598,8 @@ def count_kernel_calls(monkeypatch, log=None):
                 log.append((key, args[1][(args[2] + 1) % 3].shape[1]))
             elif key == "khatri_rao":
                 log.append((key, np.shape(args[0])[1]))
+            elif key == "rmatvec":  # args[0] is the operator
+                log.append((key, args[0].A.shape[1]))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -586,6 +617,8 @@ def count_kernel_calls(monkeypatch, log=None):
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, wrapper)
+    op = cp_model.CPScalingOperator
+    monkeypatch.setattr(op, "rmatvec", counted("rmatvec", op.rmatvec))
     return calls
 
 
@@ -595,19 +628,16 @@ class TestKernelBudget:
 
     Per iteration the MM sweep forms 3 factor Grams, one Khatri-Rao GEMM and
     one shared partial; Q Q^T is read off the same Grams.  Both modes then
-    take Q t (``rmatvec``), for the coordinate problem in hybrid mode and for
-    the ISTA gradient Q Q^T alpha - Q t in fixed mode, and one reconstruction
-    from the new alpha, so the two modes run the same kernels.  When K > I,
-    ``rmatvec``'s mode-0 MTTKRP is a partial contraction, and
-    ``rank_one_sum`` scales A before its Khatri-Rao product, so no Khatri-Rao
-    product is shared.
+    read Q s off the sweep's mode-C MTTKRP, for the coordinate problem in
+    hybrid mode and for the ISTA gradient Q Q^T alpha - Q s in fixed mode,
+    and form one reconstruction from the new alpha, so the two modes run the
+    same kernels.  ``rank_one_sum`` forms its own Khatri-Rao product, so
+    none is shared.  The scaling operator's ``rmatvec`` runs once per run,
+    for the least-squares start.
     """
 
-    BUDGET = {
-        # K <= I: (factor_gram, mttkrp_partial, mttkrp_gemm, rank_one_sum, khatri_rao)
-        True: (3, 1, 2, 1, 3),
-        False: (3, 2, 1, 1, 2),
-    }
+    # (factor_gram, mttkrp_partial, mttkrp_gemm, rank_one_sum, khatri_rao, rmatvec), on either side
+    BUDGET = (3, 1, 1, 1, 2, 0)
 
     @pytest.mark.parametrize("mode", ["hybrid", "fixed"])
     @pytest.mark.parametrize("dims", [(9, 6, 4), (4, 6, 9)], ids=["K<=I", "K>I"])
@@ -622,19 +652,22 @@ class TestKernelBudget:
             _, _, trace = complete(t, mask, cfg)
             assert len(trace) == iters
             runs.append(dict(calls))
-        names = ("factor_gram", "mttkrp_partial", "mttkrp_gemm", "rank_one_sum", "khatri_rao")
+            assert calls["rmatvec"] == 1  # the least-squares start's
+        names = ("factor_gram", "mttkrp_partial", "mttkrp_gemm", "rank_one_sum", "khatri_rao", "rmatvec")
         per_iteration = tuple(runs[1].get(n, 0) - runs[0].get(n, 0) for n in names)
-        assert per_iteration == self.BUDGET[dims[2] <= dims[0]]
-        # IJK-sized contractions: 4 in either mode, on either side
-        assert sum(per_iteration[1:4]) == 4
+        assert per_iteration == self.BUDGET
+        # IJK-sized contractions: 3 in either mode, on either side
+        assert sum(per_iteration[1:4]) == 3
 
     @pytest.mark.parametrize("dims", [(9, 6, 4), (4, 6, 9)], ids=["K<=I", "K>I"])
     def test_fixed_mode_products_run_over_the_nonzero_components(self, dims, monkeypatch):
         # Between two ISTA steps come the MM sweep, over the first step's
-        # nonzero components, and the second step: Q t over all R0 and the
-        # reconstruction from its new alpha, over that alpha's nonzero
-        # components.  The sweep still forms 3 Grams, each R0 x R0, and reads
-        # the active blocks off them.
+        # nonzero components, and the second step's reconstruction from its
+        # new alpha, over that alpha's nonzero components.  The sweep still
+        # forms 3 Grams, each R0 x R0, and reads the active blocks off them.
+        # Its mode-C MTTKRP is formed R0 wide, and so is the partial when
+        # K <= I, whose rows mode B reads; the active sweep reads their
+        # columns, and the step reads Q s off it, so no separate Q s runs.
         r0 = 6
         log, grams = [], []
         calls = count_kernel_calls(monkeypatch, log)
@@ -655,12 +688,11 @@ class TestKernelBudget:
         assert np.diff([3] + grams).tolist() == [3] * 6  # the start's 3, then 3 per sweep
         for start, stop, w, w_next in zip(steps, steps[1:], widths, widths[1:]):
             if dims[2] <= dims[0]:
-                sweep = [("mttkrp_gemm", w), ("khatri_rao", w), ("mttkrp_partial", w)]
-                q_t = [("mttkrp_gemm", r0), ("khatri_rao", r0)]
+                sweep = [("mttkrp_gemm", w), ("khatri_rao", w), ("mttkrp_partial", r0)]
             else:
-                sweep = [("mttkrp_partial", w), ("mttkrp_gemm", w), ("khatri_rao", w)]
-                q_t = [("mttkrp_partial", r0)]
-            assert log[start + 1 : stop] == sweep + q_t + [("khatri_rao", w_next)]
+                sweep = [("mttkrp_partial", w), ("mttkrp_gemm", r0), ("khatri_rao", r0)]
+            assert log[start + 1 : stop] == sweep + [("khatri_rao", w_next)]
+        assert calls["rmatvec"] == 1 and log.count(("rmatvec", r0)) == 1
 
     @pytest.mark.parametrize("mode", ["hybrid", "fixed"])
     def test_initial_grams_formed_once(self, mode, monkeypatch):

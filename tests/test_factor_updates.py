@@ -16,7 +16,7 @@ from cpcomplete.factor_updates import (
 )
 from cpcomplete.hybrid_l1 import ista_alpha_step
 from cpcomplete.tensor_ops import khatri_rao, mttkrp
-from oracles import matricize, objective
+from oracles import build_q, matricize, objective
 
 
 def random_model(seed, dims=(4, 5, 6), r=3, alpha_scale=1.0):
@@ -293,7 +293,7 @@ class TestRegularizedALS:
     def test_rank_zero_model_ista_step_gives_empty_alpha(self):
         m = CPModel(np.zeros((4, 0)), np.zeros((5, 0)), np.zeros((6, 0)), np.zeros(0))
         sweep = Sweep(m, np.ones((4, 5, 6)))
-        alpha = ista_alpha_step(m, sweep.t, 0.1, CPScalingOperator(m, sweep.grams))
+        alpha = ista_alpha_step(m, sweep.qt(), 0.1, CPScalingOperator(m, sweep.grams))
         assert alpha.shape == (0,)
 
     def test_singular_system_raises(self):
@@ -429,7 +429,8 @@ class TestSweepExactOracle:
 @pytest.mark.parametrize("dims", [(7, 5, 3), (3, 5, 7)], ids=["K<=I", "K>I"])
 def test_sweep_products_stay_current_in_any_order(dims):
     # updates, reads and tensor changes in random order: every MTTKRP and Gram
-    # the sweep hands out equals one formed afresh from its current state
+    # the sweep hands out equals one formed afresh from its current state,
+    # and its Q t the dense oracle's
     # (alpha_1 = 0, but the MM steps run on the full sweep, so they read
     # full-width MTTKRPs; test_active_sweep_writes_through covers the
     # active-column sweep)
@@ -444,6 +445,7 @@ def test_sweep_products_stay_current_in_any_order(dims):
             m = sweep.model
             fresh = mttkrp(sweep.t, (m.A, m.B, m.C), "ABC".index(mode))
             assert np.array_equal(sweep.mttkrp(mode), fresh)
+            TestQtReadOffTheSweep.assert_matches(sweep)
         elif action == 1:
             mm_update(mode, sweep)
         else:
@@ -458,8 +460,9 @@ def test_active_sweep_writes_through(dims):
     # alpha_1 = 0, so the active sweep holds components 0, 2 and 3.  MM steps
     # and MTTKRP reads in random order: its factors and Grams stay the
     # active columns and blocks of the full sweep's, the full Grams are
-    # formed afresh from the full factors, column 1 keeps its bits, and
-    # every MTTKRP equals one formed afresh from the active factors.
+    # formed afresh from the full factors, column 1 keeps its bits, every
+    # MTTKRP equals one formed afresh from the active factors, and the full
+    # sweep's Q t is the dense oracle's.
     rng = np.random.default_rng(42)
     m = random_model(43, dims, r=4)
     dense = Sweep(m, np.zeros(dims))
@@ -473,6 +476,7 @@ def test_active_sweep_writes_through(dims):
             part = active.model
             fresh = mttkrp(sweep.t, (part.A, part.B, part.C), "ABC".index(mode))
             assert np.array_equal(active.mttkrp(mode), fresh)
+            TestQtReadOffTheSweep.assert_matches(sweep)
         else:
             mm_update(mode, active)
         full, part = sweep.model, active.model
@@ -485,3 +489,52 @@ def test_active_sweep_writes_through(dims):
     assert not np.array_equal(full.A, m.A)
     with pytest.raises(TypeError):  # alpha is the full sweep's to replace
         active.replace("A", part.A, part.alpha)
+
+
+class TestQtReadOffTheSweep:
+    """``Sweep.qt`` against the dense ``build_q(model) @ t``, to 1e-12
+    relative: after MM sweeps run as the driver runs them (through
+    ``active()``, with alpha dense or partly zero), after a second sweep on
+    the same tensor, after a tensor change with no sweep in between, and
+    after ALS sweeps; the two random-order sweep tests above read it too.
+    A mode-C MTTKRP kept past a change of A, B or the tensor reads off the
+    old one."""
+
+    @staticmethod
+    def assert_matches(sweep):
+        expected = build_q(sweep.model) @ sweep.t.ravel()
+        assert np.linalg.norm(sweep.qt() - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("dims", [(7, 5, 3), (3, 5, 7)], ids=["K<=I", "K>I"])
+    @pytest.mark.parametrize("alpha_kind", ["dense", "partly zero"])
+    def test_after_mm_sweeps_in_the_driver_order(self, dims, alpha_kind):
+        rng = np.random.default_rng(50)
+        m = random_model(51, dims, r=5)
+        if alpha_kind == "partly zero":
+            m.alpha[[1, 3]] = 0.0
+        sweep = Sweep(m, rng.normal(size=dims))
+        for t in (None, rng.normal(size=dims)):  # a second pass on a new tensor
+            if t is not None:
+                sweep.set_tensor(t)
+            for _ in range(2):  # two sweeps on one tensor
+                active = sweep.active()
+                assert (active is sweep) == (alpha_kind == "dense")
+                for mode in "ABC":
+                    mm_update(mode, active)
+                self.assert_matches(sweep)
+        sweep.set_tensor(rng.normal(size=dims))  # between the sweep and the read
+        self.assert_matches(sweep)
+
+    @pytest.mark.parametrize("dims", [(7, 5, 3), (3, 5, 7)], ids=["K<=I", "K>I"])
+    def test_after_als_sweeps(self, dims):
+        rng = np.random.default_rng(52)
+        m = random_model(53, dims, r=4)
+        m.alpha[2] = 0.0
+        sweep = Sweep(m, rng.normal(size=dims))
+        for mode in "ABC":
+            mm_update(mode, sweep.active())
+        for _ in range(2):
+            regularized_als_step(sweep, 1e-3)
+            self.assert_matches(sweep)
+        sweep.set_tensor(rng.normal(size=dims))
+        self.assert_matches(sweep)

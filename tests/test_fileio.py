@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,20 @@ class TestPixmaps:
         with pytest.raises(ValueError, match=f"expected 3 channels, got {channels}"):
             save_ppm(np.zeros((2, 2, channels)), tmp_path / "x.ppm")
         assert not (tmp_path / "x.ppm").exists()
+
+    def test_save_rejects_nan(self, tmp_path):
+        img = np.full((2, 2, 3), 0.5)
+        img[1, 0, 2] = np.nan
+        with pytest.raises(DataError, match="NaN"):
+            save_ppm(img, tmp_path / "x.ppm")
+        assert not (tmp_path / "x.ppm").exists()
+
+    def test_save_clamps_infinities(self, tmp_path):
+        img = np.array([[[np.inf, -np.inf, 2.0], [-1.0, 0.0, 1.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            save_ppm(img, tmp_path / "x.ppm")
+        assert (tmp_path / "x.ppm").read_bytes() == b"P6\n2 1\n255\n" + bytes([255, 0, 255, 0, 0, 255])
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -85,8 +85,8 @@ class TestIstaAlphaStep:
         b = np.linalg.qr(rng.normal(size=(7, 3)))[0]
         c = np.linalg.qr(rng.normal(size=(8, 3)))[0]
         m = CPModel(a, b, c, rng.uniform(1, 2, 3))
-        t = reconstruct(m)
-        out = ista_alpha_step(m, t, 0.0, CPScalingOperator(m, grams(m)))
+        op = CPScalingOperator(m, grams(m))
+        out = ista_alpha_step(m, op.rmatvec(reconstruct(m)), 0.0, op)
         assert np.allclose(out, m.alpha, atol=1e-12)
 
     def test_full_shrinkage_far_above_correlations(self):
@@ -95,8 +95,8 @@ class TestIstaAlphaStep:
             *(x / np.linalg.norm(x, axis=0) for x in rng.normal(size=(3, 5, 2))),
             np.zeros(2),
         )
-        t = rng.normal(size=(5, 5, 5))
-        out = ista_alpha_step(m, t, 1e9, CPScalingOperator(m, grams(m)))
+        op = CPScalingOperator(m, grams(m))
+        out = ista_alpha_step(m, op.rmatvec(rng.normal(size=(5, 5, 5))), 1e9, op)
         assert not out.any()
 
     def test_zero_component_with_a_large_gradient_comes_back(self):
@@ -111,7 +111,7 @@ class TestIstaAlphaStep:
         grad = build_q(m) @ (reconstruct(m) - t).ravel()
         lam = 0.1
         assert abs(grad[1]) > lam  # outside the threshold lam / (s eta) of the step
-        alpha = ista_alpha_step(m, t, lam, op)
+        alpha = ista_alpha_step(m, op.rmatvec(t), lam, op)
         assert alpha[1] != 0.0
         assert np.isclose(alpha[1], -(grad[1] - lam * np.sign(grad[1])) / (1.05 * eta))
 
@@ -121,15 +121,16 @@ class TestIstaAlphaStep:
         m = CPModel(*mats, rng.normal(size=4))
         t = rng.normal(size=(5, 5, 5))
         op = CPScalingOperator(m, grams(m))
-        t_before, alpha_before = t.copy(), m.alpha.copy()
-        expected = ista_alpha_step(m, t, 0.3, op)
+        qt = op.rmatvec(t)
+        qt_before, alpha_before = qt.copy(), m.alpha.copy()
+        expected = ista_alpha_step(m, qt, 0.3, op)
         out = np.full_like(t, np.nan)
-        assert np.array_equal(ista_alpha_step(m, t, 0.3, op, out), expected)
+        assert np.array_equal(ista_alpha_step(m, qt, 0.3, op, out), expected)
         assert np.array_equal(out, reconstruct(CPModel(*mats, expected)))
-        assert np.array_equal(t, t_before)
+        assert np.array_equal(qt, qt_before)
         assert np.array_equal(m.alpha, alpha_before)
-        with pytest.raises(ValueError, match="out must not share memory with t"):
-            ista_alpha_step(m, t, 0.3, op, out=t)
+        with pytest.raises(ValueError, match="out must be a C-contiguous float64 array of shape"):
+            ista_alpha_step(m, qt, 0.3, op, out=np.empty((5, 5, 4)))
 
     @pytest.mark.parametrize("lam", [0.0, 0.4])
     @pytest.mark.parametrize("alpha_kind", ["dense", "partly zero"])
@@ -150,7 +151,8 @@ class TestIstaAlphaStep:
         expected = soft_threshold(alpha - step * grad, lam * step)
 
         out = np.empty(dims)
-        new = ista_alpha_step(m, t, lam, CPScalingOperator(m, grams(m)), out)
+        op = CPScalingOperator(m, grams(m))
+        new = ista_alpha_step(m, op.rmatvec(t), lam, op, out)
         assert np.linalg.norm(new - expected) <= 1e-12 * np.linalg.norm(expected)
         assert np.array_equal(new == 0.0, expected == 0.0)
         assert np.array_equal(out, reconstruct(CPModel(*mats, new)))
@@ -169,8 +171,9 @@ class TestIstaAlphaStep:
         lam = 0.5
         work = copy.deepcopy(m)
         op = CPScalingOperator(work, grams(work))
+        qt = op.rmatvec(t_tensor)
         for _ in range(500):
-            work.alpha = ista_alpha_step(work, t_tensor, lam, op)
+            work.alpha = ista_alpha_step(work, qt, lam, op)
         q = build_q(work)
         t = t_tensor.ravel()
         oracle_alpha = cd_lasso(q, t, lam)
