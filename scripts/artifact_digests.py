@@ -31,7 +31,8 @@ print the same lines wrote byte-identical artifacts.
 With ``--against DIR``, where DIR holds the artifacts of another tree kept
 with ``--keep``, each artifact whose bytes differ from DIR's copy is also
 read back as numbers (CPM1, MAT1, TNS3 and MSK3 through the package's
-readers, the numeric columns of a CSV, the samples of a PPM) and the largest
+readers, the numeric columns of a CSV or of a gnuplot ``.dat`` report, the
+samples of a PPM) and the largest
 absolute and elementwise relative differences are printed, so a change that
 moves the outputs shows how far.  The last line then reads "N of M
 artifacts differ", where an artifact found in only one of the two trees
@@ -102,8 +103,12 @@ def numbers(path):
         return fileio.load_mask(path).observed.astype(float)
     if path.suffix == ".ppm":
         return np.rint(fileio.load_ppm(path) * 255.0)
-    if path.suffix == ".csv":
-        _, rows = fileio.read_csv_columns(path)
+    if path.suffix in (".csv", ".dat"):
+        if path.suffix == ".csv":
+            _, rows = fileio.read_csv_columns(path)
+        else:  # gnuplot data: whitespace-separated values under a "#" header
+            lines = path.read_text().splitlines()
+            rows = [line.split() for line in lines if line.strip() and not line.lstrip().startswith("#")]
         columns = []
         for col in zip(*rows):
             try:

@@ -10,11 +10,14 @@ preconditioner is absorbed by a flexible Golub-Kahan process that maintains
     H^T U_{k+1} = V_{k+1} T_{k+1}   (T upper triangular)
 
 with orthonormal U, V and P_k = [L_1^{-1} v_1, ..., L_k^{-1} v_k].  The process
-builds M_k, :class:`ProjectedProblem` holds its SVD, and the projected
-Tikhonov solve and the choice of lambda by weighted generalized cross
-validation read only that SVD.  The choice evaluates the WGCV curve once, on
-a 200-point grid, and places lambda by one parabolic step in log lambda
-through the grid minimum and its two neighbours.
+builds M_k, :class:`ProjectedProblem` holds its singular values and vectors,
+and the projected Tikhonov solve and the choice of lambda by weighted
+generalized cross validation read only those.  They come from the
+eigendecomposition of the (k+1) x (k+1) Gram M_k M_k^T, or from the SVD of
+M_k when that Gram cannot resolve M_k's smallest singular value.  The choice
+evaluates the WGCV curve once, on a 200-point grid, and places lambda by one
+parabolic step in log lambda through the grid minimum and its two
+neighbours.
 
 What the solver returns is an IRN-weighted Tikhonov iterate, not the lasso
 minimizer: the projected Tikhonov solution at the last WGCV lambda after
@@ -246,15 +249,54 @@ def fgk_expand(state, h, weights=None):
     return state
 
 
+# ProjectedProblem takes the SVD of M when the Gram's k-th eigenvalue is at
+# most this fraction of its largest; its docstring gives the reason.
+_GRAM_MIN_RATIO = 1e-8
+
+
 class ProjectedProblem:
     """min_q ||M q - beta1 e1||^2 + lambda ||q||^2 for a (k+1) x k matrix M, as
-    the SVD M = W diag(s) V^T with s^2, vt = V^T, c = beta1 W^T e1, c^2 and
-    rho2 = ||beta1 e1||^2 - ||c||^2, the part of beta1 e1 outside range(M)."""
+    M = W diag(s) V^T with s^2, vt = V^T, c = beta1 W^T e1, c^2 and rho2, the
+    squared norm of the part of beta1 e1 outside range(M).
+
+    The factors come from ``eigh`` of the (k+1) x (k+1) Gram M M^T: s^2 are
+    its k largest eigenvalues in descending order and W their eigenvectors,
+    so V^T = diag(1/s) W^T M, and the remaining eigenvector w_0 spans the
+    left null space of M, so rho2 = (beta1 w_0[0])^2, with none of the
+    cancellation of beta1^2 - ||c||^2.
+
+    When the Gram cannot resolve the spectrum, the factors are the SVD of M,
+    with rho2 = max(beta1^2 - ||c||^2, 0): for k = 0, for a Gram that is not
+    finite (M near overflow), and when the k-th eigenvalue is at most
+    ``_GRAM_MIN_RATIO`` = 1e-8 times the largest.  ``eigh`` resolves each
+    eigenvalue to an absolute error of about eps * lambda_max, so at that
+    ratio a kept singular value is still good to about eps / (2 * 1e-8),
+    some 1e-8 relative, the level of rounding changes the solver already
+    absorbs, and the kept eigenvectors stay 1e-8 lambda_max away from the
+    null vector's eigenvalue.  Below it the Gram has squared away the digits
+    the small singular values need.  The solver's own problems sit well
+    above it (sigma_min^2 / sigma_max^2 >= 2.7e-7 on the criterion-7
+    instances and the MOR demo).  The guard is a ratio, so the choice does
+    not depend on the data's units.
+    """
 
     __slots__ = ("k", "s", "s2", "c", "c2", "vt", "rho2")
 
     def __init__(self, m, beta1):
-        self.k = m.shape[1]
+        self.k = k = m.shape[1]
+        gram = m @ m.T
+        # eigh fails on an overflowed Gram; the SVD below handles such an M
+        if k and np.isfinite(gram).all():
+            evals, evecs = np.linalg.eigh(gram)
+            # eigh sorts ascending: the k largest in descending order, then w_0
+            s2, w = evals[:0:-1], evecs[:, :0:-1]
+            if s2[-1] > _GRAM_MIN_RATIO * s2[0]:
+                self.s2, self.s = s2, np.sqrt(s2)
+                self.vt = (w.T @ m) / self.s[:, None]
+                self.c = beta1 * w[0]
+                self.c2 = self.c * self.c
+                self.rho2 = float(beta1 * evecs[0, 0]) ** 2
+                return
         w, self.s, self.vt = np.linalg.svd(m, full_matrices=False)
         self.c = beta1 * w[0]
         self.s2 = self.s * self.s
@@ -263,7 +305,8 @@ class ProjectedProblem:
 
 
 def projected_tikhonov(problem, lam):
-    """Minimizer q of the :class:`ProjectedProblem` at ``lam`` > 0 via its SVD.
+    """Minimizer q of the :class:`ProjectedProblem` at ``lam`` > 0 from its
+    singular values and vectors.
 
     The full-space solution is s = P q.
     """
@@ -293,7 +336,8 @@ def _wgcv_curve(problem, omega, lams):
 
 
 def wgcv_select(problem, omega):
-    """Weighted GCV choice of lambda on a :class:`ProjectedProblem`.
+    """Weighted GCV choice of lambda on a :class:`ProjectedProblem`, read off
+    its s^2, c^2 and rho2.
 
     Evaluates k * ||(I - M Phi_lam) beta1 e1||^2 / trace(I - omega M Phi_lam)^2
     on a 200-point logarithmic grid spanning [1e-10, 1] * sigma_max(M) and
@@ -347,9 +391,9 @@ def solve_l1_hybrid(h, d, cfg):
     :class:`HybridConfig` ``cfg``; returns (s, lambda_history).
 
     Per step: refresh L from the current iterate (identity before one
-    exists), expand the flexible Golub-Kahan factorization, take the SVD of
-    the projected problem once, pick lambda by WGCV, solve the projected
-    Tikhonov problem and map back through P.
+    exists), expand the flexible Golub-Kahan factorization, factor the
+    projected problem once (:class:`ProjectedProblem`), pick lambda by WGCV,
+    solve the projected Tikhonov problem and map back through P.
     Stops after min(k_max, n) steps for an n-column H or on breakdown.  So s
     is an IRN-weighted Tikhonov iterate at the last lambda, not the
     minimizer of ||H s - d||^2 + lambda ||s||_1 (see the module docstring).

@@ -46,6 +46,19 @@ def test_changed_missing_and_extra_artifacts_differ(tmp_path, digests, capsys):
     ]
 
 
+def test_gnuplot_reports_are_read_as_numbers(tmp_path, digests, capsys):
+    # The "report" command's .dat output: a "#" header, then whitespace-
+    # separated columns, every one of them numeric.
+    ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+    write(ours, {"hybrid.dat": "# iteration residual lambda\n1 0.5 2.0\n2 0.25 4.0\n"})
+    write(theirs, {"hybrid.dat": "# iteration residual lambda\n1 0.5 2.0\n2 0.2 5.0\n"})
+    assert digests.numbers(ours / "hybrid.dat").tolist() == [[1.0, 0.5, 2.0], [2.0, 0.25, 4.0]]
+    assert digests.differences(ours, theirs) == (1, 1)
+    assert capsys.readouterr().out.splitlines() == [
+        "hybrid.dat: max abs diff 1, max rel diff 0.2 over 6 numbers"
+    ]
+
+
 def test_exit_status_is_the_comparison(tmp_path, digests, capsys, monkeypatch):
     # With the CLI runs stubbed out, the artifacts are the inputs the script
     # writes itself, which is enough to drive the --against path end to end.

@@ -499,7 +499,7 @@ class TestDegenerateInputs:
     def branches(self, monkeypatch):
         seen = Counter()
         init, expand, solve = hybrid_l1.fgk_init, hybrid_l1.fgk_expand, completion.solve_l1_hybrid
-        mm, eigh = completion.mm_update, np.linalg.eigh
+        mm, cholesky = completion.mm_update, np.linalg.cholesky
 
         def fgk_init(h, d):
             state = init(h, d)
@@ -523,15 +523,20 @@ class TestDegenerateInputs:
             seen["mm identity"] += after is before
             return after
 
-        def eigenvalue_factor(a, *args, **kwargs):
-            seen["eigenvalue factor"] += 1
-            return eigh(a, *args, **kwargs)
+        def cholesky_or_eigenvalue_factor(a, *args, **kwargs):
+            # CPScalingOperator.coordinates, the only Cholesky caller, takes
+            # the eigenvalue square root when the factorization fails
+            try:
+                return cholesky(a, *args, **kwargs)
+            except np.linalg.LinAlgError:
+                seen["eigenvalue factor"] += 1
+                raise
 
         monkeypatch.setattr(hybrid_l1, "fgk_init", fgk_init)
         monkeypatch.setattr(hybrid_l1, "fgk_expand", fgk_expand)
         monkeypatch.setattr(completion, "solve_l1_hybrid", solve_l1_hybrid)
         monkeypatch.setattr(completion, "mm_update", mm_update)
-        monkeypatch.setattr(np.linalg, "eigh", eigenvalue_factor)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky_or_eigenvalue_factor)
         return seen
 
     @pytest.mark.parametrize("mode", ["hybrid", "fixed"])

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import re
 
@@ -668,6 +669,132 @@ class TestWGCVExactOracle:
                 wgcv_select(ProjectedProblem(m_mat, beta1), 1.0)
 
 
+def svd_oracle(m_mat, beta1):
+    # The projected problem from the SVD of M, with rho2 = beta1^2 - ||c||^2.
+    problem = object.__new__(ProjectedProblem)
+    problem.k = m_mat.shape[1]
+    w, problem.s, problem.vt = np.linalg.svd(m_mat, full_matrices=False)
+    problem.c = beta1 * w[0]
+    problem.s2 = problem.s * problem.s
+    problem.c2 = problem.c * problem.c
+    problem.rho2 = max(beta1**2 - float(problem.c @ problem.c), 0.0)
+    return problem
+
+
+def fgk_problems():
+    # 240 projected problems as the solver builds them: k = 1..60 four times
+    # over, flexible Golub-Kahan on a random (k+15) x (k+5) H with IRN
+    # weights spread over 0-4 decades, which scale M's columns, and beta1
+    # over 6 decades.  On these sigma_min^2 / sigma_max^2 >= 1.0e-7 and
+    # rho2 / beta1^2 >= 0.026, like the solver's own problems.
+    for seed in range(240):
+        rng = np.random.default_rng(seed)
+        k, decades = 1 + seed % 60, seed % 5
+        n = k + 5
+        h = rng.normal(size=(n + 10, n))
+        state = fgk_init(h, rng.normal(size=n + 10) * 10.0 ** rng.uniform(-3.0, 3.0))
+        for _ in range(k):
+            fgk_expand(state, h, 10.0 ** rng.uniform(0.0, decades, n) if decades else None)
+        omega = 1.0 if seed % 8 == 0 else 1.0 - rng.uniform()
+        yield seed, state.M.copy(), state.beta1, omega
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The shapes np.linalg.svd is called with, in order."""
+    calls, real_svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or real_svd(a, **kw))
+    return calls
+
+
+class TestProjectedProblemPaths:
+    def test_gram_path_agrees_with_the_svd(self, svd_calls):
+        # Measured worst cases over this set: s^2 3.3e-11 relative,
+        # c^2 and rho2 1.5e-11 relative to beta1^2, q 1.4e-10 relative and
+        # lambda 3.4e-10 relative; the tolerances leave about 30x.
+        for seed, m_mat, beta1, omega in fgk_problems():
+            problem = ProjectedProblem(m_mat, beta1)
+            assert svd_calls == [], seed
+            oracle = svd_oracle(m_mat, beta1)
+            svd_calls.clear()
+            assert grid_curve(problem, omega)[1].argmin() == grid_curve(oracle, omega)[1].argmin(), seed
+            lam = wgcv_select(oracle, omega)
+            assert wgcv_select(problem, omega) == pytest.approx(lam, rel=1e-8), seed
+            assert problem.s2 == pytest.approx(oracle.s2, rel=1e-9), seed
+            assert np.abs(problem.c2 - oracle.c2).max() <= 1e-9 * beta1**2, seed
+            assert abs(problem.rho2 - oracle.rho2) <= 1e-9 * beta1**2, seed
+            q, ref = projected_tikhonov(problem, lam), projected_tikhonov(oracle, lam)
+            assert np.linalg.norm(q - ref) <= 1e-8 * np.linalg.norm(ref), seed
+
+    @pytest.mark.parametrize("kind", ["hessenberg", "zero", "rank-deficient", "gram-overflows"])
+    def test_ill_conditioned_m_takes_the_svd_bit_for_bit(self, kind, svd_calls):
+        if kind == "hessenberg":
+            # k = 1 has one singular value, so only k >= 2 is ill-conditioned
+            cases = [(m_mat, beta1) for _, problem, m_mat, beta1, _ in hessenberg_problems() if problem.k >= 2]
+        elif kind == "zero":
+            cases = [(np.zeros((k + 1, k)), 1.5) for k in (1, 2, 7)]
+        elif kind == "rank-deficient":
+            rng = np.random.default_rng(3)
+            cases = []
+            for k in (2, 5, 12):
+                m_mat = np.triu(rng.normal(size=(k + 1, k)), -1)
+                m_mat[:, -1] = m_mat[:, :-1] @ rng.normal(size=k - 1)
+                cases.append((m_mat, 0.7))
+        else:
+            # M is finite but its Gram is not, and s^2 overflows as before
+            cases = [(1e160 * m_mat, beta1) for _, m_mat, beta1, _ in itertools.islice(fgk_problems(), 20)]
+        start = len(svd_calls)  # hessenberg_problems() takes SVDs of its own
+        for i, (m_mat, beta1) in enumerate(cases):
+            with np.errstate(over="ignore", invalid="ignore"):
+                problem = ProjectedProblem(m_mat, beta1)
+                oracle = svd_oracle(m_mat, beta1)
+            assert svd_calls[-2:] == [m_mat.shape] * 2, i  # the problem's, then the oracle's
+            for name in ("s", "s2", "c", "c2", "vt"):
+                assert np.array_equal(getattr(problem, name), getattr(oracle, name)), (i, name)
+            assert problem.rho2 == oracle.rho2, i
+        assert len(svd_calls) - start == 2 * len(cases)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_scaling_m_selects_the_same_path(self, scale, svd_calls):
+        cases = [(m_mat, beta1) for _, m_mat, beta1, _ in fgk_problems()]
+        cases += [(m_mat, beta1) for _, _, m_mat, beta1, _ in hessenberg_problems()]
+        fallbacks = 0
+        for i, (m_mat, beta1) in enumerate(cases):
+            before = len(svd_calls)
+            ProjectedProblem(m_mat, beta1)
+            fallback = len(svd_calls) - before
+            ProjectedProblem(scale * m_mat, beta1)
+            assert len(svd_calls) - before == 2 * fallback, i
+            fallbacks += fallback
+        # every FGK problem takes the Gram, every k >= 2 Hessenberg one the SVD
+        assert fallbacks == 236
+
+    def test_null_vector_rho2_is_as_accurate_as_the_difference(self):
+        # FGK run to the breakdown at n steps on d = H x + noise, so rho2 is
+        # the least-squares residual, 1e-9 to 1e-19 of beta1^2.  mpmath at 60
+        # digits gives the reference; beta1^2 - ||c||^2 loses all its digits
+        # on the last problems, the null vector keeps about 12.
+        mpmath = pytest.importorskip("mpmath")
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            n = 4 + seed
+            h = rng.normal(size=(n + 6, n))
+            d = h @ rng.normal(size=n) + 10.0 ** (-4 - seed) * rng.normal(size=n + 6)
+            state = fgk_init(h, d)
+            for _ in range(n):
+                fgk_expand(state, h, 10.0 ** rng.uniform(0.0, 2.0, n))
+            m_mat, beta1 = state.M, state.beta1
+            with mpmath.workdps(60):
+                a = mpmath.matrix(m_mat.tolist())
+                b = mpmath.matrix([beta1] + [0.0] * n)
+                r = a * mpmath.lu_solve(a.T * a, a.T * b) - b
+                ref = float(sum(x * x for x in r))
+            assert ref < 1e-8 * beta1**2, seed
+            gram_err = abs(ProjectedProblem(m_mat, beta1).rho2 - ref) / ref
+            svd_err = abs(svd_oracle(m_mat, beta1).rho2 - ref) / ref
+            assert gram_err <= min(svd_err, 1e-10), seed
+
+
 class TestSolveHybrid:
     def test_identity_recovers_sparse_nonnegative(self):
         rng = np.random.default_rng(12)
@@ -716,29 +843,37 @@ class TestSolveHybrid:
 
     @pytest.mark.parametrize("omega", [0.5])
     @pytest.mark.parametrize("k_max, stop", [(20, "breakdown"), (4, "k_max")])
-    def test_one_projected_svd_per_expansion(self, monkeypatch, omega, k_max, stop):
+    def test_one_projected_factorization_per_expansion(self, monkeypatch, omega, k_max, stop):
         # A 12 x 7 H breaks down at its 7th step; k_max=4 stops the run first.
+        # Each step factors its projected problem once: eigh of the
+        # (k+1) x (k+1) Gram, which resolves this well-conditioned M, so the
+        # SVD fallback never runs.
         rng = np.random.default_rng(16)
         h = rng.normal(size=(12, 7))
         d = rng.normal(size=12)
-        expansions, svds = [], []
-        real_expand, real_svd = hybrid_l1.fgk_expand, np.linalg.svd
+        expansions, factorizations = [], []
+        real_expand, real_eigh, real_svd = hybrid_l1.fgk_expand, np.linalg.eigh, np.linalg.svd
 
         def expand(state, h, weights=None):
             state = real_expand(state, h, weights)
             expansions.append(state.breakdown)
             return state
 
+        def eigh(*args, **kwargs):
+            factorizations.append(("eigh", args[0].shape))
+            return real_eigh(*args, **kwargs)
+
         def svd(*args, **kwargs):
-            svds.append(args[0].shape)
+            factorizations.append(("svd", args[0].shape))
             return real_svd(*args, **kwargs)
 
         monkeypatch.setattr(hybrid_l1, "fgk_expand", expand)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         monkeypatch.setattr(np.linalg, "svd", svd)
         _, lams = solve_l1_hybrid(h, d, HybridConfig(k_max=k_max, omega=omega))
         steps = 7 if stop == "breakdown" else k_max
         assert expansions == [False] * (steps - 1) + [stop == "breakdown"]
-        assert svds == [(k + 1, k) for k in range(1, steps + 1)]
+        assert factorizations == [("eigh", (k + 1, k + 1)) for k in range(1, steps + 1)]
         assert lams.size == steps
         assert (lams > 0.0).all()  # through the breakdown too
 
