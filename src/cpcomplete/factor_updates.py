@@ -52,9 +52,11 @@ _MODES = {
     "C": (2, 0, 1),
 }
 
-# Gradient steps are 1 / (STEP_SAFETY * L) for a Lipschitz constant L; a factor
-# above 1 keeps the step strictly inside the majorizer's descent range.
+# Gradient steps are 1 / (STEP_SAFETY * L) for a Lipschitz constant L floored at
+# CURVATURE_FLOOR, which only keeps the step finite; a safety factor above 1
+# keeps the step strictly inside the majorizer's descent range.
 STEP_SAFETY = 1.05
+CURVATURE_FLOOR = np.finfo(np.float64).tiny
 
 
 def _convention(mode):
@@ -75,10 +77,11 @@ class Sweep:
 
     ``model`` is the current model and ``grams`` its factor Grams
     [A^T A, B^T B, C^T C].  :meth:`replace` installs a new factor and forms
-    its Gram; the other two are read as they are.  The partial contraction
-    that two modes' MTTKRPs share is formed when the first reads it and
-    dropped when the second does, when the tensor changes (:meth:`set_tensor`)
-    or when the factor it contracts is replaced.  The mode-C MTTKRP is kept
+    its Gram; the other two are read as they are.  A new alpha, which no
+    product depends on, is assigned to ``model.alpha``.  The partial
+    contraction that two modes' MTTKRPs share is formed when the first reads
+    it and dropped when the second does, when the tensor changes
+    (:meth:`set_tensor`) or when the factor it contracts is replaced.  The mode-C MTTKRP is kept
     until A, B or the tensor changes, for :meth:`qt`.  Factors are replaced,
     never written in place, so a replaced factor array keeps its old values.
     The MM step runs on :meth:`active`, which gathers the components with
@@ -134,17 +137,14 @@ class Sweep:
         """
         return np.einsum("kr,kr->r", self.model.C, self.mttkrp("C"))
 
-    def replace(self, mode, x, alpha=None):
-        """Make ``x`` the mode's factor, and ``alpha`` the scaling vector if given.
-
-        The new model shares the other factors (and alpha, if not given) with
-        the old one.
-        """
+    def replace(self, mode, x):
+        """Make ``x`` the mode's factor, in a new model that shares the other
+        factors and alpha with the old one."""
         axis, _, _ = _convention(mode)
         m = self.model
         factors = [m.A, m.B, m.C]
         factors[axis] = x
-        self.model = CPModel(*factors, m.alpha if alpha is None else alpha)
+        self.model = CPModel(*factors, m.alpha)
         self.grams[axis] = self._gram(mode, x)
         if axis == gemm_mode(self.t.shape):
             self._partial = None
@@ -159,8 +159,8 @@ class Sweep:
 
         With alpha dense that is this sweep; otherwise a sweep over those
         columns, with blocks of this sweep's Grams, until its tensor or alpha
-        changes.  Its :meth:`replace` takes no alpha and installs here a copy
-        of the factor with the new columns in, so the full Gram is formed once.
+        changes.  Its :meth:`replace` installs here a copy of the factor with
+        the new columns in, so the full Gram is formed once.
         Its mode-C MTTKRP is those columns of this sweep's, and when K <= I
         its partial is those rows of this sweep's, so :meth:`qt` here needs
         no contraction after its MM sweep.
@@ -177,9 +177,6 @@ class _Columns(Sweep):
         self.model = CPModel(*(x.take(cols, axis=1) for x in (m.A, m.B, m.C)), m.alpha[cols])
         self.grams = [g[np.ix_(cols, cols)] for g in parent.grams]
         self.set_tensor(parent.t)
-
-    def replace(self, mode, x):  # no alpha: it is the parent's to replace
-        super().replace(mode, x)
 
     def mttkrp(self, mode):
         if mode == "C":
@@ -217,7 +214,7 @@ def gradient(mode, sweep):
 
 
 def lipschitz_estimate(mode, sweep):
-    """Largest eigenvalue of D W^T W D for the mode, floored at the smallest normal float.
+    """Largest eigenvalue of D W^T W D for the mode, floored at CURVATURE_FLOOR.
 
     This is the exact Lipschitz constant of the block gradient, since f is
     quadratic in each factor.  The floor only keeps the step finite if alpha^2 underflows.
@@ -228,7 +225,7 @@ def lipschitz_estimate(mode, sweep):
     if not math.isfinite(d @ d):
         raise DataError("the squared scaling vector overflows in the factor update; rescale the data")
     evals = np.linalg.eigvalsh(sweep.mode_gram(mode) * (d[:, None] * d))
-    return max(float(evals[-1]) if evals.size else 0.0, np.finfo(np.float64).tiny)
+    return max(float(evals[-1]) if evals.size else 0.0, CURVATURE_FLOOR)
 
 
 def mm_update(mode, sweep):
@@ -256,10 +253,10 @@ def regularized_als_step(sweep, rho):
     """One Tikhonov-damped alternating least-squares sweep over A, B, C.
 
     Each mode solves (W^T W + rho I) G^T = W^T T(mode)^T for G = X D, then
-    splits G into unit columns and the scaling vector, which it installs in
-    the sweep.  With rho = 0 and a full-column-rank W this is the exact ALS
-    subproblem solution.  Returns the sweep's new model; a rank-0 model has
-    nothing to solve for and comes back unchanged.
+    splits G into unit columns, installed with :meth:`Sweep.replace`, and the
+    scaling vector, assigned to the new model's alpha.  With rho = 0 and a
+    full-column-rank W this is the exact ALS subproblem solution.  Returns
+    the sweep's new model; a rank-0 model comes back unchanged.
     """
     check_real("rho", rho, 0, np.inf, "[)")
     if sweep.model.R == 0:
@@ -272,6 +269,8 @@ def regularized_als_step(sweep, rho):
             raise NumericalRankError("normal equations are numerically singular; pass rho > 0 to damp them")
         g = np.linalg.solve(lhs, sweep.mttkrp(mode).T).T
         x = getattr(sweep.model, mode).copy()
-        sweep.replace(mode, x, _set_unit_columns(x, g))
+        alpha = _set_unit_columns(x, g)
+        sweep.replace(mode, x)
+        sweep.model.alpha = alpha
     return sweep.model
 

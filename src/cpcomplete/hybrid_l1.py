@@ -13,11 +13,12 @@ with orthonormal U, V and P_k = [L_1^{-1} v_1, ..., L_k^{-1} v_k].  The process
 builds M_k, :class:`ProjectedProblem` holds its singular values and vectors,
 and the projected Tikhonov solve and the choice of lambda by weighted
 generalized cross validation read only those.  They come from the
-eigendecomposition of the (k+1) x (k+1) Gram M_k M_k^T, or from the SVD of
-M_k when that Gram cannot resolve M_k's smallest singular value.  The choice
-evaluates the WGCV curve once, on a 200-point grid, and places lambda by one
-parabolic step in log lambda through the grid minimum and its two
-neighbours.
+eigendecomposition of the (k+1) x (k+1) Gram M_k M_k^T, or from the full SVD
+of M_k when that Gram cannot resolve M_k's smallest singular value; either
+way the residual outside range(M_k) is read off M_k's left null vector.
+The choice evaluates the WGCV curve once, on a 200-point grid, and places
+lambda by one parabolic step in log lambda through the grid minimum and its
+two neighbours.
 
 What the solver returns is an IRN-weighted Tikhonov iterate, not the lasso
 minimizer: the projected Tikhonov solution at the last WGCV lambda after
@@ -46,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cp_model import reconstruct
-from .factor_updates import STEP_SAFETY
+from .factor_updates import CURVATURE_FLOOR, STEP_SAFETY
 from .tensor_ops import check_count, check_real
 
 __all__ = [
@@ -79,10 +80,12 @@ def soft_threshold(v, lam):
 def ista_alpha_step(m, qt, lam, op, out=None):
     """One thresholded-Landweber step on the scaling vector at fixed lambda.
 
-    alpha <- prox(alpha - Q (Q^T alpha - t) / (s eta), lambda / (s eta)) with
-    eta the largest eigenvalue of Q Q^T and s = STEP_SAFETY, the same safety
-    factor the MM factor updates use, for the tensor t being fitted.  ``qt``
-    is Q t, which the completion driver reads off its MM sweep
+    alpha <- prox(alpha - Q (Q^T alpha - t) / (s eta), lambda / (s eta)) for
+    the tensor t being fitted, with eta the largest eigenvalue of Q Q^T
+    floored at CURVATURE_FLOOR and s = STEP_SAFETY, the floor and safety
+    factor of the MM factor updates.  Unit factor columns give
+    diag(Q Q^T) = 1, so the floor binds only on columns far from unit norm.
+    ``qt`` is Q t, which the completion driver reads off its MM sweep
     (:meth:`~cpcomplete.factor_updates.Sweep.qt`) and anyone else gets from
     ``op.rmatvec(t)``; ``op`` is the
     :class:`~cpcomplete.cp_model.CPScalingOperator` of m's factors, which
@@ -93,7 +96,7 @@ def ista_alpha_step(m, qt, lam, op, out=None):
     written into it, over the nonzero components only; m is left as it
     was.  A rank-0 model gets an empty alpha.
     """
-    eta = max(float(np.linalg.eigvalsh(op.gram).max(initial=0.0)), 1e-12)
+    eta = max(float(np.linalg.eigvalsh(op.gram).max(initial=0.0)), CURVATURE_FLOOR)
     step = 1.0 / (STEP_SAFETY * eta)
     grad = op.gram @ m.alpha - qt
     alpha = soft_threshold(m.alpha - step * grad, lam * step)
@@ -256,28 +259,28 @@ _GRAM_MIN_RATIO = 1e-8
 
 class ProjectedProblem:
     """min_q ||M q - beta1 e1||^2 + lambda ||q||^2 for a (k+1) x k matrix M, as
-    M = W diag(s) V^T with s^2, vt = V^T, c = beta1 W^T e1, c^2 and rho2, the
-    squared norm of the part of beta1 e1 outside range(M).
+    M = W[:, :k] diag(s) V^T with s^2, vt = V^T, c = beta1 W[0, :k], c^2 and
+    rho2, the squared norm of the part of beta1 e1 outside range(M).
 
-    The factors come from ``eigh`` of the (k+1) x (k+1) Gram M M^T: s^2 are
-    its k largest eigenvalues in descending order and W their eigenvectors,
-    so V^T = diag(1/s) W^T M, and the remaining eigenvector w_0 spans the
-    left null space of M, so rho2 = (beta1 w_0[0])^2, with none of the
-    cancellation of beta1^2 - ||c||^2.
+    W is a (k+1) x (k+1) orthogonal matrix whose last column spans the left
+    null space of M, so rho2 = (beta1 W[0, k])^2 on either factorization,
+    with none of the cancellation of beta1^2 - ||c||^2.  The factors come
+    from ``eigh`` of the Gram M M^T: s^2 are its k largest eigenvalues in
+    descending order, W its eigenvectors in that order with the null vector
+    last, and V^T = diag(1/s) W[:, :k]^T M.
 
-    When the Gram cannot resolve the spectrum, the factors are the SVD of M,
-    with rho2 = max(beta1^2 - ||c||^2, 0): for k = 0, for a Gram that is not
+    When the Gram cannot resolve the spectrum, the factors are the SVD of M
+    with the full (k+1) x (k+1) U as W: for k = 0, for a Gram that is not
     finite (M near overflow), and when the k-th eigenvalue is at most
     ``_GRAM_MIN_RATIO`` = 1e-8 times the largest.  ``eigh`` resolves each
-    eigenvalue to an absolute error of about eps * lambda_max, so at that
-    ratio a kept singular value is still good to about eps / (2 * 1e-8),
-    some 1e-8 relative, the level of rounding changes the solver already
-    absorbs, and the kept eigenvectors stay 1e-8 lambda_max away from the
-    null vector's eigenvalue.  Below it the Gram has squared away the digits
-    the small singular values need.  The solver's own problems sit well
-    above it (sigma_min^2 / sigma_max^2 >= 2.7e-7 on the criterion-7
-    instances and the MOR demo).  The guard is a ratio, so the choice does
-    not depend on the data's units.
+    eigenvalue to about eps * lambda_max, so at that ratio a kept singular
+    value is still good to some 1e-8 relative, the level of rounding changes
+    the solver already absorbs, and the kept eigenvectors stay 1e-8
+    lambda_max away from the null vector's eigenvalue.  Below it the Gram has
+    squared away the digits the small singular values need.  The solver's own
+    problems sit well above it (sigma_min^2 / sigma_max^2 >= 2.7e-7 on the
+    criterion-7 instances and the MOR demo).  The guard is a ratio, so the
+    choice does not depend on the data's units.
     """
 
     __slots__ = ("k", "s", "s2", "c", "c2", "vt", "rho2")
@@ -286,22 +289,18 @@ class ProjectedProblem:
         self.k = k = m.shape[1]
         gram = m @ m.T
         # eigh fails on an overflowed Gram; the SVD below handles such an M
-        if k and np.isfinite(gram).all():
-            evals, evecs = np.linalg.eigh(gram)
-            # eigh sorts ascending: the k largest in descending order, then w_0
-            s2, w = evals[:0:-1], evecs[:, :0:-1]
-            if s2[-1] > _GRAM_MIN_RATIO * s2[0]:
-                self.s2, self.s = s2, np.sqrt(s2)
-                self.vt = (w.T @ m) / self.s[:, None]
-                self.c = beta1 * w[0]
-                self.c2 = self.c * self.c
-                self.rho2 = float(beta1 * evecs[0, 0]) ** 2
-                return
-        w, self.s, self.vt = np.linalg.svd(m, full_matrices=False)
-        self.c = beta1 * w[0]
-        self.s2 = self.s * self.s
+        evals, w = np.linalg.eigh(gram) if k and np.isfinite(gram).all() else (None, None)
+        if evals is not None and evals[1] > _GRAM_MIN_RATIO * evals[-1]:
+            # eigh sorts ascending: reversed, the k largest come first, the null vector last
+            self.s2, w = evals[:0:-1], w[:, ::-1]
+            self.s = np.sqrt(self.s2)
+            self.vt = (w[:, :k].T @ m) / self.s[:, None]
+        else:
+            w, self.s, self.vt = np.linalg.svd(m)
+            self.s2 = self.s * self.s
+        self.c = beta1 * w[0, :k]
         self.c2 = self.c * self.c
-        self.rho2 = max(beta1**2 - float(self.c @ self.c), 0.0)
+        self.rho2 = float(beta1 * w[0, k]) ** 2
 
 
 def projected_tikhonov(problem, lam):

@@ -417,13 +417,22 @@ class TestSweepExactOracle:
 
     @pytest.mark.parametrize("dims", [(7, 5, 3), (3, 5, 7)], ids=["K<=I", "K>I"])
     def test_als_sweeps_match_per_call_code(self, dims):
+        # Each mode installs its factor with Sweep.replace, which takes a
+        # factor only, and then assigns alpha to the new model, so a model
+        # returned by an earlier sweep keeps all of its bits.
         m, t, _ = self.case(dims, "generic")
         sweep = Sweep(m, t)
-        old = m
+        old, returned = m, []
         for _ in range(3):
             new = regularized_als_step(sweep, 1e-3)
             old = self.old_als_step(old, t, 1e-3)
             self.assert_same(new, old)
+            returned.append((new, copy.deepcopy(new)))
+        for model, snapshot in returned:
+            self.assert_same(model, snapshot)
+        assert len({id(model) for model, _ in returned}) == 3
+        with pytest.raises(TypeError):
+            sweep.replace("A", new.A, new.alpha)
 
 
 @pytest.mark.parametrize("dims", [(7, 5, 3), (3, 5, 7)], ids=["K<=I", "K>I"])
@@ -487,7 +496,7 @@ def test_active_sweep_writes_through(dims):
             assert np.array_equal(x[:, cols], y) and np.array_equal(x[:, 1], x0[:, 1])
             assert np.array_equal(gram, x.T @ x) and np.array_equal(block, gram[np.ix_(cols, cols)])
     assert not np.array_equal(full.A, m.A)
-    with pytest.raises(TypeError):  # alpha is the full sweep's to replace
+    with pytest.raises(TypeError):  # a factor only, as on every sweep
         active.replace("A", part.A, part.alpha)
 
 

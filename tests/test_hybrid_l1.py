@@ -163,6 +163,21 @@ class TestIstaAlphaStep:
         assert back.sum() == (2 if alpha_kind == "partly zero" else 0)
         assert new[back].all()
 
+    def test_tiny_curvature_sets_the_step(self):
+        # Factor columns of norm 1e-8 put lambda_max(Q Q^T) near 1e-48, which
+        # the floor, the smallest normal float, leaves alone: the step is
+        # 1 / (STEP_SAFETY lambda_max), as in the MM factor updates.
+        rng = np.random.default_rng(6)
+        mats = [1e-8 * x / np.linalg.norm(x, axis=0) for x in rng.normal(size=(3, 5, 3))]
+        m = CPModel(*mats, rng.normal(size=3))
+        op = CPScalingOperator(m, grams(m))
+        eta = float(np.linalg.eigvalsh(op.gram)[-1])
+        assert 1e-49 < eta < 1e-47
+        qt = op.rmatvec(rng.normal(size=(5, 5, 5)))
+        step = 1.0 / (hybrid_l1.STEP_SAFETY * eta)
+        expected = soft_threshold(m.alpha - step * (op.gram @ m.alpha - qt), 1e-30 * step)
+        assert np.array_equal(ista_alpha_step(m, qt, 1e-30, op), expected)
+
     def test_matches_coordinate_descent_objective(self):
         rng = np.random.default_rng(3)
         mats = [rng.normal(size=(5, 4)) for _ in range(3)]
@@ -670,15 +685,54 @@ class TestWGCVExactOracle:
 
 
 def svd_oracle(m_mat, beta1):
-    # The projected problem from the SVD of M, with rho2 = beta1^2 - ||c||^2.
+    # The projected problem from the SVD of M with the full U, whose last
+    # column spans M's left null space, so rho2 = (beta1 U[0, k])^2.  Thin
+    # and full SVDs can differ in s and V^T, so this makes the package's call.
     problem = object.__new__(ProjectedProblem)
-    problem.k = m_mat.shape[1]
-    w, problem.s, problem.vt = np.linalg.svd(m_mat, full_matrices=False)
-    problem.c = beta1 * w[0]
+    k = problem.k = m_mat.shape[1]
+    u, problem.s, problem.vt = np.linalg.svd(m_mat)
+    problem.c = beta1 * u[0, :k]
     problem.s2 = problem.s * problem.s
     problem.c2 = problem.c * problem.c
-    problem.rho2 = max(beta1**2 - float(problem.c @ problem.c), 0.0)
+    problem.rho2 = float(beta1 * u[0, k]) ** 2
     return problem
+
+
+def difference_rho2(problem, beta1):
+    """rho2 as beta1^2 - ||c||^2 on the problem's c, which cancels when rho2 << beta1^2."""
+    return max(beta1**2 - float(problem.c @ problem.c), 0.0)
+
+
+def mp_residual(m_mat, beta1):
+    """||(I - M M^+) beta1 e1||^2 for the float M, from the normal equations at 60 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        a = mpmath.matrix(m_mat.tolist())
+        b = mpmath.matrix([beta1] + [0.0] * m_mat.shape[1])
+        r = a * mpmath.lu_solve(a.T * a, a.T * b) - b
+        return float(sum(x * x for x in r))
+
+
+def mp_hessenberg_residual(m_mat, beta1):
+    """The same for an upper Hessenberg M with a nonzero subdiagonal, in O(k^2):
+    its left null vector is w = (1, w_1, ..., w_k) with w^T M = 0 solved
+    column by column, and the residual is beta1^2 / ||w||^2."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        w = [mpmath.mpf(1)]
+        for j in range(m_mat.shape[1]):
+            acc = mpmath.fsum(w[i] * mpmath.mpf(float(m_mat[i, j])) for i in range(j + 1))
+            w.append(-acc / mpmath.mpf(float(m_mat[j + 1, j])))
+        return float(mpmath.mpf(beta1) ** 2 / mpmath.fsum(x * x for x in w))
+
+
+def rank_deficient_problems():
+    # M's last column is a combination of the others, so M's last row is zero
+    rng = np.random.default_rng(3)
+    for k in (2, 5, 12):
+        m_mat = np.triu(rng.normal(size=(k + 1, k)), -1)
+        m_mat[:, -1] = m_mat[:, :-1] @ rng.normal(size=k - 1)
+        yield m_mat, 0.7
 
 
 def fgk_problems():
@@ -734,12 +788,7 @@ class TestProjectedProblemPaths:
         elif kind == "zero":
             cases = [(np.zeros((k + 1, k)), 1.5) for k in (1, 2, 7)]
         elif kind == "rank-deficient":
-            rng = np.random.default_rng(3)
-            cases = []
-            for k in (2, 5, 12):
-                m_mat = np.triu(rng.normal(size=(k + 1, k)), -1)
-                m_mat[:, -1] = m_mat[:, :-1] @ rng.normal(size=k - 1)
-                cases.append((m_mat, 0.7))
+            cases = list(rank_deficient_problems())
         else:
             # M is finite but its Gram is not, and s^2 overflows as before
             cases = [(1e160 * m_mat, beta1) for _, m_mat, beta1, _ in itertools.islice(fgk_problems(), 20)]
@@ -774,7 +823,6 @@ class TestProjectedProblemPaths:
         # the least-squares residual, 1e-9 to 1e-19 of beta1^2.  mpmath at 60
         # digits gives the reference; beta1^2 - ||c||^2 loses all its digits
         # on the last problems, the null vector keeps about 12.
-        mpmath = pytest.importorskip("mpmath")
         for seed in range(6):
             rng = np.random.default_rng(seed)
             n = 4 + seed
@@ -784,15 +832,52 @@ class TestProjectedProblemPaths:
             for _ in range(n):
                 fgk_expand(state, h, 10.0 ** rng.uniform(0.0, 2.0, n))
             m_mat, beta1 = state.M, state.beta1
-            with mpmath.workdps(60):
-                a = mpmath.matrix(m_mat.tolist())
-                b = mpmath.matrix([beta1] + [0.0] * n)
-                r = a * mpmath.lu_solve(a.T * a, a.T * b) - b
-                ref = float(sum(x * x for x in r))
+            ref = mp_residual(m_mat, beta1)
             assert ref < 1e-8 * beta1**2, seed
             gram_err = abs(ProjectedProblem(m_mat, beta1).rho2 - ref) / ref
-            svd_err = abs(svd_oracle(m_mat, beta1).rho2 - ref) / ref
-            assert gram_err <= min(svd_err, 1e-10), seed
+            difference_err = abs(difference_rho2(svd_oracle(m_mat, beta1), beta1) - ref) / ref
+            assert gram_err <= min(difference_err, 1e-10), seed
+
+    def test_fallback_rho2_is_as_accurate_as_the_difference(self, svd_calls):
+        # The SVD fallback's rho2 = (beta1 U[0, k])^2 against the residual of
+        # the float M at 60 digits, on every problem here that takes it.  On
+        # the graded Hessenberg problems (sigma_min / sigma_max <= 1e-12) the
+        # SVD's null vector gives rho2 only to about 1e-4 beta1^2, and both
+        # rules miss by the same amount there: they are apart by the rounding
+        # of ||U[0]|| = 1, which 2 (k+1) ulps of beta1^2 bound (measured
+        # worst 6.8 ulps, at k = 5).  On the rank-deficient
+        # problems M's last row is zero and the residual is 0: the null vector
+        # gives exactly 0 there, the difference 2.2e-16 on one.
+        eps = np.finfo(np.float64).eps
+        cases = [(m_mat, beta1, True) for _, p, m_mat, beta1, _ in hessenberg_problems() if p.k >= 2]
+        cases += [(m_mat, beta1, False) for m_mat, beta1 in rank_deficient_problems()]
+        for i, (m_mat, beta1, hessenberg) in enumerate(cases):
+            before = len(svd_calls)
+            problem = ProjectedProblem(m_mat, beta1)
+            assert len(svd_calls) == before + 1, i
+            ref = mp_hessenberg_residual(m_mat, beta1) if hessenberg else mp_residual(m_mat, beta1)
+            null_err = abs(problem.rho2 - ref)
+            difference_err = abs(difference_rho2(problem, beta1) - ref)
+            assert null_err <= difference_err + 2 * (problem.k + 1) * eps * beta1**2, i
+            if not hessenberg:
+                assert ref < 1e-40 * beta1**2 and problem.rho2 == 0.0, i
+
+    @pytest.mark.parametrize("branch", ["gram", "svd"])
+    def test_c_and_rho2_split_beta1_squared(self, branch, svd_calls):
+        # W is orthogonal, so ||c||^2 + rho2 = beta1^2 ||W[0]||^2 = beta1^2,
+        # to within 2 (k+1) ulps of beta1^2 (measured worst 1.16 (k+1) ulps)
+        eps = np.finfo(np.float64).eps
+        if branch == "gram":
+            cases = [(m_mat, beta1) for _, m_mat, beta1, _ in fgk_problems()]
+        else:
+            cases = [(m_mat, beta1) for _, p, m_mat, beta1, _ in hessenberg_problems() if p.k >= 2]
+            cases += list(rank_deficient_problems())
+        start = len(svd_calls)
+        for i, (m_mat, beta1) in enumerate(cases):
+            problem = ProjectedProblem(m_mat, beta1)
+            split = float(problem.c @ problem.c) + problem.rho2
+            assert abs(split - beta1**2) <= 2 * (problem.k + 1) * eps * beta1**2, i
+        assert len(svd_calls) - start == (len(cases) if branch == "svd" else 0)
 
 
 class TestSolveHybrid:
